@@ -45,7 +45,8 @@ struct BtbEntry {
 #[derive(Debug, Clone)]
 pub struct Btb {
     config: BtbConfig,
-    sets: Vec<Vec<Option<BtbEntry>>>,
+    /// `sets × ways` entries in one allocation, way-major within a set.
+    entries: Box<[Option<BtbEntry>]>,
     stamp: u64,
 }
 
@@ -58,7 +59,7 @@ impl Btb {
     pub fn new(config: BtbConfig) -> Btb {
         assert!(config.sets.is_power_of_two(), "BTB sets must be a power of two");
         assert!(config.ways > 0, "BTB needs at least one way");
-        Btb { config, sets: (0..config.sets).map(|_| vec![None; config.ways]).collect(), stamp: 0 }
+        Btb { config, entries: vec![None; config.sets * config.ways].into_boxed_slice(), stamp: 0 }
     }
 
     /// The BTB's configuration.
@@ -66,26 +67,28 @@ impl Btb {
         &self.config
     }
 
-    fn index_and_tag(&self, pc: u64) -> (usize, u64) {
+    /// The entry range of `pc`'s set and `pc`'s partial tag.
+    fn set_and_tag(&self, pc: u64) -> (core::ops::Range<usize>, u64) {
         let idx = ((pc >> 3) as usize) & (self.config.sets - 1);
         let tag_shift = 3 + self.config.sets.trailing_zeros();
         let tag_mask =
             if self.config.tag_bits >= 64 { u64::MAX } else { (1 << self.config.tag_bits) - 1 };
-        (idx, (pc >> tag_shift) & tag_mask)
+        let ways = self.config.ways;
+        (idx * ways..(idx + 1) * ways, (pc >> tag_shift) & tag_mask)
     }
 
     /// Predicted target of the control instruction at `pc`, if any.
     pub fn predict(&self, pc: u64) -> Option<u64> {
-        let (idx, tag) = self.index_and_tag(pc);
-        self.sets[idx].iter().flatten().find(|e| e.tag == tag).map(|e| e.target)
+        let (set, tag) = self.set_and_tag(pc);
+        self.entries[set].iter().flatten().find(|e| e.tag == tag).map(|e| e.target)
     }
 
     /// Installs or refreshes the target for `pc`.
     pub fn update(&mut self, pc: u64, target: u64) {
         self.stamp += 1;
         let stamp = self.stamp;
-        let (idx, tag) = self.index_and_tag(pc);
-        let set = &mut self.sets[idx];
+        let (set, tag) = self.set_and_tag(pc);
+        let set = &mut self.entries[set];
         if let Some(e) = set.iter_mut().flatten().find(|e| e.tag == tag) {
             e.target = target;
             e.last_used = stamp;
@@ -106,7 +109,7 @@ impl Btb {
 
     /// Number of valid entries.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.iter().flatten().count()).sum()
+        self.entries.iter().flatten().count()
     }
 
     /// Whether the BTB holds no entries.
@@ -116,9 +119,7 @@ impl Btb {
 
     /// Drops all entries.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.fill(None);
-        }
+        self.entries.fill(None);
     }
 }
 

@@ -93,3 +93,72 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 }
+
+/// The naive reference BTB: one `Vec` of optional `(tag, target, stamp)`
+/// ways per set, indexed and tagged exactly as the BTB documents.
+struct ModelBtb {
+    sets: Vec<Vec<Option<(u64, u64, u64)>>>,
+    tag_bits: u32,
+    stamp: u64,
+}
+
+impl ModelBtb {
+    fn split(&self, pc: u64) -> (usize, u64) {
+        let sets = self.sets.len();
+        let tag = pc >> (3 + sets.trailing_zeros());
+        let tag = if self.tag_bits >= 64 { tag } else { tag & ((1 << self.tag_bits) - 1) };
+        ((pc >> 3) as usize & (sets - 1), tag)
+    }
+
+    fn predict(&self, pc: u64) -> Option<u64> {
+        let (set, tag) = self.split(pc);
+        self.sets[set].iter().flatten().find(|e| e.0 == tag).map(|e| e.1)
+    }
+
+    fn update(&mut self, pc: u64, target: u64) {
+        self.stamp += 1;
+        let (set, tag) = self.split(pc);
+        let ways = &mut self.sets[set];
+        let way = ways
+            .iter()
+            .position(|w| w.is_some_and(|e| e.0 == tag))
+            .or_else(|| ways.iter().position(Option::is_none))
+            .unwrap_or_else(|| (0..ways.len()).min_by_key(|&w| ways[w].unwrap().2).unwrap());
+        ways[way] = Some((tag, target, self.stamp));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The flattened BTB matches the naive reference model: predictions
+    /// after every update, under partial-tag aliasing (few tag bits, so
+    /// distinct PCs collide) and with full tags, plus `len` and `clear`.
+    #[test]
+    fn btb_matches_reference_model(
+        set_bits in 0u32..3,
+        ways in 1usize..5,
+        tag_bits in prop_oneof![Just(1u32), Just(2), Just(3), Just(64)],
+        ops in proptest::collection::vec((0u8..10, 0u64..64, 0usize..3, any::<u64>()), 1..300),
+    ) {
+        let config = BtbConfig { sets: 1 << set_bits, ways, tag_bits };
+        let mut btb = Btb::new(config);
+        let mut model = ModelBtb { sets: vec![vec![None; ways]; 1 << set_bits], tag_bits, stamp: 0 };
+        for (i, &(kind, word, high, target)) in ops.iter().enumerate() {
+            let pc = [0u64, 1 << 40, 1 << 63][high] | (word << 3);
+            match kind {
+                0..=5 => {
+                    btb.update(pc, target);
+                    model.update(pc, target);
+                }
+                6..=8 => {}
+                _ => {
+                    btb.clear();
+                    model.sets.iter_mut().for_each(|s| s.fill(None));
+                }
+            }
+            prop_assert_eq!(btb.predict(pc), model.predict(pc), "op {} pc {:#x}", i, pc);
+            prop_assert_eq!(btb.len(), model.sets.iter().flatten().flatten().count(), "op {}", i);
+        }
+    }
+}

@@ -2,7 +2,9 @@
 //! [`specrun::pool::run_campaign`], with per-shard leak verdicts and the
 //! double-run determinism the repro gate depends on.
 
-use specrun::pool::run_campaign;
+use specrun::pool::{run_campaign, ShardSnapshot};
+use specrun::Session;
+use specrun_mem::Cache;
 use specrun_workloads::pool::{CampaignSpec, ShardStatus};
 
 /// The full eight-shard PHT/BTB/RSB × policy matrix, 24 forked sessions,
@@ -57,4 +59,22 @@ fn paper_matrix_is_deterministic_across_thread_counts() {
     let parallel = run_campaign(&spec, 4);
     assert_eq!(serial, parallel);
     assert_eq!(serial.metrics(), parallel.metrics());
+}
+
+/// A fork costs what the parent touched: before it runs, a clone of every
+/// prepared paper-matrix snapshot holds exactly its parent's cache rows,
+/// and those are a small share of the Table 1 geometry (the 4 MiB L3's
+/// 8,192 sets above all).
+#[test]
+fn forks_inherit_exactly_the_parents_touched_sets() {
+    let spec = CampaignSpec::paper_matrix();
+    for shard in &spec.shards {
+        let snapshot = ShardSnapshot::prepare(&spec, shard);
+        let fork = snapshot.session().clone();
+        let rows = |s: &Session| s.core().mem().caches().map(Cache::touched_sets);
+        let parent = rows(snapshot.session());
+        assert_eq!(rows(&fork), parent, "{}", shard.label());
+        let l3 = snapshot.session().core().mem().config().l3.num_sets() as usize;
+        assert!(parent[3] > 0 && parent[3] * 8 < l3, "{}: {parent:?}", shard.label());
+    }
 }

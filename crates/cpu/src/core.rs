@@ -297,8 +297,8 @@ impl<O: PipelineObserver> Core<O> {
 
     /// Clears all in-flight state (used on program load).
     fn flush_pipeline(&mut self) {
-        self.rob = Rob::new(self.cfg.rob_entries);
-        self.sq = StoreQueue::new(self.cfg.sq_entries);
+        self.rob.clear();
+        self.sq.clear();
         self.pipe.clear();
         self.lq_occupancy = 0;
         self.iq_occupancy = 0;

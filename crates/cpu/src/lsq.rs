@@ -118,7 +118,8 @@ impl StoreQueue {
         self.entries.retain(|e| e.seq <= seq);
     }
 
-    /// Empties the queue (runahead exit).
+    /// Empties the queue (runahead exit, program load), keeping the
+    /// allocation.
     pub fn clear(&mut self) {
         self.entries.clear();
     }

@@ -253,8 +253,9 @@ impl Rob {
     }
 
     /// Drops every entry without returning them, for squashes whose
-    /// unwinding is wholesale (runahead exit rebuilds the RAT and free
-    /// lists from scratch, so the removed entries are never inspected).
+    /// unwinding is wholesale (runahead exit and program load rebuild the
+    /// RAT and free lists from scratch, so the removed entries are never
+    /// inspected). Keeps the allocation.
     pub fn clear(&mut self) {
         self.seqs.clear();
         self.entries.clear();

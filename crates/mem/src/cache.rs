@@ -4,11 +4,14 @@
 //! [`BackingStore`](crate::BackingStore). This matches how the attack works:
 //! what leaks is *which lines are resident*, not their contents.
 //!
-//! Storage is a single contiguous line array (`sets × ways`, way-major
-//! within a set) with one validity bitmask per set, so the per-access path
-//! is a masked index plus a short scan of a cache-resident slice — no
-//! nested `Vec<Vec<Option<_>>>` pointer chasing on the simulator's hottest
-//! loop.
+//! Storage grows with the sets a run fills, not with the geometry: a
+//! set → row table (4 bytes per set, 0 = never filled) points at rows
+//! allocated on a set's first fill, each holding the set's valid and dirty
+//! bitmasks, with the rows' tags and LRU stamps in two flat vectors. A
+//! 4 MiB L3 that a run touches in a few hundred sets therefore costs a few
+//! tens of KiB to build, clone and hold instead of its full `sets × ways`
+//! line array, while the per-access path stays one extra index plus a
+//! short masked scan of contiguous tags.
 
 use core::fmt;
 
@@ -51,12 +54,11 @@ impl CacheConfig {
     }
 }
 
-/// One way of one set. Meaningful only when the set's validity bit is set.
+/// Occupancy of one filled set: bit `w` is way `w`.
 #[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    dirty: bool,
-    last_used: u64,
+struct Row {
+    valid: u64,
+    dirty: u64,
 }
 
 /// Result of inserting a line: what was evicted, if anything.
@@ -86,11 +88,18 @@ pub enum Evicted {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `num_sets × ways` lines, way-major within a set.
-    lines: Box<[Line]>,
-    /// One validity bitmask per set (bit `w` = way `w` holds a line).
-    valid: Box<[u64]>,
+    /// Row of each set; 0 for a set never filled. Row 0 is a permanently
+    /// empty sentinel, so a lookup in an untouched set needs no branch.
+    row_of: Box<[u32]>,
+    /// One row per filled set, in first-fill order.
+    rows: Vec<Row>,
+    /// Tags and LRU stamps of every row's ways: way `w` of row `r` is at
+    /// `r << way_bits | w` (that index is a line's *slot*).
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
     ways: usize,
+    /// `ways` rounded up to a power of two, as a shift.
+    way_bits: u32,
     set_mask: u64,
     set_shift: u32,
     stamp: u64,
@@ -101,10 +110,14 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Cache {
         let sets = config.num_sets();
         let ways = config.ways as usize;
+        let stride = ways.next_power_of_two();
         Cache {
-            lines: vec![Line::default(); (sets as usize) * ways].into_boxed_slice(),
-            valid: vec![0u64; sets as usize].into_boxed_slice(),
+            row_of: vec![0u32; sets as usize].into_boxed_slice(),
+            rows: vec![Row::default()],
+            tags: vec![0; stride],
+            stamps: vec![0; stride],
             ways,
+            way_bits: stride.trailing_zeros(),
             set_mask: sets - 1,
             set_shift: sets.trailing_zeros(),
             stamp: 0,
@@ -133,15 +146,22 @@ impl Cache {
         self.stamp
     }
 
-    /// Index of the way holding `tag` in `set`, if resident.
+    /// The row holding `slot` and the slot's way bit within it.
+    #[inline]
+    fn row_and_bit(&self, slot: usize) -> (usize, u64) {
+        (slot >> self.way_bits, 1u64 << (slot & ((1 << self.way_bits) - 1)))
+    }
+
+    /// Slot holding `tag` in `set`, if resident.
     #[inline]
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.ways;
-        let mut mask = self.valid[set];
+        let row = self.row_of[set] as usize;
+        let base = row << self.way_bits;
+        let mut mask = self.rows[row].valid;
         while mask != 0 {
-            let way = mask.trailing_zeros() as usize;
-            if self.lines[base + way].tag == tag {
-                return Some(way);
+            let slot = base + mask.trailing_zeros() as usize;
+            if self.tags[slot] == tag {
+                return Some(slot);
             }
             mask &= mask - 1;
         }
@@ -159,17 +179,16 @@ impl Cache {
         self.access_slot(line).is_some()
     }
 
-    /// [`Cache::access`], additionally returning the hit line's *slot* — a
-    /// flat index into the line array that stays valid while the line stays
+    /// [`Cache::access`], additionally returning the hit line's *slot* — an
+    /// index into the cache's storage that stays valid while the line stays
     /// resident (i.e. until any fill, invalidate or clear on this cache).
     /// Callers memoize it to re-touch a just-hit line without repeating the
     /// tag search; see [`Cache::touch_slot`].
     pub fn access_slot(&mut self, line: u64) -> Option<usize> {
         let stamp = self.bump();
         let (set, tag) = self.set_and_tag(line);
-        let way = self.find(set, tag)?;
-        let slot = set * self.ways + way;
-        self.lines[slot].last_used = stamp;
+        let slot = self.find(set, tag)?;
+        self.stamps[slot] = stamp;
         Some(slot)
     }
 
@@ -179,24 +198,22 @@ impl Cache {
     /// line becomes most-recently used.
     pub fn touch_slot(&mut self, slot: usize) {
         let stamp = self.bump();
-        self.lines[slot].last_used = stamp;
+        self.stamps[slot] = stamp;
     }
 
     /// Marks a resident slot dirty (store hit on a memoized line);
     /// equivalent to [`Cache::mark_dirty`] on its line.
     pub fn mark_dirty_slot(&mut self, slot: usize) {
-        self.lines[slot].dirty = true;
+        let (row, bit) = self.row_and_bit(slot);
+        self.rows[row].dirty |= bit;
     }
 
     /// Marks the line dirty if resident (store hit). Returns whether it hit.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
         let (set, tag) = self.set_and_tag(line);
-        if let Some(way) = self.find(set, tag) {
-            self.lines[set * self.ways + way].dirty = true;
-            true
-        } else {
-            false
-        }
+        let Some(slot) = self.find(set, tag) else { return false };
+        self.mark_dirty_slot(slot);
+        true
     }
 
     /// Installs the line (no-op if already resident), evicting the LRU way
@@ -204,63 +221,75 @@ impl Cache {
     pub fn fill(&mut self, line: u64, _now: u64, dirty: bool) -> Evicted {
         let stamp = self.bump();
         let (set, tag) = self.set_and_tag(line);
-        let base = set * self.ways;
         // Already resident: refresh.
-        if let Some(way) = self.find(set, tag) {
-            let l = &mut self.lines[base + way];
-            l.last_used = stamp;
-            l.dirty |= dirty;
-            return Evicted::None;
-        }
-        // Free way available (lowest-index first, as before).
-        let occupancy = self.valid[set];
-        let free = (!occupancy).trailing_zeros() as usize;
-        if free < self.ways {
-            self.lines[base + free] = Line { tag, dirty, last_used: stamp };
-            self.valid[set] |= 1u64 << free;
-            return Evicted::None;
-        }
-        // Evict true-LRU.
-        let mut victim_way = 0;
-        let mut victim_stamp = u64::MAX;
-        for way in 0..self.ways {
-            let used = self.lines[base + way].last_used;
-            if used < victim_stamp {
-                victim_stamp = used;
-                victim_way = way;
+        if let Some(slot) = self.find(set, tag) {
+            self.stamps[slot] = stamp;
+            if dirty {
+                self.mark_dirty_slot(slot);
             }
+            return Evicted::None;
         }
-        let victim = core::mem::replace(
-            &mut self.lines[base + victim_way],
-            Line { tag, dirty, last_used: stamp },
-        );
-        let victim_line = (victim.tag << self.set_shift) | set as u64;
-        if victim.dirty {
-            Evicted::Dirty(victim_line)
+        // A set's first fill gives it a row.
+        if self.row_of[set] == 0 {
+            self.row_of[set] = self.rows.len() as u32;
+            self.rows.push(Row::default());
+            let len = self.tags.len() + (1 << self.way_bits);
+            self.tags.resize(len, 0);
+            self.stamps.resize(len, 0);
+        }
+        let row = self.row_of[set] as usize;
+        let base = row << self.way_bits;
+        let Row { valid, dirty: dirty_mask } = self.rows[row];
+        // Free way (lowest index first), else the true-LRU way.
+        let free = (!valid).trailing_zeros() as usize;
+        let (way, evicted) = if free < self.ways {
+            (free, Evicted::None)
         } else {
-            Evicted::Clean(victim_line)
-        }
+            let lru = &self.stamps[base..base + self.ways];
+            let way = (0..self.ways).min_by_key(|&w| lru[w]).expect("nonzero ways");
+            let victim = (self.tags[base + way] << self.set_shift) | set as u64;
+            if dirty_mask & (1u64 << way) != 0 {
+                (way, Evicted::Dirty(victim))
+            } else {
+                (way, Evicted::Clean(victim))
+            }
+        };
+        let bit = 1u64 << way;
+        self.tags[base + way] = tag;
+        self.stamps[base + way] = stamp;
+        let r = &mut self.rows[row];
+        r.valid |= bit;
+        r.dirty = if dirty { r.dirty | bit } else { r.dirty & !bit };
+        evicted
     }
 
     /// Removes the line if resident; returns whether it was present.
     pub fn invalidate(&mut self, line: u64) -> bool {
         let (set, tag) = self.set_and_tag(line);
-        if let Some(way) = self.find(set, tag) {
-            self.valid[set] &= !(1u64 << way);
-            true
-        } else {
-            false
-        }
+        let Some(slot) = self.find(set, tag) else { return false };
+        let (row, bit) = self.row_and_bit(slot);
+        self.rows[row].valid &= !bit;
+        true
     }
 
-    /// Empties the cache.
+    /// Empties the cache, releasing every row.
     pub fn clear(&mut self) {
-        self.valid.fill(0);
+        self.row_of.fill(0);
+        self.rows.truncate(1);
+        self.tags.truncate(1 << self.way_bits);
+        self.stamps.truncate(1 << self.way_bits);
     }
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.valid.iter().map(|m| m.count_ones() as usize).sum()
+        self.rows.iter().map(|r| r.valid.count_ones() as usize).sum()
+    }
+
+    /// Number of sets holding storage: those filled at least once since
+    /// the cache was created or last cleared. A cache's footprint grows
+    /// with this count, not with its geometry.
+    pub fn touched_sets(&self) -> usize {
+        self.rows.len() - 1
     }
 }
 

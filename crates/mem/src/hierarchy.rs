@@ -112,12 +112,13 @@ struct Inflight {
 }
 
 /// One-entry L1-hit memo for one L1 port: the last line that hit and its
-/// slot in the cache's line array. Valid only while the port's contents are
-/// untouched (any fill/invalidate/clear resets the memo), so a memo hit can
-/// replay the L1-hit path — LRU touch, hit statistic, latency — exactly,
-/// without the tag search or the miss/MSHR machinery. This is the common
-/// case on both ports: demand fetch re-probes the same 64-byte text line
-/// once per instruction per cycle, and data loads stream within lines.
+/// slot in the cache's storage (see [`Cache::access_slot`]). Valid only
+/// while the port's contents are untouched (any fill/invalidate/clear
+/// resets the memo), so a memo hit can replay the L1-hit path — LRU
+/// touch, hit statistic, latency — exactly, without the tag search or the
+/// miss/MSHR machinery. This is the common case on both ports: demand
+/// fetch re-probes the same 64-byte text line once per instruction per
+/// cycle, and data loads stream within lines.
 #[derive(Debug, Clone, Copy)]
 struct PortMemo {
     line: u64,
@@ -484,6 +485,12 @@ impl MemHierarchy {
     /// repeatedly into the same buffer.
     pub fn read_bytes_into(&self, addr: u64, out: &mut [u8]) {
         self.data.read_bytes_into(addr, out);
+    }
+
+    /// The cache levels in the order L1I, L1D, L2, L3 (host-side
+    /// inspection, e.g. of how many sets a run has touched).
+    pub fn caches(&self) -> [&Cache; 4] {
+        [&self.l1i, &self.l1d, &self.l2, &self.l3]
     }
 
     /// Accumulated statistics.

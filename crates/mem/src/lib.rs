@@ -3,7 +3,8 @@
 //! The memory subsystem of the SPECRUN runahead-processor simulator:
 //!
 //! * [`BackingStore`] — sparse functional data memory,
-//! * [`Cache`] — set-associative LRU caches,
+//! * [`Cache`] — set-associative true-LRU caches whose storage grows with
+//!   the sets a run fills, not with their geometry,
 //! * [`Dram`] — the request-based contention model of Table 1,
 //! * [`MemHierarchy`] — split L1 I/D + L2 + L3 + MSHRs, with non-blocking
 //!   misses, `clflush`, and the host-side cache-warming helper the paper
