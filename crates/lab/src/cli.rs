@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 use crate::chaos::{self, ChaosOptions};
 use crate::fuzz::{self, FuzzOptions};
-use crate::journal::{self, Journal};
+use crate::journal::{Journal, OpenError};
 use crate::json;
 use crate::perf::{self, PerfOptions};
 use crate::registry::{find, registry};
@@ -157,7 +157,7 @@ pub fn main() -> i32 {
                 2
             }
         },
-        Some("perf") => match PerfOptions::from_env().apply_args(&args[1..]) {
+        Some("perf") => match PerfOptions::default().apply_args(&args[1..]) {
             Ok(opts) => perf::run(&opts),
             Err(e) => {
                 eprintln!("error: {e}");
@@ -215,19 +215,6 @@ pub fn main() -> i32 {
             2
         }
     }
-}
-
-/// The legacy-binary entry point: `fig7`, `table1`, … are thin aliases for
-/// `specrun-lab run <name> --no-artifacts` at full fidelity. Like the
-/// pre-registry binaries they only print — overwriting a prior campaign's
-/// `LAB_report.json` from a compatibility alias would be a destructive
-/// surprise; use `specrun-lab run` for artifacts.
-pub fn legacy_main(name: &str) -> ! {
-    let code = run_command(&[name.to_string(), "--no-artifacts".to_string()]).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        2
-    });
-    std::process::exit(code)
 }
 
 fn list() {
@@ -652,44 +639,32 @@ fn run_command(args: &[String]) -> Result<i32, String> {
     });
     let mut recovered: BTreeMap<String, (usize, String)> = BTreeMap::new();
     if let Some(j) = &journal {
-        let mut fresh = true;
-        if resume {
-            match journal::load(j.path(), &header) {
-                Ok(Some(state)) => {
-                    fresh = false;
-                    for (key, payload) in &state.entries {
-                        let Some(name) = key.strip_prefix("scenario:") else { continue };
-                        if !names.iter().any(|n| n == name) {
-                            continue;
-                        }
-                        match parse_scenario_payload(payload) {
-                            Some(entry) => {
-                                recovered.insert(name.to_string(), entry);
-                            }
-                            None => {
-                                eprintln!(
-                                    "error: cannot resume from {}: journaled scenario {name} \
-                                     has a malformed payload",
-                                    j.path().display()
-                                );
-                                return Ok(2);
-                            }
-                        }
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("error: cannot resume from {}: {e}", j.path().display());
-                    eprintln!("hint: delete the journal (or drop --resume) to start fresh");
-                    return Ok(2);
-                }
+        let entries = match j.open(&header, resume) {
+            Ok(entries) => entries,
+            Err(OpenError::Resume(e)) => {
+                eprintln!("error: cannot resume from {}: {e}", j.path().display());
+                eprintln!("hint: delete the journal (or drop --resume) to start fresh");
+                return Ok(2);
             }
-        }
-        if fresh {
-            if let Err(e) = j.begin(&header) {
+            Err(OpenError::Begin(e)) => {
                 eprintln!("error: cannot start journal {}: {e}", j.path().display());
                 return Ok(2);
             }
+        };
+        for (key, payload) in &entries {
+            let Some(name) = key.strip_prefix("scenario:") else { continue };
+            if !names.iter().any(|n| n == name) {
+                continue;
+            }
+            let Some(entry) = parse_scenario_payload(payload) else {
+                eprintln!(
+                    "error: cannot resume from {}: journaled scenario {name} has a malformed \
+                     payload",
+                    j.path().display()
+                );
+                return Ok(2);
+            };
+            recovered.insert(name.to_string(), entry);
         }
     }
 

@@ -6,11 +6,11 @@
 //! determinism oracle), and checks the [`INVARIANTS`] registry — the
 //! cross-cutting claims that must hold for *every* victim shape the
 //! grammar can produce, not just the paper's hand-written PoCs. Trials fan
-//! out over [`try_parallel_map_with`], so a panicking plan becomes a reportable
-//! failing case rather than killing the campaign; every failing plan is
-//! then minimized by [`shrink_plan`] while preserving at least one of its
-//! originally-violated invariants, and serialized (original + shrunk) to a
-//! replayable `fail_<index>.json`.
+//! out over the campaign pool, [`supervised_map_with`], so a panicking plan
+//! becomes a reportable failing case rather than killing the campaign;
+//! every failing plan is then minimized by [`shrink_plan`] while preserving
+//! at least one of its originally-violated invariants, and serialized
+//! (original + shrunk) to a replayable `fail_<index>.json`.
 //!
 //! The campaign summary (`FUZZ_report.json`) is byte-stable across runs
 //! and thread counts for a fixed seed — the property the CI `fuzz-soak`
@@ -26,13 +26,13 @@ use std::sync::Mutex;
 use specrun::plan::{run_plan, try_run_plan, try_run_plan_governed, PlanOutcome};
 use specrun_workloads::clock::WallClock;
 use specrun_workloads::fuzz::shrink_plan;
-use specrun_workloads::harness::{default_threads, try_parallel_map_with, RunError};
+use specrun_workloads::harness::{default_threads, RunError};
 use specrun_workloads::plan::{GadgetKind, Plan, PlanPolicy};
 use specrun_workloads::supervisor::{
     supervised_map_with, CancelToken, SupervisorConfig, UnitCtx, UnitOutcome,
 };
 
-use crate::journal::{self, Journal, JournalError};
+use crate::journal::{Journal, JournalError, OpenError};
 use crate::json::Json;
 use crate::scenario::fnv1a;
 use crate::sink::{ArtifactSink, FsSink};
@@ -432,15 +432,6 @@ impl FuzzOptions {
         }
     }
 
-    /// Whether the campaign runs under the supervisor (any supervision
-    /// feature on, or a supervision chaos hook armed). A plain campaign
-    /// keeps the monitor-free harness path.
-    fn supervised(&self) -> bool {
-        self.supervisor_config().is_active()
-            || !self.chaos_flaky_plans.is_empty()
-            || !self.chaos_sick_plans.is_empty()
-    }
-
     /// The journal header string: everything that determines the
     /// campaign's bytes. Thread count is deliberately absent — results
     /// are thread-invariant, so a resume may use a different fan-out.
@@ -567,34 +558,12 @@ pub fn campaign(opts: &FuzzOptions) -> CampaignResult {
 
 /// One plan's worker-side outcome: its violations, plus the evaluation
 /// digest journaled with a pass (0 when the plan never completed).
-fn plan_outcome(plan: &Plan, invert: Option<&str>, panic_plans: &[u64]) -> (Vec<Violation>, u64) {
-    assert!(
-        !panic_plans.contains(&plan.index),
-        "chaos: injected panic evaluating plan {}",
-        plan.index
-    );
-    match try_evaluate(plan) {
-        Ok(eval) => {
-            let digest = eval_digest(&eval);
-            (violations_for(plan, &eval, invert), digest)
-        }
-        Err(run_error) => (
-            vec![Violation {
-                invariant: RUN_ERROR_VIOLATION.to_string(),
-                detail: run_error.to_string(),
-            }],
-            0,
-        ),
-    }
-}
-
-/// [`plan_outcome`] for the supervised path. Plan-level failures (budget
-/// exhaustion, wedged core) stay **in-band** — they are deterministic
-/// results, reported exactly as on the plain path and never retried. Only
-/// supervision-layer failures (cooperative cancellation, injected IO
-/// flakes) return `Err`, handing the supervisor something a retry could
-/// plausibly heal.
-fn supervised_plan_outcome(
+/// Plan-level failures (budget exhaustion, wedged core) stay **in-band** —
+/// they are deterministic results, reported as violations and never
+/// retried. Only supervision-layer failures (cooperative cancellation,
+/// injected IO flakes) return `Err`, handing the supervisor something a
+/// retry could plausibly heal.
+fn plan_outcome(
     plan: &Plan,
     invert: Option<&str>,
     opts: &FuzzOptions,
@@ -633,9 +602,9 @@ fn supervised_plan_outcome(
     }
 }
 
-/// Renders a supervised unit's terminal failure as the single violation
-/// the report carries for that plan.
-fn supervised_violation(error: &RunError, history: &[String], quarantined: bool) -> Violation {
+/// Renders a unit's terminal failure as the single violation the report
+/// carries for that plan.
+fn failure_violation(error: &RunError, history: &[String], quarantined: bool) -> Violation {
     let (invariant, base) = match error {
         RunError::Panic(e) => ("panic", e.message.clone()),
         other => (RUN_ERROR_VIOLATION, other.to_string()),
@@ -670,133 +639,89 @@ fn campaign_with(
     let journal = journal.map(|(sink, path)| Journal::new(sink, path));
     let mut skip: BTreeSet<u64> = BTreeSet::new();
     if let Some(j) = &journal {
-        if opts.resume {
-            match journal::load(j.path(), &header) {
-                Ok(Some(state)) => {
-                    for (key, payload) in &state.entries {
-                        let index = key.strip_prefix("plan:").and_then(|s| s.parse::<u64>().ok());
-                        if let Some(index) = index {
-                            if index < opts.plans && payload.starts_with("ok") {
-                                skip.insert(index);
-                            }
-                        }
-                    }
+        let entries = j.open(&header, opts.resume).map_err(|e| match e {
+            OpenError::Resume(e) => CampaignAbort::Journal(e),
+            OpenError::Begin(e) => CampaignAbort::Io(e.to_string()),
+        })?;
+        for (key, payload) in &entries {
+            let index = key.strip_prefix("plan:").and_then(|s| s.parse::<u64>().ok());
+            if let Some(index) = index {
+                if index < opts.plans && payload.starts_with("ok") {
+                    skip.insert(index);
                 }
-                Ok(None) => {
-                    j.begin(&header).map_err(|e| CampaignAbort::Io(e.to_string()))?;
-                }
-                Err(e) => return Err(CampaignAbort::Journal(e)),
             }
-        } else {
-            j.begin(&header).map_err(|e| CampaignAbort::Io(e.to_string()))?;
         }
     }
 
     // Fan out over the plans the journal does not cover; a panicking plan
-    // surfaces as a TrialError, not a dead run. The completion hook
+    // surfaces as a failed unit, not a dead run. The completion hook
     // journals each plan the moment it finishes, from the worker thread —
-    // final attempts only on the supervised path, since the hook fires
-    // once per unit after its retry loop resolves.
+    // final attempts only, since the hook fires once per unit after its
+    // retry loop resolves.
     let pending: Vec<&Plan> = plans.iter().filter(|p| !skip.contains(&p.index)).collect();
     let journal_error: Mutex<Option<String>> = Mutex::new(None);
-    let journal_append = |index: u64, payload: &str| {
-        let Some(j) = &journal else { return };
-        if let Err(e) = j.append(&format!("plan:{index}"), payload) {
-            let mut slot = journal_error.lock().unwrap();
-            slot.get_or_insert_with(|| format!("cannot append to journal: {e}"));
-        }
-    };
-    let fail_payload = |violations: &[Violation]| {
-        let names: BTreeSet<&str> = violations.iter().map(|v| v.invariant.as_str()).collect();
-        format!("fail {}", names.into_iter().collect::<Vec<_>>().join(","))
-    };
+    let report = supervised_map_with(
+        &pending,
+        threads,
+        &opts.supervisor_config(),
+        &WallClock::new(),
+        |_, plan, ctx| plan_outcome(plan, invert, opts, ctx),
+        |i, outcome| {
+            let Some(j) = &journal else { return };
+            let payload = match outcome {
+                UnitOutcome::Done { result: (violations, digest), .. } => {
+                    if violations.is_empty() {
+                        format!("ok {digest:016x}")
+                    } else {
+                        let names: BTreeSet<&str> =
+                            violations.iter().map(|v| v.invariant.as_str()).collect();
+                        format!("fail {}", names.into_iter().collect::<Vec<_>>().join(","))
+                    }
+                }
+                UnitOutcome::Failed { error: RunError::Panic(_), .. }
+                | UnitOutcome::Quarantined { error: RunError::Panic(_), .. } => {
+                    "fail panic".to_string()
+                }
+                UnitOutcome::Failed { .. } | UnitOutcome::Quarantined { .. } => {
+                    format!("fail {RUN_ERROR_VIOLATION}")
+                }
+                // Never journaled: a resume must re-run skipped plans.
+                UnitOutcome::Skipped => return,
+            };
+            if let Err(e) = j.append(&format!("plan:{}", pending[i].index), &payload) {
+                let mut slot = journal_error.lock().unwrap();
+                slot.get_or_insert_with(|| format!("cannot append to journal: {e}"));
+            }
+        },
+    );
 
+    let breaker_tripped = report.breaker_tripped;
     let mut by_index: BTreeMap<u64, Vec<Violation>> = BTreeMap::new();
     let mut panics = 0u64;
     let mut quarantined = 0u64;
     let mut skipped_plans: BTreeSet<u64> = BTreeSet::new();
-    let mut breaker_tripped = false;
-
-    if opts.supervised() {
-        let cfg = opts.supervisor_config();
-        let clock = WallClock::new();
-        let report = supervised_map_with(
-            &pending,
-            threads,
-            &cfg,
-            &clock,
-            |_, plan, ctx| supervised_plan_outcome(plan, invert, opts, ctx),
-            |i, outcome| {
-                let payload = match outcome {
-                    UnitOutcome::Done { result: (violations, digest), .. } => {
-                        if violations.is_empty() {
-                            format!("ok {digest:016x}")
-                        } else {
-                            fail_payload(violations)
-                        }
-                    }
-                    UnitOutcome::Failed { error, .. } | UnitOutcome::Quarantined { error, .. } => {
-                        match error {
-                            RunError::Panic(_) => "fail panic".to_string(),
-                            _ => format!("fail {RUN_ERROR_VIOLATION}"),
-                        }
-                    }
-                    // Never journaled: a resume must re-run skipped plans.
-                    UnitOutcome::Skipped => return,
-                };
-                journal_append(pending[i].index, &payload);
-            },
-        );
-        breaker_tripped = report.breaker_tripped;
-        for (plan, outcome) in pending.iter().zip(report.outcomes) {
-            let violations = match outcome {
-                UnitOutcome::Done { result: (violations, _), .. } => violations,
-                UnitOutcome::Failed { error, history } => {
-                    if matches!(error, RunError::Panic(_)) {
-                        panics += 1;
-                    }
-                    vec![supervised_violation(&error, &history, false)]
-                }
-                UnitOutcome::Quarantined { error, history } => {
-                    quarantined += 1;
-                    if matches!(error, RunError::Panic(_)) {
-                        panics += 1;
-                    }
-                    vec![supervised_violation(&error, &history, true)]
-                }
-                UnitOutcome::Skipped => {
-                    skipped_plans.insert(plan.index);
-                    continue;
-                }
-            };
-            by_index.insert(plan.index, violations);
-        }
-    } else {
-        let results = try_parallel_map_with(
-            &pending,
-            threads,
-            |_, plan| plan_outcome(plan, invert, &opts.chaos_panic_plans),
-            |i, result| {
-                let payload = match result {
-                    Ok((violations, digest)) if violations.is_empty() => {
-                        format!("ok {digest:016x}")
-                    }
-                    Ok((violations, _)) => fail_payload(violations),
-                    Err(_) => "fail panic".to_string(),
-                };
-                journal_append(pending[i].index, &payload);
-            },
-        );
-        for (plan, result) in pending.iter().zip(results) {
-            let violations = match result {
-                Ok((v, _)) => v,
-                Err(e) => {
+    for (plan, outcome) in pending.iter().zip(report.outcomes) {
+        let violations = match outcome {
+            UnitOutcome::Done { result: (violations, _), .. } => violations,
+            UnitOutcome::Failed { error, history } => {
+                if matches!(error, RunError::Panic(_)) {
                     panics += 1;
-                    vec![Violation { invariant: "panic".to_string(), detail: e.message }]
                 }
-            };
-            by_index.insert(plan.index, violations);
-        }
+                vec![failure_violation(&error, &history, false)]
+            }
+            UnitOutcome::Quarantined { error, history } => {
+                quarantined += 1;
+                if matches!(error, RunError::Panic(_)) {
+                    panics += 1;
+                }
+                vec![failure_violation(&error, &history, true)]
+            }
+            UnitOutcome::Skipped => {
+                skipped_plans.insert(plan.index);
+                continue;
+            }
+        };
+        by_index.insert(plan.index, violations);
     }
     if let Some(e) = journal_error.into_inner().unwrap() {
         return Err(CampaignAbort::Io(e));

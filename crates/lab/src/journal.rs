@@ -161,6 +161,16 @@ pub fn load(path: &Path, expected_header: &str) -> Result<Option<JournalState>, 
     Ok(Some(state))
 }
 
+/// Why [`Journal::open`] could not start a campaign.
+#[derive(Debug)]
+pub enum OpenError {
+    /// The journal to resume from is corrupt or belongs to another
+    /// campaign.
+    Resume(JournalError),
+    /// A fresh journal could not be written.
+    Begin(io::Error),
+}
+
 /// An open journal: a sink plus the path appends go to.
 pub struct Journal<'a> {
     sink: &'a dyn ArtifactSink,
@@ -178,9 +188,24 @@ impl<'a> Journal<'a> {
         &self.path
     }
 
+    /// Opens the journal of the campaign identified by `header` and
+    /// returns the entries a resume recovers. With `resume`, an existing
+    /// journal's entries are kept and a missing one begins afresh; without
+    /// it, any stale journal is replaced by a fresh one. A journal from
+    /// another campaign, or a corrupt one, is never resumed from.
+    pub fn open(&self, header: &str, resume: bool) -> Result<Vec<(String, String)>, OpenError> {
+        if resume {
+            if let Some(state) = load(&self.path, header).map_err(OpenError::Resume)? {
+                return Ok(state.entries);
+            }
+        }
+        self.begin(header).map_err(OpenError::Begin)?;
+        Ok(Vec::new())
+    }
+
     /// Starts a fresh journal: removes any stale file and writes the
     /// header line.
-    pub fn begin(&self, header: &str) -> io::Result<()> {
+    fn begin(&self, header: &str) -> io::Result<()> {
         self.sink.remove(&self.path)?;
         self.sink.append_line(&self.path, &format!("{JOURNAL_MAGIC} {header}"))
     }
@@ -229,6 +254,19 @@ mod tests {
         assert_eq!(state.payload("plan:1"), Some("fail determinism"));
         j.finish().unwrap();
         assert!(load(j.path(), "fuzz seed=1 plans=4").unwrap().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_resumes_own_journal_and_refuses_foreign_ones() {
+        let dir = scratch("open");
+        let j = Journal::new(&FsSink, dir.join("j"));
+        assert!(j.open("h", true).unwrap().is_empty(), "no journal yet: begin afresh");
+        j.append("plan:0", "ok").unwrap();
+        assert_eq!(j.open("h", true).unwrap(), vec![("plan:0".to_string(), "ok".to_string())]);
+        assert!(matches!(j.open("other", true), Err(OpenError::Resume(_))));
+        assert!(j.open("h", false).unwrap().is_empty(), "no --resume: start over");
+        assert!(load(j.path(), "h").unwrap().unwrap().entries.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,8 +2,7 @@
 //!
 //! Adding a new experiment means adding one entry here — a run function
 //! that produces metrics (through the [`MetricSource`] extraction traits),
-//! config digests and paper-claim invariants — not a new binary. The
-//! legacy binaries (`fig7`, `table1`, …) are thin aliases over this table.
+//! config digests and paper-claim invariants — not a new binary.
 
 use specrun::attack::{
     run_btb_poc, run_pht_poc, run_pht_sweep, run_rsb_poc, PocConfig, PocOutcome, SweepConfig,

@@ -1,7 +1,6 @@
 //! Artifact emission: per-scenario JSON files plus the merged
 //! `LAB_report.json` the CI reproduction gate checks, and the flat
-//! `BENCH_*.json` performance report (moved here from `specrun-bench` so
-//! the legacy binaries can be thin aliases without a dependency cycle).
+//! `BENCH_*.json` performance report `specrun-lab perf` writes.
 
 use std::io;
 use std::path::{Path, PathBuf};

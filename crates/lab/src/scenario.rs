@@ -6,7 +6,7 @@
 //! function that — given a [`RunContext`] — produces a [`ScenarioRun`]:
 //! named metrics (via the [`MetricSource`] extraction traits), the
 //! configuration digests and seeds that make the run auditable, the
-//! human-readable table the legacy binary used to print, and a list of
+//! human-readable report `specrun-lab run` prints, and a list of
 //! **paper-claim invariants** ("secure runahead leakage = 0", "runahead
 //! speedup > 1 on mcf") whose pass/fail the CI reproduction gate enforces.
 
@@ -32,7 +32,7 @@ pub struct RunContext {
 }
 
 impl RunContext {
-    /// Full-fidelity context (the legacy binaries' scale).
+    /// Full-fidelity context (the paper's scale).
     pub fn full() -> RunContext {
         RunContext { quick: false, threads: 0, seed: DEFAULT_SEED }
     }
@@ -102,7 +102,7 @@ pub struct ScenarioRun {
     pub config_digests: Vec<(String, u64)>,
     /// Checked paper claims.
     pub invariants: Vec<Invariant>,
-    /// The human-readable report (what the legacy binary printed).
+    /// The human-readable report `specrun-lab run` prints.
     pub lines: Vec<String>,
     /// Structured execution failure, when the scenario did not complete:
     /// the panic (or budget-exhaustion) message captured by
@@ -218,7 +218,7 @@ impl ScenarioRun {
 /// One registered experiment.
 #[derive(Clone)]
 pub struct Scenario {
-    /// Registry name and legacy binary name (`fig7`, `defense`, …).
+    /// Registry name (`fig7`, `defense`, …).
     pub name: &'static str,
     /// Human-readable title.
     pub title: &'static str,

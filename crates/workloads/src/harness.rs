@@ -13,10 +13,10 @@
 //! * [`ConfigMatrix`] — builds the cartesian product of machine-config axes
 //!   into a flat list of [`TrialSpec`]s, each with a deterministic per-trial
 //!   RNG seed;
-//! * [`parallel_map`] / [`try_parallel_map`] — fan a closure out over a
-//!   slice on a scoped thread pool (work-stealing via an atomic cursor),
-//!   preserving input order; the `try` form captures per-trial panics as
-//!   [`TrialError`]s so one degenerate config cannot kill a campaign;
+//! * [`parallel_map`] — fans a closure out over a slice on the campaign
+//!   worker pool ([`crate::supervisor::supervised_map_with`] with nothing
+//!   supervised), preserving input order and re-raising the lowest-index
+//!   trial panic once every trial has finished;
 //! * [`Summary`] — aggregates per-trial metrics (n/mean/min/max).
 //!
 //! ```
@@ -27,12 +27,11 @@
 //! assert_eq!(s.max, 16.0);
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use specrun_cpu::{CpuConfig, RunaheadPolicy, SecureConfig};
 
+use crate::clock::WallClock;
 use crate::rng::SplitMix64;
+use crate::supervisor::{supervised_map_with, SupervisorConfig, UnitOutcome};
 
 /// Ceiling on worker-thread counts: above this, extra threads only add
 /// scheduler churn and per-thread stacks — a campaign is bounded by cores,
@@ -169,108 +168,44 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// Panic-safe [`parallel_map`]: runs `f` over `items` on up to `threads`
-/// scoped worker threads and returns per-trial results in input order,
-/// with each panicking trial captured as a [`TrialError`] instead of
-/// unwinding through the pool. Every trial runs to completion regardless
-/// of how many others panic.
-pub fn try_parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Result<R, TrialError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    try_parallel_map_with(items, threads, f, |_, _| {})
-}
-
-/// [`try_parallel_map`] with a completion hook: `on_done(i, &result)` runs
-/// on the worker thread immediately after trial `i` finishes, in whatever
-/// order trials complete. Campaign journals hang off this hook — each
-/// completed trial is durably recorded the moment it exists, so a killed
-/// campaign loses at most the in-flight trials. The hook must be cheap and
-/// must not panic; results are still returned in input order.
-pub fn try_parallel_map_with<T, R, F, D>(
-    items: &[T],
-    threads: usize,
-    f: F,
-    on_done: D,
-) -> Vec<Result<R, TrialError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    D: Fn(usize, &Result<R, TrialError>) + Sync,
-{
-    let run_one = |i: usize, item: &T| {
-        let result = catch_unwind(AssertUnwindSafe(|| f(i, item)))
-            .map_err(|payload| TrialError { index: i, message: panic_message(payload) });
-        on_done(i, &result);
-        result
-    };
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, item)| run_one(i, item)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, Result<R, TrialError>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, run_one(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker loop itself cannot panic")).collect()
-    });
-    let mut out: Vec<Option<Result<R, TrialError>>> = (0..n).map(|_| None).collect();
-    for (i, r) in per_worker.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter().map(|r| r.expect("every index produced")).collect()
-}
-
-/// Runs `f` over `items` on up to `threads` scoped worker threads and
+/// Runs `f` over `items` on up to `threads` workers of the campaign pool
+/// ([`supervised_map_with`] under a passive [`SupervisorConfig`]) and
 /// returns the results in input order.
 ///
 /// Work is distributed dynamically (an atomic cursor), so uneven trial
 /// durations — a no-runahead machine simulates far more slowly than a
 /// fast-forwarding one — still load all cores. With `threads <= 1` the map
-/// runs inline, which keeps call sites free of special cases.
+/// runs on the calling thread, which keeps call sites free of special
+/// cases.
 ///
 /// # Panics
 ///
-/// Re-raises the first (lowest-index) trial panic after all trials have
-/// completed. Sweeps that must survive degenerate configurations use
-/// [`try_parallel_map`], which returns the panic as a [`TrialError`].
+/// Re-raises the first (lowest-index) trial panic as `trial N panicked:
+/// …` after all trials have completed. Sweeps that must survive degenerate
+/// configurations call [`supervised_map_with`] directly, which returns the
+/// panic as [`RunError::Panic`].
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    try_parallel_map(items, threads, f)
+    let report = supervised_map_with(
+        items,
+        threads,
+        &SupervisorConfig::default(),
+        &WallClock::new(),
+        |i, item, _| Ok(f(i, item)),
+        |_, _| {},
+    );
+    report
+        .outcomes
         .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+        .map(|outcome| match outcome {
+            UnitOutcome::Done { result, .. } => result,
+            UnitOutcome::Failed { error, .. } => panic!("{error}"),
+            _ => unreachable!("a passive pool neither retries nor skips"),
+        })
         .collect()
 }
 
@@ -464,54 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn try_parallel_map_isolates_panicking_trials() {
-        let items: Vec<u64> = (0..40).collect();
-        for threads in [1, 4] {
-            let results = try_parallel_map(&items, threads, |_, &x| {
-                assert!(x % 10 != 3, "trial {x} is degenerate");
-                x * 2
-            });
-            assert_eq!(results.len(), items.len(), "every trial reports");
-            for (i, r) in results.iter().enumerate() {
-                if i % 10 == 3 {
-                    let err = r.as_ref().unwrap_err();
-                    assert_eq!(err.index, i);
-                    assert!(err.message.contains("degenerate"), "payload kept: {}", err.message);
-                } else {
-                    assert_eq!(r.as_ref().unwrap(), &(i as u64 * 2), "good trials unaffected");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn try_parallel_map_collects_simultaneous_panics_stably() {
-        // Many shard threads panicking at once: every TrialError is
-        // collected, and the full (index, message) sequence is identical
-        // no matter how the work was sharded.
-        let items: Vec<u64> = (0..64).collect();
-        let run = |threads: usize| {
-            try_parallel_map(&items, threads, |_, &x| {
-                assert!(x % 8 != 0, "trial {x} exploded");
-                x + 1
-            })
-        };
-        let reference = run(1);
-        let errors: Vec<(usize, String)> = reference
-            .iter()
-            .filter_map(|r| r.as_ref().err())
-            .map(|e| (e.index, e.message.clone()))
-            .collect();
-        assert_eq!(errors.len(), 8, "all eight simultaneous panics are data");
-        assert!(errors.windows(2).all(|w| w[0].0 < w[1].0), "errors sit at ascending indices");
-        assert_eq!(errors[0].0, 0, "the lowest panicking index is first");
-        for threads in [2, 4, 8, 16] {
-            let sharded = run(threads);
-            assert_eq!(sharded, reference, "results invariant at {threads} threads");
-        }
-    }
-
-    #[test]
     fn parallel_map_reraises_lowest_index_among_simultaneous_panics() {
         let items: Vec<u64> = (0..32).collect();
         for threads in [1, 4] {
@@ -530,30 +417,6 @@ mod tests {
                 message.starts_with("trial 10 panicked"),
                 "lowest index wins at {threads} threads: {message}"
             );
-        }
-    }
-
-    #[test]
-    fn try_parallel_map_with_reports_every_completion() {
-        use std::sync::Mutex;
-        let items: Vec<u64> = (0..20).collect();
-        for threads in [1, 4] {
-            let seen = Mutex::new(Vec::new());
-            let results = try_parallel_map_with(
-                &items,
-                threads,
-                |_, &x| {
-                    assert!(x != 7, "trial {x} exploded");
-                    x * 3
-                },
-                |i, r| seen.lock().unwrap().push((i, r.is_ok())),
-            );
-            let mut seen = seen.into_inner().unwrap();
-            seen.sort_unstable();
-            let expected: Vec<(usize, bool)> = (0..20).map(|i| (i, i != 7)).collect();
-            assert_eq!(seen, expected, "the hook fires exactly once per trial");
-            assert_eq!(results[3], Ok(9));
-            assert!(results[7].is_err());
         }
     }
 

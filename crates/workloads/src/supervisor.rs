@@ -1,23 +1,25 @@
-//! The campaign supervisor: wall-clock deadlines, stall detection,
-//! retry-with-quarantine and a failure-rate circuit breaker over the
-//! parallel trial harness.
+//! The campaign worker pool: a work-stealing fan-out with wall-clock
+//! deadlines, stall detection, retry-with-quarantine and a failure-rate
+//! circuit breaker.
 //!
-//! [`try_parallel_map_with`](crate::harness::try_parallel_map_with)
-//! isolates panics and preserves order, but it supervises nothing about
-//! *time*: cycle budgets catch simulated-cycle runaway, while a
-//! wall-clock-slow configuration or a wedged worker thread stalls the
-//! whole campaign. [`supervised_map_with`] layers a monitor thread on the
-//! same work-stealing pool:
+//! [`supervised_map_with`] is the one pool every campaign runs on — the
+//! harness's [`parallel_map`](crate::harness::parallel_map), the session
+//! pool, fuzz and the chaos drills. Workers pull unit indices from an
+//! atomic cursor, results come back in input order, a panicking unit is
+//! captured as [`RunError::Panic`] instead of unwinding through the pool,
+//! and a completion hook fires once per unit from the worker thread. With
+//! the default (passive) [`SupervisorConfig`] that is all it does: no
+//! monitor thread, no retries, no breaker, and with one worker the units
+//! run on the calling thread. The config switches on the rest:
 //!
 //! * every unit runs with a fresh [`CancelToken`] registered in a
 //!   per-worker slot; the token's checkpoints (polled inside
-//!   `Core::run_governed`) double as heartbeats;
-//! * the monitor compares each active unit's age and heartbeat freshness
-//!   against the configured deadline and stall windows, and trips the
-//!   token with the matching [`CancelReason`] — the worker reclassifies
-//!   the resulting [`RunError::Cancelled`] into
-//!   [`RunError::DeadlineExceeded`] (slow but progressing) or
-//!   [`RunError::Stalled`] (no heartbeat);
+//!   `Core::run_governed`) double as heartbeats. With a deadline or stall
+//!   window, a monitor thread compares each active unit's age and
+//!   heartbeat freshness against them and trips the token with the
+//!   matching [`CancelReason`] — the worker reclassifies the resulting
+//!   [`RunError::Cancelled`] into [`RunError::DeadlineExceeded`] (slow but
+//!   progressing) or [`RunError::Stalled`] (no heartbeat);
 //! * a failed unit retries after a deterministic seeded backoff
 //!   ([`backoff_ms`], a pure function of campaign seed, unit index and
 //!   attempt — never of the clock), unless it fails **identically twice
@@ -96,14 +98,6 @@ impl Default for SupervisorConfig {
             max_failure_rate: 1.0,
             breaker_min_units: 4,
         }
-    }
-}
-
-impl SupervisorConfig {
-    /// Whether any supervision feature is switched on. A passive config
-    /// lets callers keep the plain (monitor-free) harness path.
-    pub fn is_active(&self) -> bool {
-        self.deadline_ms > 0 || self.stall_ms > 0 || self.retries > 0 || self.max_failure_rate < 1.0
     }
 }
 
@@ -326,13 +320,13 @@ where
     }
 }
 
-/// The supervised parallel map. Like
-/// [`try_parallel_map_with`](crate::harness::try_parallel_map_with) —
-/// work-stealing pool, input-order results, per-unit completion hook fired
-/// from the worker thread — but each unit runs under the supervision
-/// policy in `cfg` (see the module docs). `on_done` fires exactly once per
-/// unit with its **final** outcome, after all retries resolve: journals
-/// hanging off the hook record final attempts only.
+/// The supervised parallel map: runs `f` over `items` on up to `threads`
+/// workers (work-stealing via an atomic cursor) and returns per-unit
+/// outcomes in input order, each unit under the supervision policy in
+/// `cfg` (see the module docs). `on_done` fires exactly once per unit,
+/// from the worker thread, with its **final** outcome after all retries
+/// resolve: journals hanging off the hook record final attempts only. The
+/// hook must be cheap and must not panic.
 pub fn supervised_map_with<T, R, F, D>(
     items: &[T],
     threads: usize,
@@ -383,25 +377,30 @@ where
         local
     };
 
-    let per_worker: Vec<Vec<(usize, UnitOutcome<R>)>> = std::thread::scope(|scope| {
-        let monitor = needs_monitor.then(|| {
-            scope.spawn(|| {
-                while !shared.done.load(Ordering::Relaxed) {
-                    shared.sweep();
-                    shared.clock.sleep_ms(shared.cfg.poll_ms.max(1));
-                }
-            })
-        });
-        let handles: Vec<_> = (0..threads).map(|w| scope.spawn(move || worker(w))).collect();
-        let collected =
-            handles.into_iter().map(|h| h.join().expect("worker loop itself cannot panic"));
-        let collected: Vec<_> = collected.collect();
-        shared.done.store(true, Ordering::Relaxed);
-        if let Some(m) = monitor {
-            m.join().expect("monitor loop cannot panic");
-        }
-        collected
-    });
+    let per_worker: Vec<Vec<(usize, UnitOutcome<R>)>> = if threads == 1 && !needs_monitor {
+        // One worker and nothing to watch: run on the calling thread.
+        vec![worker(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let monitor = needs_monitor.then(|| {
+                scope.spawn(|| {
+                    while !shared.done.load(Ordering::Relaxed) {
+                        shared.sweep();
+                        shared.clock.sleep_ms(shared.cfg.poll_ms.max(1));
+                    }
+                })
+            });
+            let handles: Vec<_> = (0..threads).map(|w| scope.spawn(move || worker(w))).collect();
+            let collected =
+                handles.into_iter().map(|h| h.join().expect("worker loop itself cannot panic"));
+            let collected: Vec<_> = collected.collect();
+            shared.done.store(true, Ordering::Relaxed);
+            if let Some(m) = monitor {
+                m.join().expect("monitor loop cannot panic");
+            }
+            collected
+        })
+    };
 
     let mut out: Vec<Option<UnitOutcome<R>>> = (0..n).map(|_| None).collect();
     for (i, o) in per_worker.into_iter().flatten() {
@@ -422,13 +421,117 @@ mod tests {
         SupervisorConfig::default()
     }
 
+    /// A passive pool's outcome as a plain result: a unit either finished
+    /// on its only attempt or panicked once.
+    fn settle(outcome: UnitOutcome<u64>) -> Result<u64, TrialError> {
+        match outcome {
+            UnitOutcome::Done { result, attempts: 1 } => Ok(result),
+            UnitOutcome::Failed { error: RunError::Panic(e), history } if history.len() == 1 => {
+                Err(e)
+            }
+            other => panic!("a passive pool neither retries nor skips: {other:?}"),
+        }
+    }
+
+    fn passive_map(
+        items: &[u64],
+        threads: usize,
+        f: impl Fn(u64) -> u64 + Sync,
+    ) -> Vec<Result<u64, TrialError>> {
+        let report = supervised_map_with(
+            items,
+            threads,
+            &passive(),
+            &WallClock::new(),
+            |_, &x, _| Ok(f(x)),
+            |_, _| {},
+        );
+        assert!(!report.breaker_tripped);
+        report.outcomes.into_iter().map(settle).collect()
+    }
+
     #[test]
-    fn passive_config_is_inactive_and_features_activate_it() {
-        assert!(!passive().is_active());
-        assert!(SupervisorConfig { deadline_ms: 1, ..passive() }.is_active());
-        assert!(SupervisorConfig { stall_ms: 1, ..passive() }.is_active());
-        assert!(SupervisorConfig { retries: 1, ..passive() }.is_active());
-        assert!(SupervisorConfig { max_failure_rate: 0.5, ..passive() }.is_active());
+    fn passive_pool_isolates_panicking_units() {
+        let items: Vec<u64> = (0..40).collect();
+        for threads in [1, 4] {
+            let results = passive_map(&items, threads, |x| {
+                assert!(x % 10 != 3, "trial {x} is degenerate");
+                x * 2
+            });
+            assert_eq!(results.len(), items.len(), "every unit reports");
+            for (i, r) in results.iter().enumerate() {
+                if i % 10 == 3 {
+                    let err = r.as_ref().unwrap_err();
+                    assert_eq!(err.index, i);
+                    assert!(err.message.contains("degenerate"), "payload kept: {}", err.message);
+                } else {
+                    assert_eq!(r.as_ref().unwrap(), &(i as u64 * 2), "good units unaffected");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn passive_pool_collects_simultaneous_panics_stably() {
+        // Many worker threads panicking at once: every panic is collected,
+        // and the full (index, message) sequence is identical no matter
+        // how the work was sharded.
+        let items: Vec<u64> = (0..64).collect();
+        let run = |threads: usize| {
+            passive_map(&items, threads, |x| {
+                assert!(x % 8 != 0, "trial {x} exploded");
+                x + 1
+            })
+        };
+        let reference = run(1);
+        let errors: Vec<(usize, String)> = reference
+            .iter()
+            .filter_map(|r| r.as_ref().err())
+            .map(|e| (e.index, e.message.clone()))
+            .collect();
+        assert_eq!(errors.len(), 8, "all eight simultaneous panics are data");
+        assert!(errors.windows(2).all(|w| w[0].0 < w[1].0), "errors sit at ascending indices");
+        assert_eq!(errors[0].0, 0, "the lowest panicking index is first");
+        for threads in [2, 4, 8, 16] {
+            let sharded = run(threads);
+            assert_eq!(sharded, reference, "results invariant at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn passive_pool_fires_on_done_once_per_unit() {
+        let items: Vec<u64> = (0..20).collect();
+        for threads in [1, 4] {
+            let seen = Mutex::new(Vec::new());
+            let report = supervised_map_with(
+                &items,
+                threads,
+                &passive(),
+                &WallClock::new(),
+                |_, &x, _| {
+                    assert!(x != 7, "trial {x} exploded");
+                    Ok(x * 3)
+                },
+                |i, o| seen.lock().unwrap().push((i, matches!(o, UnitOutcome::Done { .. }))),
+            );
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            let expected: Vec<(usize, bool)> = (0..20).map(|i| (i, i != 7)).collect();
+            assert_eq!(seen, expected, "the hook fires exactly once per unit");
+            let results: Vec<_> = report.outcomes.into_iter().map(settle).collect();
+            assert_eq!(results[3], Ok(9));
+            assert!(results[7].is_err());
+        }
+    }
+
+    #[test]
+    fn passive_single_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = passive_map(&[0, 1, 2], 1, |x| {
+            assert_eq!(std::thread::current().id(), caller, "unit {x} left the caller");
+            x
+        });
+        assert!(ids.iter().all(Result::is_ok));
     }
 
     #[test]
