@@ -213,8 +213,9 @@ pub struct CpuConfig {
     /// quiescent (typically: all in-flight work is waiting on DRAM fills),
     /// [`Core::run`](crate::Core::run) jumps the cycle counter straight to
     /// the next scheduled event instead of ticking one cycle at a time.
-    /// Bit-identical statistics to the naive loop; purely a host-side
-    /// simulation speedup.
+    /// The quiescence proof is tried after every [`Core::step`](crate::Core::step)
+    /// in which no stage acted, and only then. Bit-identical statistics to
+    /// the naive loop; purely a host-side simulation speedup.
     pub fast_forward: bool,
     /// Fast-forward self-check: before every jump, a cloned core steps
     /// through the skipped window cycle-by-cycle and the stats are asserted

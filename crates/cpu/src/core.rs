@@ -145,15 +145,6 @@ pub struct Core<O: PipelineObserver = NoopObserver> {
     pub(crate) secure: SecureState,
     pub(crate) strides: HashMap<u64, StrideEntry>,
     pub(crate) ra_backoff_until: u64,
-    /// Quiescence-probe throttle: after a failed fast-forward probe the
-    /// next one waits, so a busy pipeline (where probes keep failing) pays
-    /// almost nothing for having fast-forward enabled.
-    ff_probe_at: u64,
-    /// Consecutive failed quiescence probes. The probe backoff doubles
-    /// with the streak (capped), so a pipeline that is *never* quiet —
-    /// always-busy mcf — stops paying for probes entirely, while one
-    /// successful skip resets to eager probing.
-    ff_fail_streak: u32,
     pub(crate) scheduled_flushes: TimerQueue<u64>,
     // Event-driven scheduling: completion events, ready queue, wakeups.
     pub(crate) sched: Scheduler,
@@ -217,8 +208,6 @@ impl<O: PipelineObserver> Core<O> {
             secure: SecureState::new(SlCache::new(sl_entries)),
             strides: HashMap::new(),
             ra_backoff_until: 0,
-            ff_probe_at: 0,
-            ff_fail_streak: 0,
             scheduled_flushes: TimerQueue::new(),
             sched: Scheduler::new(cfg.int_prf, cfg.fp_prf),
             stats: CpuStats::default(),
@@ -422,7 +411,7 @@ impl<O: PipelineObserver> Core<O> {
         let mut exit = RunExit::CycleLimit;
         let mut next_check = self.cycle.saturating_add(crate::cancel::CHECK_INTERVAL_CYCLES);
         while !self.halted && self.cycle < limit {
-            self.step();
+            let acted = self.step();
             if self.fetch_halted
                 && !self.halted
                 && self.pipe.is_empty()
@@ -441,7 +430,7 @@ impl<O: PipelineObserver> Core<O> {
                 }
                 next_check = self.cycle.saturating_add(crate::cancel::CHECK_INTERVAL_CYCLES);
             }
-            if self.cfg.fast_forward && self.cycle >= self.ff_probe_at {
+            if self.cfg.fast_forward && !acted {
                 self.fast_forward(limit);
             }
         }
@@ -458,19 +447,23 @@ impl<O: PipelineObserver> Core<O> {
         exit
     }
 
-    /// Advances the machine by one cycle.
-    pub fn step(&mut self) {
+    /// Advances the machine by one cycle. Returns whether any stage acted:
+    /// something was written back, (pseudo-)retired, issued, dispatched or
+    /// fetched. [`Core::run`] probes for a fast-forward window only after
+    /// a step in which none did (see [`CpuConfig::fast_forward`]).
+    pub fn step(&mut self) -> bool {
         self.cycle += 1;
         let now = self.cycle;
         self.stats.cycles += 1;
         self.apply_scheduled_flushes(now);
         self.check_runahead_exit(now);
         self.drain_sl_fills(now);
-        self.writeback(now);
-        self.commit(now);
-        self.issue(now);
-        self.dispatch(now);
-        self.fetch(now);
+        let wrote_back = self.writeback(now);
+        let retired = self.commit(now);
+        let issued = self.issue(now);
+        let dispatched = self.dispatch(now);
+        let fetched = self.fetch(now);
+        wrote_back || retired || issued || dispatched || fetched
     }
 
     fn apply_scheduled_flushes(&mut self, now: u64) {
@@ -499,50 +492,21 @@ impl<O: PipelineObserver> Core<O> {
     /// [`Core::next_quiet_event`]). Equivalent to stepping the skipped
     /// cycles one at a time: statistics advance only by the skipped cycle
     /// count, all other state is untouched.
+    ///
+    /// [`Core::run_governed`] probes only after a step in which no stage
+    /// acted ([`Core::step`] returns `false`). A quiet window is entered
+    /// one idle step late at most — a quiet pipeline's next step is idle by
+    /// definition — and a busy pipeline never pays for a probe. Where the
+    /// probe is made changes host time only: every jump is proven, so the
+    /// simulated machine is the same whichever idle steps probe.
     fn fast_forward(&mut self, limit: u64) {
-        // A failed probe throttles the next attempt, and consecutive
-        // failures double the wait up to a cap: a pipeline that stays busy
-        // (mcf never goes quiet) decays to one probe every couple of
-        // thousand cycles — measurably free — while quiescence windows
-        // (hundreds of cycles of DRAM latency) remain long compared to
-        // even the capped backoff, so little skippable time is lost. One
-        // success resets to eager probing. Purely a host-side heuristic —
-        // fast-forward stays stats-invisible whether a window is entered
-        // at its first cycle or a few in.
-        const PROBE_BACKOFF: u64 = 16;
-        const PROBE_BACKOFF_DOUBLINGS: u32 = 7; // cap: 16 << 7 = 2048 cycles
-        let Some(event) = self.next_quiet_event() else {
-            let backoff = PROBE_BACKOFF << self.ff_fail_streak.min(PROBE_BACKOFF_DOUBLINGS);
-            self.ff_fail_streak = self.ff_fail_streak.saturating_add(1);
-            self.ff_probe_at = self.cycle + backoff;
-            return;
-        };
+        let Some(event) = self.next_quiet_event() else { return };
         debug_assert!(event > self.cycle, "quiet event must lie in the future");
         let target = event.min(limit).saturating_sub(1);
         if target <= self.cycle {
-            // The pipeline is quiet but the next event is one cycle out:
-            // nothing to skip, so the probe paid for itself and saved
-            // nothing. Treat it as a failure for throttling — a stalled
-            // pipeline draining a dense completion stream (runahead mcf)
-            // hits this every probe, and resetting the streak here kept
-            // the probe rate at one per cycle. State cannot change before
-            // `event`, so the next probe is never worth paying sooner.
-            let backoff = PROBE_BACKOFF << self.ff_fail_streak.min(PROBE_BACKOFF_DOUBLINGS);
-            self.ff_fail_streak = self.ff_fail_streak.saturating_add(1);
-            self.ff_probe_at = self.cycle + backoff.max(event - self.cycle);
             return;
         }
         let skipped = target - self.cycle;
-        if skipped >= PROBE_BACKOFF {
-            // A real quiescence window (DRAM-latency scale): back to eager
-            // probing, the next windows are likely just as long. A skip
-            // smaller than one backoff step is still taken — it is free —
-            // but keeps the streak: dense completion streams (runahead
-            // mcf) yield an endless run of few-cycle gaps, and resetting
-            // on each would buy the next gap at the price of a
-            // climb-back's worth of failed probes.
-            self.ff_fail_streak = 0;
-        }
         if self.cfg.ff_check {
             self.verify_fast_forward(skipped);
         }
@@ -675,23 +639,16 @@ impl<O: PipelineObserver> Core<O> {
 
         // Issue: `Waiting` entries outside the ready queue are blocked on an
         // operand whose production is itself a tracked completion event (or
-        // a runahead entry/exit, both tracked). Ready entries could act
-        // unless pinned by the serializing rules, which only lapse when the
-        // serializer completes or the head changes — tracked events both.
-        let head_seq = self.seq_of_head();
+        // a runahead entry/exit, both tracked), or are serializers behind
+        // the head, which reach it only through commit (a Done head,
+        // rejected above). Ready entries younger than a pending serializer
+        // stay pinned until it completes — a tracked event; any other
+        // issue candidate may act (or at least probe a functional unit or
+        // the store queue) next step: not quiescent.
         let gate = self.sched.serializer_gate();
-        for &seq in self.sched.ready_seqs() {
-            if gate.is_some_and(|g| seq > g) {
-                // Younger than a pending serializer: issue() skips these.
-                break;
-            }
-            let Some(e) = self.rob.get(seq) else { continue };
-            if e.meta.is_serializing() && Some(seq) != head_seq {
-                // Serializers issue only from the head of the ROB.
-                continue;
-            }
-            // An issue candidate may act (or at least probe a functional
-            // unit or the store queue) next step: not quiescent.
+        let mut candidates =
+            self.sched.ready_seqs().take_while(|&&seq| gate.map_or(true, |g| seq <= g));
+        if candidates.any(|&seq| self.rob.get(seq).is_some()) {
             return None;
         }
 
@@ -758,7 +715,8 @@ impl<O: PipelineObserver> Core<O> {
     // Writeback
     // ------------------------------------------------------------------
 
-    fn writeback(&mut self, now: u64) {
+    /// Writes back every completion due at `now`; returns whether any was.
+    fn writeback(&mut self, now: u64) -> bool {
         let mut resolutions = std::mem::take(&mut self.scratch_resolutions);
         let mut completed = std::mem::take(&mut self.scratch_completed);
         resolutions.clear();
@@ -787,6 +745,7 @@ impl<O: PipelineObserver> Core<O> {
         if self.cfg.sched_check {
             self.check_writeback_set(&completed, now);
         }
+        let wrote_back = !completed.is_empty();
         for seq in completed.drain(..) {
             let e = self.rob.get_mut(seq).expect("entry exists");
             // Loads from memory read their data at completion so stores
@@ -835,6 +794,7 @@ impl<O: PipelineObserver> Core<O> {
         }
         self.scratch_resolutions = resolutions;
         self.scratch_completed = completed;
+        wrote_back
     }
 
     // ------------------------------------------------------------------
@@ -856,15 +816,18 @@ impl<O: PipelineObserver> Core<O> {
 
     /// Delivers wakeups for a newly produced register: every waiter's
     /// pending-operand count drops, and entries reaching zero join the
-    /// issue-ready queue. Waiter lists never hold live entries for a
-    /// *reallocated* register — a physical register is freed only when the
-    /// instruction that overwrote its architectural mapping commits, by
-    /// which point every reader of the old mapping has retired (or, on a
-    /// squash, the readers died in the same squash) — so a stale sequence
-    /// number here simply no longer resolves in the ROB and is skipped.
+    /// issue-ready queue — except a serializer behind the ROB head, which
+    /// `commit` queues once it becomes the head. Waiter lists never hold
+    /// live entries for a *reallocated* register — a physical register is
+    /// freed only when the instruction that overwrote its architectural
+    /// mapping commits, by which point every reader of the old mapping has
+    /// retired (or, on a squash, the readers died in the same squash) — so
+    /// a stale sequence number here simply no longer resolves in the ROB
+    /// and is skipped.
     fn wake_reg(&mut self, p: PhysRef) {
         let mut woken = std::mem::take(&mut self.sched.scratch);
         self.sched.take_waiters(p, &mut woken);
+        let head_seq = self.seq_of_head();
         for seq in woken.drain(..) {
             let Some(e) = self.rob.get_mut(seq) else { continue };
             if e.state != EntryState::Waiting {
@@ -872,7 +835,9 @@ impl<O: PipelineObserver> Core<O> {
             }
             e.wait_count = e.wait_count.saturating_sub(1);
             if e.wait_count == 0 {
-                self.sched.mark_ready(seq);
+                if !e.meta.is_serializing() || head_seq == Some(seq) {
+                    self.sched.mark_ready(seq);
+                }
                 self.stats.sched_wakeups += 1;
             }
         }
@@ -896,7 +861,9 @@ impl<O: PipelineObserver> Core<O> {
     }
 
     /// `sched_check`: audits the ready queue and serializer gate against
-    /// the retired scan-based issue logic.
+    /// the retired scan-based issue logic. A `Waiting` entry is queued
+    /// exactly when its gating operands are produced and it is not a
+    /// serializer behind the ROB head; no other entry is queued.
     fn check_issue_invariants(&self) {
         let scan_gate = self
             .rob
@@ -908,17 +875,19 @@ impl<O: PipelineObserver> Core<O> {
             scan_gate,
             "sched_check: serializer gate diverges from the ROB scan"
         );
+        let head_seq = self.seq_of_head();
         for e in self.rob.iter() {
             if e.state == EntryState::Waiting {
-                if !self.sched.contains_ready(e.seq) {
-                    assert!(
-                        self.stuck_on_operands(e),
-                        "sched_check: entry {} (pc {:#x}) is issueable but absent from the \
-                         ready queue",
-                        e.seq,
-                        e.pc
-                    );
-                }
+                let behind_head = e.meta.is_serializing() && head_seq != Some(e.seq);
+                let expected = !self.stuck_on_operands(e) && !behind_head;
+                assert_eq!(
+                    self.sched.contains_ready(e.seq),
+                    expected,
+                    "sched_check: waiting entry {} (pc {:#x}) is {} the ready queue",
+                    e.seq,
+                    e.pc,
+                    if expected { "absent from" } else { "wrongly in" }
+                );
             } else {
                 assert!(
                     !self.sched.contains_ready(e.seq),
@@ -1028,7 +997,10 @@ impl<O: PipelineObserver> Core<O> {
     // Commit / pseudo-retire
     // ------------------------------------------------------------------
 
-    fn commit(&mut self, now: u64) {
+    /// (Pseudo-)retires up to `width` Done entries from the ROB head;
+    /// returns whether any left.
+    fn commit(&mut self, now: u64) -> bool {
+        let mut retired = false;
         for _ in 0..self.cfg.width {
             let Some(head) = self.rob.head() else { break };
             if head.state != EntryState::Done {
@@ -1061,6 +1033,7 @@ impl<O: PipelineObserver> Core<O> {
                 is_halt: head.meta.is_halt(),
             };
             self.rob.pop_head_discard();
+            retired = true;
             if self.in_runahead() {
                 self.pseudo_retire(retire);
             } else {
@@ -1070,6 +1043,17 @@ impl<O: PipelineObserver> Core<O> {
                 }
             }
         }
+        if retired {
+            // A serializer waits off the ready queue until it is the
+            // oldest instruction (all older work, stores included, has
+            // committed); it issues in the same cycle it reaches the head.
+            if let Some(h) = self.rob.head() {
+                if h.state == EntryState::Waiting && h.meta.is_serializing() && h.wait_count == 0 {
+                    self.sched.mark_ready(h.seq);
+                }
+            }
+        }
+        retired
     }
 
     fn commit_entry(&mut self, e: RetireInfo, now: u64) {
@@ -1128,12 +1112,13 @@ impl<O: PipelineObserver> Core<O> {
     // Issue / execute
     // ------------------------------------------------------------------
 
-    fn issue(&mut self, now: u64) {
+    /// Issues up to `width` ready entries in program order; returns whether
+    /// any left `Waiting`.
+    fn issue(&mut self, now: u64) -> bool {
         if self.cfg.sched_check {
             self.check_issue_invariants();
         }
         let mut issued = 0usize;
-        let head_seq = self.seq_of_head();
         // The oldest in-flight serializer blocks everything younger, even in
         // the cycle it issues itself (it stops gating only once Done). If it
         // is squashed mid-loop the stale gate is harmless: every entry the
@@ -1158,12 +1143,13 @@ impl<O: PipelineObserver> Core<O> {
             };
             debug_assert!(e.state == EntryState::Waiting, "ready queue holds only Waiting entries");
             let (inst, meta, pc, srcs) = (e.inst, e.meta, e.pc, e.srcs);
-            if self.try_issue_entry(seq, inst, meta, pc, srcs, head_seq, now) {
+            if self.try_issue_entry(seq, inst, meta, pc, srcs, now) {
                 issued += 1;
                 self.sched.remove_ready(seq);
                 self.iq_occupancy = self.iq_occupancy.saturating_sub(1);
             }
         }
+        issued > 0
     }
 
     /// Attempts to issue one entry (its invariant fields pre-gathered by
@@ -1176,7 +1162,6 @@ impl<O: PipelineObserver> Core<O> {
         meta: UopMeta,
         pc: u64,
         srcs: [Option<PhysRef>; 3],
-        head_seq: Option<u64>,
         now: u64,
     ) -> bool {
         // Stores split into address generation (base ready) and data
@@ -1212,11 +1197,8 @@ impl<O: PipelineObserver> Core<O> {
         }
         match inst {
             Inst::RdCycle { .. } => {
-                // Serializing: issues only as the oldest instruction (all
-                // older work, including stores, has already committed).
-                if head_seq != Some(seq) {
-                    return false;
-                }
+                // Serializing: the scheduler queues it only at the ROB head.
+                debug_assert_eq!(self.seq_of_head(), Some(seq), "serializer issued off the head");
                 self.finish_alu(seq, now, 1, now, false, 0)
             }
             Inst::Branch { cond, rs1, rs2, offset } => {
@@ -1717,7 +1699,7 @@ impl<O: PipelineObserver> Core<O> {
             // Long-latency runahead load: issue the request (the prefetch
             // that carries the covert channel) and poison the destination.
             self.stats.runahead_prefetches += 1;
-            self.vector_prefetch(seq, addr, now);
+            self.vector_prefetch(pc, addr, now);
             if self.cfg.runahead.secure.sl_cache {
                 self.secure_record_fill(seq, addr, access.ready_at, taint);
             }
@@ -1741,7 +1723,7 @@ impl<O: PipelineObserver> Core<O> {
             return true;
         }
         if in_runahead {
-            self.vector_prefetch(seq, addr, now);
+            self.vector_prefetch(pc, addr, now);
         }
         self.complete_load(
             seq,
@@ -1769,7 +1751,7 @@ impl<O: PipelineObserver> Core<O> {
         taint: u64,
         ready_at: u64,
         is_ret: bool,
-        _now: u64,
+        now: u64,
     ) -> bool {
         // Loads inherit the taint of their address (secure runahead); the
         // loaded value becomes tainted data.
@@ -1786,7 +1768,7 @@ impl<O: PipelineObserver> Core<O> {
             // destination value — `result` carries the popped target).
             e.aux_sp = addr.wrapping_add(8);
         }
-        self.sched.completions.schedule(_now, ready_at, seq);
+        self.sched.completions.schedule(now, ready_at, seq);
         true
     }
 
@@ -1794,7 +1776,10 @@ impl<O: PipelineObserver> Core<O> {
     // Dispatch (rename)
     // ------------------------------------------------------------------
 
-    fn dispatch(&mut self, now: u64) {
+    /// Renames up to `width` matured front-end instructions into the ROB;
+    /// returns whether any was.
+    fn dispatch(&mut self, now: u64) -> bool {
+        let mut dispatched = false;
         for _ in 0..self.cfg.width {
             let Some(front) = self.pipe.front() else { break };
             if front.available_at > now {
@@ -1815,11 +1800,13 @@ impl<O: PipelineObserver> Core<O> {
                 }
             }
             let f = self.pipe.pop_front().expect("front exists");
-            self.dispatch_one(f, now);
+            self.dispatch_one(f);
+            dispatched = true;
         }
+        dispatched
     }
 
-    fn dispatch_one(&mut self, f: Fetched, _now: u64) {
+    fn dispatch_one(&mut self, f: Fetched) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let mut entry = RobEntry::with_meta(seq, f.pc, f.inst, f.meta);
@@ -1845,8 +1832,11 @@ impl<O: PipelineObserver> Core<O> {
         // queue once its gating operands are produced. Data stores gate on
         // the base register first (address generation runs ahead of the
         // data, see `issue_store_two_phase`); everything else gates on all
-        // of its sources (INV counts as produced).
-        if f.meta.is_serializing() {
+        // of its sources (INV counts as produced). A serializer also waits
+        // for the ROB head: it is queued here only when it enters an empty
+        // ROB, otherwise by `commit` (or `wake_reg`) once it is the head.
+        let serializing = f.meta.is_serializing();
+        if serializing {
             self.sched.add_serializer(seq);
         }
         if f.meta.is_data_store() {
@@ -1867,7 +1857,7 @@ impl<O: PipelineObserver> Core<O> {
                 }
             }
             entry.wait_count = waits;
-            if waits == 0 {
+            if waits == 0 && (!serializing || self.rob.is_empty()) {
                 self.sched.mark_ready(seq);
             }
         }
@@ -1905,19 +1895,22 @@ impl<O: PipelineObserver> Core<O> {
     // Fetch
     // ------------------------------------------------------------------
 
-    fn fetch(&mut self, now: u64) {
+    /// Fetches up to `width` instructions into the front-end delay line;
+    /// returns whether any was.
+    fn fetch(&mut self, now: u64) -> bool {
         if self.fetch_halted {
-            return;
+            return false;
         }
         // The stream prefetcher keeps requesting ahead even while demand
         // fetch is stalled on a miss.
         self.stream_prefetch(now);
         if now < self.fetch_stalled_until {
-            return;
+            return false;
         }
         // Borrow the program once per step by parking it: cloning the `Arc`
         // here put refcount traffic on every simulated cycle.
-        let Some(program) = self.program.take() else { return };
+        let Some(program) = self.program.take() else { return false };
+        let fetched_before = self.stats.fetched;
         // Once-per-line I-fetch: the first instruction of a 64-byte line
         // probes the hierarchy; the rest of the line streams for free this
         // cycle (hardware reads the whole fetch line out of L1I once — the
@@ -1976,6 +1969,7 @@ impl<O: PipelineObserver> Core<O> {
             }
         }
         self.program = Some(program);
+        self.stats.fetched != fetched_before
     }
 
     /// Streaming instruction prefetcher (stands in for the trace cache and

@@ -75,10 +75,7 @@ impl<O: crate::probe::PipelineObserver> Core<O> {
                     let rename_blocked = self.iq_occupancy >= self.cfg.iq_entries
                         || self.free.available(crate::regs::RegClass::Int) == 0
                         || self.free.available(crate::regs::RegClass::Fp) == 0;
-                    rename_blocked
-                        && !self.rob.iter().any(|e| {
-                            e.meta.is_serializing() && e.state != crate::rob::EntryState::Done
-                        })
+                    rename_blocked && self.sched.serializer_gate().is_none()
                 }
                 RunaheadTrigger::HeadMiss => true,
             },
@@ -270,13 +267,12 @@ impl<O: crate::probe::PipelineObserver> Core<O> {
             && matches!(inst, Inst::FpAlu { .. } | Inst::FpCvt { .. } | Inst::FpStore { .. })
     }
 
-    /// Vector runahead: on a strided runahead load, issue extra prefetch
-    /// lanes ahead of the detected stream.
-    pub(crate) fn vector_prefetch(&mut self, _seq: u64, addr: u64, now: u64) {
+    /// Vector runahead: on a strided runahead load at `pc`, issue extra
+    /// prefetch lanes ahead of the detected stream.
+    pub(crate) fn vector_prefetch(&mut self, pc: u64, addr: u64, now: u64) {
         if self.cfg.runahead.policy != RunaheadPolicy::Vector {
             return;
         }
-        let pc = self.rob.iter().find(|e| e.seq == _seq).map(|e| e.pc).unwrap_or(0);
         let entry = self.strides.entry(pc).or_default();
         let stride = addr.wrapping_sub(entry.last_addr) as i64;
         if entry.last_addr != 0 && stride == entry.stride && stride != 0 {

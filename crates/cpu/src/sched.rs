@@ -27,7 +27,10 @@
 //!   when a producer writes back (or poisons its destination with INV) the
 //!   waiters' pending counts drop and entries whose count reaches zero
 //!   join the ready queue. `issue` then walks only the ready queue, in
-//!   sequence order, preserving program-order issue priority.
+//!   sequence order, preserving program-order issue priority. A
+//!   serializer (`rdcycle`) additionally waits for the ROB head: the core
+//!   queues it on dispatch into an empty ROB or when `commit` makes it the
+//!   head, so it is never retried while older work is still in flight.
 //!
 //! The `CpuConfig::sched_check` mode re-runs the retired scan logic in
 //! parallel each cycle and asserts the event-driven structures reach
@@ -226,9 +229,10 @@ pub(crate) struct Scheduler {
     /// Completion events for `Executing` entries.
     pub completions: CompletionQueue,
     /// Issue candidates in program order: `Waiting` entries whose gating
-    /// operands are all produced (they may still be blocked on a functional
-    /// unit, store disambiguation, or the serializing-at-head rule, and are
-    /// retried each cycle like the scan-based scheduler did). A sorted
+    /// operands are all produced, serializers only once they are the ROB
+    /// head (candidates may still be blocked on a functional unit, store
+    /// disambiguation or the serializer gate, and are retried each cycle
+    /// like the scan-based scheduler did). A sorted
     /// `Vec`: the queue is bounded by the 40-entry issue queue, where
     /// shifting a few dozen `u64`s beats a B-tree's pointer chasing on the
     /// per-cycle cursor walk.

@@ -3,12 +3,16 @@
 //! *bit-identical* to the naive one-cycle-at-a-time loop — same cycle
 //! count, same retired instructions, same full statistics block, same
 //! architectural registers — and the event-driven scheduler must reach the
-//! same decisions as the retired scan-based one (`sched_check`).
+//! same decisions as the retired scan-based one (`sched_check`). The
+//! kernels contain no `rdcycle`, `clflush`, SL-cache fill or skip-INV park,
+//! so the attack PoCs and the generated fuzz plans cover those.
 
-use specrun::attack::{run_pht_poc, PocConfig};
+use specrun::attack::{run_btb_poc, run_pht_poc, run_rsb_poc, PocConfig};
+use specrun::plan::run_plan;
 use specrun::session::Session;
 use specrun_cpu::{Core, CpuConfig, CpuStats, RunExit};
 use specrun_isa::IntReg;
+use specrun_workloads::plan::Plan;
 use specrun_workloads::{kernels, suite_with_iters, Workload};
 
 /// Runs `w` to completion and returns (stats, architectural registers).
@@ -115,6 +119,69 @@ fn fast_forward_is_invisible_to_the_attack_poc() {
     }
     assert_eq!(outcomes[0], outcomes[1], "fast-forward changed the PoC outcome");
     assert_eq!(outcomes[0].0, Some(86), "the runahead machine must leak the secret");
+}
+
+/// Fast-forward over the attack campaign's own inputs: each of the first
+/// quick fuzz plans (PHT/BTB/RSB gadgets under every policy, with
+/// `rdcycle` probes, `clflush`es, SL-cache fills and skip-INV parks) runs
+/// with fast-forward forced on and off, and the two runs must agree on the
+/// statistics, the architectural fingerprint and the leak verdict.
+#[test]
+fn fast_forward_is_invisible_to_fuzz_plans() {
+    let (mut sl_fills, mut inv_parks) = (0, 0);
+    for index in 0..40 {
+        let mut plan = Plan::generate(0xC0FFEE, index, true);
+        plan.knobs.fast_forward = true;
+        let ff = run_plan(&plan);
+        plan.knobs.fast_forward = false;
+        let naive = run_plan(&plan);
+        assert_eq!(ff.stats, naive.stats, "stats diverge on plan {index}");
+        assert_eq!(
+            ff.arch_fingerprint, naive.arch_fingerprint,
+            "architectural state diverges on plan {index}"
+        );
+        assert_eq!(ff.leaked, naive.leaked, "leak verdict diverges on plan {index}");
+        assert_eq!(ff, naive, "outcome diverges on plan {index}");
+        sl_fills += ff.stats.sl_promotions + ff.stats.sl_deletions;
+        inv_parks += ff.stats.skipped_inv_branches;
+    }
+    assert!(sl_fills > 0, "the plans must exercise SL-cache fills");
+    assert!(inv_parks > 0, "the plans must exercise skip-INV parks");
+}
+
+/// `ff_check` over the three attack PoCs: every jump across the
+/// `rdcycle`-timed probe loop and the runahead episodes is re-validated by
+/// naive stepping, and each variant still leaks the planted byte.
+#[test]
+fn ff_check_validates_the_attack_pocs() {
+    let cfg = CpuConfig { ff_check: true, ..CpuConfig::default() };
+    let poc = PocConfig::default();
+    let pht = run_pht_poc(&mut Session::builder().config(cfg.clone()).build(), &poc);
+    let btb = run_btb_poc(&mut Session::builder().config(cfg.clone()).build(), &poc);
+    let rsb = run_rsb_poc(&mut Session::builder().config(cfg).build(), &poc);
+    for (name, out) in [("pht", pht), ("btb", btb), ("rsb", rsb)] {
+        assert!(out.success(), "{name} PoC leaked {:?} under ff_check", out.leaked);
+    }
+}
+
+/// `sched_check` over the `rdcycle`-heavy PHT PoC: serializers wait off the
+/// ready queue until they reach the ROB head, and the audit checks that
+/// rule exactly every cycle. Checked and unchecked runs must agree on the
+/// outcome and the statistics, on the runahead and the secure machine.
+#[test]
+fn sched_check_validates_the_serializing_poc() {
+    for (machine, base) in
+        [("runahead", CpuConfig::default()), ("secure", CpuConfig::secure_runahead())]
+    {
+        let mut outcomes = Vec::new();
+        for check in [true, false] {
+            let cfg = CpuConfig { sched_check: check, ..base.clone() };
+            let mut session = Session::builder().config(cfg).build();
+            let out = run_pht_poc(&mut session, &PocConfig::default());
+            outcomes.push((out.leaked, out.runahead_entries, *session.core().stats()));
+        }
+        assert_eq!(outcomes[0], outcomes[1], "sched_check changes the PoC on {machine}");
+    }
 }
 
 /// The predecode layer must be semantically invisible: a `predecode_check`
