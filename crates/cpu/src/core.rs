@@ -827,7 +827,6 @@ impl<O: PipelineObserver> Core<O> {
     fn wake_reg(&mut self, p: PhysRef) {
         let mut woken = std::mem::take(&mut self.sched.scratch);
         self.sched.take_waiters(p, &mut woken);
-        let head_seq = self.seq_of_head();
         for seq in woken.drain(..) {
             let Some(e) = self.rob.get_mut(seq) else { continue };
             if e.state != EntryState::Waiting {
@@ -835,7 +834,7 @@ impl<O: PipelineObserver> Core<O> {
             }
             e.wait_count = e.wait_count.saturating_sub(1);
             if e.wait_count == 0 {
-                if !e.meta.is_serializing() || head_seq == Some(seq) {
+                if !e.meta.is_serializing() || self.seq_of_head() == Some(seq) {
                     self.sched.mark_ready(seq);
                 }
                 self.stats.sched_wakeups += 1;
