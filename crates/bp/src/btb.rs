@@ -9,7 +9,6 @@
 
 /// Geometry of the BTB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BtbConfig {
     /// Number of sets (power of two).
     pub sets: usize,

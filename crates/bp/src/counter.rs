@@ -15,7 +15,6 @@
 /// assert!(c.is_taken());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SaturatingCounter {
     value: u8,
     max: u8,

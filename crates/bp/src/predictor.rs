@@ -7,7 +7,6 @@ use crate::two_level::{TwoLevel, TwoLevelConfig};
 
 /// Classification of a control instruction for prediction purposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BranchKind {
     /// Conditional direct branch.
     Conditional,
@@ -32,7 +31,6 @@ pub struct Prediction {
 
 /// Configuration of the combined predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PredictorConfig {
     /// Direction predictor geometry.
     pub two_level: TwoLevelConfig,
@@ -54,7 +52,6 @@ impl Default for PredictorConfig {
 
 /// Counters kept by the predictor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PredictorStats {
     /// Direction predictions made.
     pub direction_predictions: u64,

@@ -12,7 +12,6 @@ use crate::counter::SaturatingCounter;
 
 /// Geometry of the two-level predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoLevelConfig {
     /// Entries in the level-one branch history table (power of two).
     pub bht_entries: usize,

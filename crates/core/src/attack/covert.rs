@@ -1,6 +1,6 @@
 //! Covert-channel analysis: turning probe timings into leaked bytes.
 
-use crate::attack::layout::AttackLayout;
+use crate::attack::AttackLayout;
 use crate::machine::Machine;
 
 /// Default hit/miss decision threshold in cycles.
@@ -12,7 +12,6 @@ pub const DEFAULT_THRESHOLD: u64 = 100;
 /// The 256 probe-entry access times measured by an attack's probe loop
 /// (the paper's Fig. 9 / Fig. 11 series).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProbeTimings {
     timings: Vec<u64>,
 }

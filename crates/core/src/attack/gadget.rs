@@ -8,7 +8,7 @@
 
 use specrun_isa::{AluOp, BranchCond, IntReg, ProgramBuilder};
 
-use crate::attack::layout::AttackLayout;
+use crate::attack::AttackLayout;
 
 fn r(i: u8) -> IntReg {
     IntReg::new(i).unwrap()

@@ -4,13 +4,12 @@
 
 pub mod covert;
 pub mod gadget;
-pub mod layout;
 pub mod poc;
 pub mod sweep;
 pub mod variants;
 
 pub use covert::{ProbeTimings, DEFAULT_THRESHOLD};
-pub use layout::AttackLayout;
-pub use poc::{build_pht_program, plant_data, run_pht_poc, PocConfig, PocOutcome};
+pub use poc::{build_pht_program, run_poc, Attack, PocConfig, PocOutcome};
+pub use specrun_workloads::plan::{AttackLayout, GadgetKind};
 pub use sweep::{run_pht_sweep, SweepConfig, SweepReport, SweepTrial};
-pub use variants::{build_btb_victim, build_rsb_victim, run_btb_poc, run_rsb_poc};
+pub use variants::{build_btb_victim, build_rsb_victim};

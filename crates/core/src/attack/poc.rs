@@ -1,11 +1,26 @@
-//! The end-to-end SPECRUN proof of concept (paper Fig. 8 / Fig. 9).
+//! The end-to-end SPECRUN proofs of concept: the Fig. 8 SpectrePHT attack
+//! (Fig. 9 / Fig. 11) and the §4.4 SpectreBTB/RSB variants, as one attack
+//! sequence split the way Kocher et al. structure a Spectre attack.
+//!
+//! [`Attack::prepare`] does every secret-independent step — build and
+//! predecode the programs, warm their text and, for BTB, mistrain the
+//! predictor. [`Attack::strike`] plants a secret, runs the victim and
+//! recovers the byte through the Flush+Reload probe. [`run_poc`] does both
+//! on one session; a campaign prepares once and strikes on a copy-on-write
+//! fork per secret (see [`crate::pool`]).
+
+use std::sync::Arc;
 
 use specrun_cpu::probe::PipelineObserver;
-use specrun_isa::ProgramBuilder;
+use specrun_isa::{DecodedProgram, ProgramBuilder};
 
 use crate::attack::covert::{ProbeTimings, DEFAULT_THRESHOLD};
 use crate::attack::gadget;
-use crate::attack::layout::AttackLayout;
+use crate::attack::variants::{
+    build_btb_trainer, build_btb_victim, build_rsb_victim, BTB_SLOT_OFFSET, BTB_TRAINER_BUDGET,
+    BTB_TRAINING_RUNS,
+};
+use crate::attack::{AttackLayout, GadgetKind};
 use crate::session::Session;
 
 /// Configuration of a SPECRUN proof-of-concept run.
@@ -91,27 +106,117 @@ pub fn build_pht_program(cfg: &PocConfig) -> specrun_isa::Program {
     b.build().expect("PoC program is closed")
 }
 
-/// Plants the attack's data in session memory — a thin alias for
-/// [`Session::plant`] taking the PoC configuration.
-pub fn plant_data<O: PipelineObserver>(session: &mut Session<O>, cfg: &PocConfig) {
-    session.plant(&cfg.layout, cfg.secret);
+/// One attack with its secret-independent half already done: the gadget's
+/// programs built and predecoded, plus what [`Attack::strike`] needs to
+/// run them. Cloning it shares the predecode.
+#[derive(Debug, Clone)]
+pub struct Attack {
+    gadget: GadgetKind,
+    /// The victim program (for PHT, the whole single-binary attack).
+    victim: Arc<DecodedProgram>,
+    /// The attacker's separate probe program (BTB and RSB); the PHT attack
+    /// probes in-program.
+    probe: Option<Arc<DecodedProgram>>,
+    layout: AttackLayout,
+    threshold: u64,
+    max_cycles: u64,
 }
 
-/// Runs the SpectrePHT-in-runahead proof of concept on `session`.
+impl Attack {
+    /// Builds and predecodes `gadget`'s programs for `cfg` and runs every
+    /// secret-independent step on `session`: the victim's text is warmed
+    /// (attacker and victim code are steady-state warm in a real attack),
+    /// and for BTB the victim's jump-table slot is set up and the attacker
+    /// trains the BTB from its own congruent address space. `cfg.secret` is
+    /// not read.
+    pub fn prepare<O: PipelineObserver>(
+        session: &mut Session<O>,
+        gadget: GadgetKind,
+        cfg: &PocConfig,
+    ) -> Attack {
+        let layout = cfg.layout;
+        let (victim, probe) = match gadget {
+            GadgetKind::Pht => (build_pht_program(cfg), None),
+            GadgetKind::Btb => {
+                let victim = build_btb_victim(&layout, cfg.nop_slide);
+                // The slot holds the benign jump target.
+                let benign = victim.symbol("benign").expect("BTB victim has a benign label");
+                let slot = layout.bound_addr + BTB_SLOT_OFFSET;
+                session.write_value(slot, 8, benign);
+                session.warm(slot, 8);
+                // ① Train the BTB from the attacker's own address space.
+                let trainer = Arc::new(DecodedProgram::new(build_btb_trainer(&victim)));
+                for _ in 0..BTB_TRAINING_RUNS {
+                    session.run_predecoded(trainer.clone(), BTB_TRAINER_BUDGET);
+                }
+                // The trainer's normal exit is Wedged: it architecturally
+                // jumps to the gadget address, which exists only in the
+                // victim's image. Discharge the sticky record so the
+                // end-of-run health check reports the victim and probe only.
+                session.acknowledge_non_halt();
+                (victim, Some(gadget::build_probe_program(&layout)))
+            }
+            GadgetKind::Rsb => (
+                build_rsb_victim(&layout, cfg.nop_slide),
+                Some(gadget::build_probe_program(&layout)),
+            ),
+        };
+        session.warm_text(&victim);
+        Attack {
+            gadget,
+            victim: Arc::new(DecodedProgram::new(victim)),
+            probe: probe.map(|p| Arc::new(DecodedProgram::new(p))),
+            layout,
+            threshold: cfg.threshold,
+            max_cycles: cfg.max_cycles,
+        }
+    }
+
+    /// Plants `secret`, runs the victim and probes: the secret-dependent
+    /// half of the attack, on a session [`Attack::prepare`] set up (or a
+    /// fork of one).
+    pub fn strike<O: PipelineObserver>(&self, session: &mut Session<O>, secret: u8) -> PocOutcome {
+        session.plant(&self.layout, secret);
+        match self.gadget {
+            GadgetKind::Pht => {}
+            // ② Evict the victim's jump-table slot (co-resident clflush).
+            GadgetKind::Btb => session.flush(self.layout.bound_addr + BTB_SLOT_OFFSET),
+            // D holds 0 so that architecturally F = benign.
+            GadgetKind::Rsb => {
+                session.write_value(self.layout.bound_addr, 8, 0);
+                session.warm(self.layout.bound_addr, 8);
+            }
+        }
+        // ③ The victim enters runahead on the stalling load and runs the
+        // gadget transiently.
+        session.reset_stats();
+        session.run_predecoded(self.victim.clone(), self.max_cycles);
+        let runahead_entries = session.stats().runahead_entries;
+        let inv_branches = session.stats().inv_unresolved_branches;
+        // ④ The attacker probes from its own process.
+        if let Some(probe) = &self.probe {
+            session.run_predecoded(probe.clone(), self.max_cycles);
+        }
+        let timings = session.probe_timings();
+        // Training touches array1[0] = 0, so probe entry 0 is excluded.
+        let leaked = timings.leaked_byte(self.threshold, &[0]);
+        PocOutcome { leaked, expected: secret, runahead_entries, inv_branches, timings }
+    }
+}
+
+/// Runs the `gadget` proof of concept end to end on `session`: prepare,
+/// then strike with `cfg.secret`.
 ///
 /// The session's machine decides the outcome: a runahead machine leaks,
 /// the no-runahead machine (given a `nop_slide` > ROB) and the §6 defenses
-/// do not.
-pub fn run_pht_poc<O: PipelineObserver>(session: &mut Session<O>, cfg: &PocConfig) -> PocOutcome {
-    plant_data(session, cfg);
-    let program = build_pht_program(cfg);
-    // Attacker and victim code are steady-state warm (the training loop has
-    // executed the whole flow repeatedly in a real attack).
-    session.warm_text(&program);
-    session.reset_stats();
-    session.run_program(&program, cfg.max_cycles);
-    // Training touches array1[0] = 0, so probe entry 0 is excluded.
-    session.outcome_with(cfg.secret, cfg.threshold, &[0])
+/// do not — except BTB under the SL cache, which guards conditional
+/// branches only.
+pub fn run_poc<O: PipelineObserver>(
+    session: &mut Session<O>,
+    gadget: GadgetKind,
+    cfg: &PocConfig,
+) -> PocOutcome {
+    Attack::prepare(session, gadget, cfg).strike(session, cfg.secret)
 }
 
 #[cfg(test)]
@@ -130,7 +235,7 @@ mod tests {
     fn planting_places_secret_and_bound() {
         let cfg = PocConfig { secret: 0xab, ..PocConfig::default() };
         let mut s = crate::session::Session::builder().policy(crate::Policy::NoRunahead).build();
-        plant_data(&mut s, &cfg);
+        s.plant(&cfg.layout, cfg.secret);
         assert_eq!(s.read_value(cfg.layout.bound_addr, 8), cfg.layout.bound_value);
         assert_eq!(s.read_bytes(cfg.layout.secret_addr, 1), vec![0xab]);
         assert_ne!(s.residency(cfg.layout.secret_addr), specrun_mem::HitLevel::Mem);

@@ -10,7 +10,8 @@
 use specrun_cpu::CpuConfig;
 use specrun_workloads::harness::{self, parallel_map, TrialSpec};
 
-use crate::attack::poc::{run_pht_poc, PocConfig, PocOutcome};
+use crate::attack::poc::{run_poc, PocConfig, PocOutcome};
+use crate::attack::GadgetKind;
 use crate::session::Session;
 
 /// Configuration of a multi-trial SpectrePHT-in-runahead sweep.
@@ -95,7 +96,7 @@ pub fn run_pht_sweep(cfg: &SweepConfig) -> SweepReport {
         let secret = (rng.next_below(255) + 1) as u8;
         let mut session = Session::builder().config(spec.config.clone()).build();
         let poc = PocConfig { secret, ..cfg.poc.clone() };
-        let outcome = run_pht_poc(&mut session, &poc);
+        let outcome = run_poc(&mut session, GadgetKind::Pht, &poc);
         SweepTrial { id: i, secret, outcome }
     });
     SweepReport { trials, threads }

@@ -1,20 +1,18 @@
 //! SpectreBTB and SpectreRSB nested inside runahead (paper §4.4, Fig. 4).
 //!
-//! Both variants are *multi-program* attacks on one [`Session`]: the
-//! attacker process trains or poisons a shared predictor structure from its
-//! own address space, the victim process runs and leaks during runahead, and
-//! the attacker probes afterwards. The predictor structures are untagged
-//! (and the BTB partially tagged), so training transfers — exactly the
-//! paper's threat-model assumption for cross-process Spectre variants.
+//! Both variants are *multi-program* attacks on one
+//! [`Session`](crate::session::Session): the attacker process trains or
+//! poisons a shared predictor structure from its own address space, the
+//! victim process runs and leaks during runahead, and the attacker probes
+//! afterwards. The predictor structures are untagged (and the BTB partially
+//! tagged), so training transfers — exactly the paper's threat-model
+//! assumption for cross-process Spectre variants. This module builds the
+//! programs; [`crate::attack::Attack`] runs them.
 
 use specrun_isa::{IntReg, Program, ProgramBuilder};
 
-use specrun_cpu::probe::PipelineObserver;
-
 use crate::attack::gadget;
-use crate::attack::layout::AttackLayout;
-use crate::attack::poc::{PocConfig, PocOutcome};
-use crate::session::Session;
+use crate::attack::AttackLayout;
 
 fn r(i: u8) -> IntReg {
     IntReg::new(i).unwrap()
@@ -24,6 +22,12 @@ fn r(i: u8) -> IntReg {
 const VICTIM_JR_PC_BASE: u64 = 0x1000;
 /// BTB congruence stride: 512 sets × 8-byte slots × 2^8 partial-tag values.
 const BTB_ALIAS_STRIDE: u64 = (512 << 3) << 8;
+/// Offset of the BTB victim's jump-table slot from `D` (`bound_addr`).
+pub(crate) const BTB_SLOT_OFFSET: u64 = 64;
+/// Trainer runs that mistrain the BTB before the victim runs.
+pub(crate) const BTB_TRAINING_RUNS: u32 = 4;
+/// Cycle budget for one trainer run (its normal exit is `Wedged`).
+pub(crate) const BTB_TRAINER_BUDGET: u64 = 100_000;
 
 /// Emits the secret-access + transmit gadget body (no branch around it).
 fn emit_gadget_body(b: &mut ProgramBuilder, layout: &AttackLayout) {
@@ -45,9 +49,9 @@ fn emit_gadget_body(b: &mut ProgramBuilder, layout: &AttackLayout) {
 pub fn build_btb_victim(layout: &AttackLayout, nop_slide: usize) -> Program {
     let mut b = ProgramBuilder::new(VICTIM_JR_PC_BASE - 4 * specrun_isa::INST_BYTES);
     gadget::define_symbols(&mut b, layout);
-    // D holds the (benign) jump target; flushed by the attacker program.
+    // The slot past D holds the benign jump target; the attacker flushes it.
     b.la(r(2), "bound_addr");
-    b.ld(r(3), r(2), 64); // D+64: the victim's jump-table slot
+    b.ld(r(3), r(2), BTB_SLOT_OFFSET as i32); // the victim's jump-table slot
     b.nop();
     b.nop(); // align the jr to VICTIM_JR_PC_BASE + 0? (alignment is cosmetic)
     b.jr(r(3), 0); // ← the poisoned indirect branch (Fig. 4a's `src`)
@@ -63,6 +67,10 @@ pub fn build_btb_victim(layout: &AttackLayout, nop_slide: usize) -> Program {
 /// Builds the attacker's training program: an indirect jump at a
 /// *congruent* PC (same BTB set and partial tag, different address-space
 /// region) that architecturally jumps to the victim's gadget address.
+///
+/// That address holds no instruction in the trainer's own image, so the
+/// trainer's normal exit is `Wedged`, not a halt — the BTB entry is all it
+/// is run for.
 pub fn build_btb_trainer(victim: &Program) -> Program {
     let jr_pc = victim
         .symbols()
@@ -71,63 +79,14 @@ pub fn build_btb_trainer(victim: &Program) -> Program {
         .expect("victim has a benign label after the jr");
     let gadget_pc = victim.symbol("gadget").expect("victim has a gadget");
     let trainer_jr_pc = jr_pc + BTB_ALIAS_STRIDE;
-    // The trainer's own landing pad sits at the gadget address *in its own
-    // program image* — the BTB stores the raw target PC.
+    // The BTB stores the raw target PC, so the trainer jumps to the
+    // gadget's address in its own image.
     let mut b = ProgramBuilder::new(trainer_jr_pc - 2 * specrun_isa::INST_BYTES);
     b.la(r(1), "landing");
     b.nop();
     b.jr(r(1), 0); // at trainer_jr_pc: congruent with the victim's jr
     b.def_sym("landing", gadget_pc);
-    // Place a halt at the landing address (the trainer architecturally
-    // jumps there, in its own image).
-    // The assembler needs instructions up to that address; emit the halt at
-    // the landing label via a second text island.
     b.build().expect("BTB trainer is closed")
-}
-
-/// Builds the halting landing-pad program placed at the gadget address for
-/// the trainer's architectural jump target.
-fn build_btb_trainer_with_landing(victim: &Program) -> (Program, u64) {
-    let gadget_pc = victim.symbol("gadget").expect("victim has a gadget");
-    (build_btb_trainer(victim), gadget_pc)
-}
-
-/// Runs the SpectreBTB-in-runahead variant end to end.
-pub fn run_btb_poc<O: PipelineObserver>(session: &mut Session<O>, cfg: &PocConfig) -> PocOutcome {
-    let layout = cfg.layout;
-    // Plant data: D+64 holds the benign target; secret and arrays as usual.
-    crate::attack::poc::plant_data(session, cfg);
-    let victim = build_btb_victim(&layout, cfg.nop_slide);
-    let benign = victim.symbol("benign").expect("benign label");
-    session.write_value(layout.bound_addr + 64, 8, benign);
-    session.warm(layout.bound_addr + 64, 8);
-
-    // ① Train the BTB from the attacker's own (congruent) address space.
-    let (trainer, _gadget_pc) = build_btb_trainer_with_landing(&victim);
-    for _ in 0..4 {
-        session.run_program(&trainer, 100_000);
-    }
-    // The trainer's normal exit is Wedged: it architecturally jumps to the
-    // gadget address, which exists only in the victim's image. Discharge
-    // the sticky record so the end-of-run health check reports the victim
-    // and probe only.
-    session.acknowledge_non_halt();
-    // ② Evict the victim's jump-table slot (co-resident clflush).
-    session.flush(layout.bound_addr + 64);
-    // ③ Victim executes: enters runahead on the slot load, the INV jr never
-    // resolves, fetch follows the trained BTB entry into the gadget. The
-    // victim's code is steady-state warm.
-    session.warm_text(&victim);
-    session.reset_stats();
-    session.run_program(&victim, cfg.max_cycles);
-    let runahead_entries = session.stats().runahead_entries;
-    let inv_branches = session.stats().inv_unresolved_branches;
-    // ④ Attacker probes from her own process.
-    let probe = gadget::build_probe_program(&layout);
-    session.run_program(&probe, cfg.max_cycles);
-    let timings = session.probe_timings();
-    let leaked = timings.leaked_byte(cfg.threshold, &[0]);
-    PocOutcome { leaked, expected: cfg.secret, runahead_entries, inv_branches, timings }
 }
 
 /// Builds the victim program for the RSB variant (Fig. 4b, direct
@@ -154,26 +113,6 @@ pub fn build_rsb_victim(layout: &AttackLayout, nop_slide: usize) -> Program {
     b.sd(r(8), IntReg::SP, 0); // overwrite the stored return address
     b.ret(); // pops INV data during runahead → never resolves
     b.build().expect("RSB victim is closed")
-}
-
-/// Runs the SpectreRSB-in-runahead variant end to end.
-pub fn run_rsb_poc<O: PipelineObserver>(session: &mut Session<O>, cfg: &PocConfig) -> PocOutcome {
-    let layout = cfg.layout;
-    crate::attack::poc::plant_data(session, cfg);
-    // D holds 0 so that architecturally F = benign.
-    session.write_value(layout.bound_addr, 8, 0);
-    session.warm(layout.bound_addr, 8);
-    let victim = build_rsb_victim(&layout, cfg.nop_slide);
-    session.warm_text(&victim);
-    session.reset_stats();
-    session.run_program(&victim, cfg.max_cycles);
-    let runahead_entries = session.stats().runahead_entries;
-    let inv_branches = session.stats().inv_unresolved_branches;
-    let probe = gadget::build_probe_program(&layout);
-    session.run_program(&probe, cfg.max_cycles);
-    let timings = session.probe_timings();
-    let leaked = timings.leaked_byte(cfg.threshold, &[0]);
-    PocOutcome { leaked, expected: cfg.secret, runahead_entries, inv_branches, timings }
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 
 use specrun_cpu::probe::PipelineObserver;
 
-use crate::attack::poc::{run_pht_poc, PocConfig, PocOutcome};
+use crate::attack::poc::{run_poc, PocConfig, PocOutcome};
+use crate::attack::GadgetKind;
 use crate::session::Session;
 
 /// Outcome of running an attack against a defended machine.
@@ -31,7 +32,7 @@ pub fn verify_pht_blocked<O: PipelineObserver>(
     session: &mut Session<O>,
     cfg: &PocConfig,
 ) -> DefenseReport {
-    let outcome = run_pht_poc(session, cfg);
+    let outcome = run_poc(session, GadgetKind::Pht, cfg);
     let stats = session.stats();
     DefenseReport {
         sl_promotions: stats.sl_promotions,

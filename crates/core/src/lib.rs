@@ -9,9 +9,10 @@
 //!
 //! * [`Machine`] — a simulated core whose microarchitectural state (caches,
 //!   PHT/BTB/RSB) persists across programs, modelling co-resident processes;
-//! * [`attack`] — the Fig. 8 proof of concept ([`attack::run_pht_poc`]) and
-//!   the SpectreBTB/RSB variants of §4.4, each leaking a planted secret
-//!   byte through a flush+reload cache covert channel;
+//! * [`attack`] — the Fig. 8 proof of concept and the SpectreBTB/RSB
+//!   variants of §4.4 as one [`attack::Attack`] sequence ([`attack::run_poc`]),
+//!   each leaking a planted secret byte through a flush+reload cache
+//!   covert channel;
 //! * [`window`] — the §5.3 transient-window measurements (N1/N2/N3)
 //!   showing runahead removes the ROB-size limit on transient instructions;
 //! * [`defense`] — verification harnesses for the §6 secure-runahead
@@ -20,12 +21,12 @@
 //! ## Quick start
 //!
 //! ```
-//! use specrun::attack::{run_pht_poc, PocConfig};
+//! use specrun::attack::{run_poc, GadgetKind, PocConfig};
 //! use specrun::session::{Policy, Session};
 //!
 //! let mut session = Session::builder().policy(Policy::Runahead).build();
 //! let cfg = PocConfig { training_rounds: 16, ..PocConfig::default() };
-//! let outcome = run_pht_poc(&mut session, &cfg);
+//! let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
 //! assert_eq!(outcome.leaked, Some(cfg.secret), "SPECRUN leaks on a runahead machine");
 //! ```
 
@@ -43,16 +44,16 @@ pub mod window;
 
 pub use machine::Machine;
 pub use plan::{
-    config_for, layout_for, poc_config_for, run_plan, try_run_plan, try_run_plan_governed,
-    try_run_plan_recorded, PlanOutcome,
+    config_for, poc_config_for, try_run_plan, try_run_plan_governed, try_run_plan_recorded,
+    PlanOutcome,
 };
-pub use pool::{run_campaign, run_shard, run_unit_fresh, ShardSnapshot, UnitResult};
+pub use pool::{run_campaign, run_shard, ShardSnapshot, UnitResult};
 pub use session::{Policy, Session, SessionBuilder};
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::attack::{
-        run_btb_poc, run_pht_poc, run_rsb_poc, AttackLayout, PocConfig, PocOutcome, ProbeTimings,
+        run_poc, Attack, AttackLayout, GadgetKind, PocConfig, PocOutcome, ProbeTimings,
         DEFAULT_THRESHOLD,
     };
     pub use crate::defense::{verify_pht_blocked, DefenseReport};

@@ -20,6 +20,7 @@ use specrun_cpu::probe::{NoopObserver, PipelineObserver};
 use specrun_cpu::{CancelToken, Core, CpuConfig, RunExit};
 use specrun_isa::{DecodedProgram, IntReg, Program};
 use specrun_mem::HitLevel;
+use specrun_workloads::harness::RunError;
 
 /// A simulated machine (core + memory + predictors), generic over an
 /// attached [`PipelineObserver`] (detached by default).
@@ -89,6 +90,25 @@ impl<O: PipelineObserver> Machine<O> {
     /// [`RunExit`] through; `None` means every run halted cleanly.
     pub fn first_non_halt(&self) -> Option<(RunExit, u64)> {
         self.first_non_halt
+    }
+
+    /// The end-of-run health check: `Ok` when every run halted cleanly,
+    /// otherwise [`Machine::first_non_halt`] as a structured [`RunError`]
+    /// naming `what` was running (a campaign records it as a failed unit
+    /// instead of panicking).
+    pub fn check_halted(&self, what: impl FnOnce() -> String) -> Result<(), RunError> {
+        let committed = self.stats().committed;
+        match self.first_non_halt {
+            None => Ok(()),
+            Some((RunExit::CycleLimit, budget)) => {
+                Err(RunError::CycleBudgetExceeded { what: what(), budget, committed })
+            }
+            Some((RunExit::Cancelled, _)) => Err(RunError::Cancelled { what: what(), committed }),
+            Some((exit, _)) => Err(RunError::NoHalt {
+                what: what(),
+                detail: format!("a program exited with {exit:?}"),
+            }),
+        }
     }
 
     /// Discharges the sticky non-halt record, returning it. For programs

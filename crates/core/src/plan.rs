@@ -9,12 +9,12 @@
 //! driving the right PoC flavour with the ground-truth observers attached.
 
 use specrun_cpu::probe::{CountingObserver, NoopObserver, PipelineEvent, PipelineObserver};
-use specrun_cpu::{CancelToken, CpuConfig, CpuStats, RunExit, RunaheadPolicy};
+use specrun_cpu::{CancelToken, CpuConfig, CpuStats, RunaheadPolicy};
 use specrun_trace::RecordingObserver;
 use specrun_workloads::harness::RunError;
-use specrun_workloads::plan::{GadgetKind, Plan, PlanPolicy};
+use specrun_workloads::plan::{Plan, PlanPolicy};
 
-use crate::attack::{run_btb_poc, run_pht_poc, run_rsb_poc, AttackLayout, PocConfig};
+use crate::attack::{run_poc, PocConfig};
 use crate::session::{leak_trace_for, Policy, Session};
 
 impl From<PlanPolicy> for Policy {
@@ -42,25 +42,10 @@ pub fn config_for(plan: &Plan) -> CpuConfig {
     cfg
 }
 
-/// The attack layout a plan describes.
-pub fn layout_for(plan: &Plan) -> AttackLayout {
-    let l = &plan.layout;
-    AttackLayout {
-        bound_addr: l.bound_addr,
-        bound_value: l.bound_value,
-        array1_base: l.array1_base,
-        secret_addr: l.secret_addr,
-        probe_base: l.probe_base,
-        probe_stride: l.probe_stride,
-        probe_entries: l.probe_entries,
-        results_base: l.results_base,
-    }
-}
-
 /// The PoC configuration a plan describes.
 pub fn poc_config_for(plan: &Plan) -> PocConfig {
     PocConfig {
-        layout: layout_for(plan),
+        layout: plan.layout,
         secret: plan.secret,
         training_rounds: plan.victim.training_rounds,
         nop_slide: plan.victim.nop_slide as usize,
@@ -102,23 +87,11 @@ pub struct PlanOutcome {
 }
 
 /// Runs `plan` end to end on a fresh session with the ground-truth
-/// observers attached.
-///
-/// # Panics
-///
-/// Panics if the plan describes an invalid machine configuration, a
-/// program exhausts its cycle budget, or the simulator itself fails — the
-/// fuzz harness runs this under `catch_unwind` and treats a panic as a
-/// reportable failing plan. [`try_run_plan`] is the structured form.
-pub fn run_plan(plan: &Plan) -> PlanOutcome {
-    try_run_plan(plan).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_plan`]: a plan whose programs exhaust their cycle budget
-/// or wedge the core comes back as a structured
-/// [`RunError`] instead of a panic, so a campaign can record it as a
-/// failed entry and keep going. Panics inside the simulator still
-/// propagate (the harness boundary catches those).
+/// observers attached. A plan whose programs exhaust their cycle budget or
+/// wedge the core comes back as a structured [`RunError`], so a campaign
+/// can record it as a failed entry and keep going. Panics inside the
+/// simulator (an invalid machine configuration, a simulator fault)
+/// propagate; the fuzz harness boundary catches those.
 pub fn try_run_plan(plan: &Plan) -> Result<PlanOutcome, RunError> {
     try_run_plan_governed(plan, None)
 }
@@ -156,45 +129,20 @@ fn run_plan_with<X: PipelineObserver>(
     token: Option<CancelToken>,
     extra: X,
 ) -> Result<(PlanOutcome, X), RunError> {
-    let layout = layout_for(plan);
     let config = config_for(plan);
-    let tracer = leak_trace_for(&layout, &config);
+    let tracer = leak_trace_for(&plan.layout, &config);
     let mut session = Session::builder()
         .config(config)
-        .layout(layout)
+        .layout(plan.layout)
         .observer(((CountingObserver::default(), tracer), extra))
         .build();
     session.machine_mut().set_cancel_token(token);
     for w in &plan.warm {
         session.warm(w.addr, w.len);
     }
-    let cfg = poc_config_for(plan);
-    let outcome = match plan.victim.gadget {
-        GadgetKind::Pht => run_pht_poc(&mut session, &cfg),
-        GadgetKind::Btb => run_btb_poc(&mut session, &cfg),
-        GadgetKind::Rsb => run_rsb_poc(&mut session, &cfg),
-    };
+    let outcome = run_poc(&mut session, plan.victim.gadget, &poc_config_for(plan));
+    session.check_halted(|| format!("plan {} ({:?} gadget)", plan.index, plan.victim.gadget))?;
     let stats = *session.stats();
-    let what = || format!("plan {} ({:?} gadget)", plan.index, plan.victim.gadget);
-    match session.first_non_halt() {
-        None => {}
-        Some((RunExit::CycleLimit, budget)) => {
-            return Err(RunError::CycleBudgetExceeded {
-                what: what(),
-                budget,
-                committed: stats.committed,
-            });
-        }
-        Some((RunExit::Cancelled, _)) => {
-            return Err(RunError::Cancelled { what: what(), committed: stats.committed });
-        }
-        Some((exit, _)) => {
-            return Err(RunError::NoHalt {
-                what: what(),
-                detail: format!("a program exited with {exit:?}"),
-            });
-        }
-    }
     let arch_fingerprint = session.machine().core().arch_fingerprint();
     let ((counts, trace), extra) = session.observer().clone();
     Ok((
@@ -219,7 +167,7 @@ fn run_plan_with<X: PipelineObserver>(
 mod tests {
     use super::*;
     use specrun_cpu::RunaheadTrigger;
-    use specrun_workloads::plan::KnobSpec;
+    use specrun_workloads::plan::{GadgetKind, KnobSpec};
 
     fn paper_plan(policy: PlanPolicy) -> Plan {
         let mut plan = Plan::generate(1, 0, true);
@@ -265,8 +213,8 @@ mod tests {
         // presence.)
         let mut plan = paper_plan(PlanPolicy::Runahead);
         plan.victim.nop_slide = 300;
-        let a = run_plan(&plan);
-        let b = run_plan(&plan);
+        let a = try_run_plan(&plan).expect("paper plan runs");
+        let b = try_run_plan(&plan).expect("paper plan runs");
         assert_eq!(a, b, "same plan, same outcome");
         assert_eq!(a.leaked, Some(plan.secret), "paper machine leaks");
         assert_eq!(a.ground_truth, Some(plan.secret), "tracer saw the same byte");
@@ -286,17 +234,13 @@ mod tests {
             }
             other => panic!("expected CycleBudgetExceeded, got {other:?}"),
         }
-        // The panicking wrapper renders the same error.
-        let caught = std::panic::catch_unwind(|| run_plan(&plan)).expect_err("must panic");
-        let message = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(message.contains("cycle budget exceeded"), "{message}");
     }
 
     #[test]
     fn recorded_run_is_outcome_identical_and_replayable() {
         let mut plan = paper_plan(PlanPolicy::Runahead);
         plan.victim.nop_slide = 300;
-        let plain = run_plan(&plan);
+        let plain = try_run_plan(&plan).expect("paper plan runs");
         let (outcome, events) = try_run_plan_recorded(&plan).expect("paper plan runs");
         assert_eq!(plain, outcome, "the riding recorder must be invisible to the outcome");
         assert!(!events.is_empty());
@@ -308,7 +252,7 @@ mod tests {
     #[test]
     fn run_plan_secure_sees_zero_transient_fills() {
         let plan = paper_plan(PlanPolicy::Secure);
-        let out = run_plan(&plan);
+        let out = try_run_plan(&plan).expect("paper plan runs");
         assert_eq!(out.transient_secret_fills, 0, "SL cache blocks transient fills");
     }
 }

@@ -6,45 +6,35 @@
 //! owns the session side, mirroring how [`crate::plan`] pairs with the
 //! fuzz plan grammar. Per shard it builds **one** [`ShardSnapshot`]: the
 //! machine configured (policy, then knobs), the campaign's warm-up
-//! applied, the gadget's programs built and predecoded once into
-//! `Arc<DecodedProgram>`s, and every secret-independent attack step —
-//! PHT/BTB text warming, BTB predictor training — already executed. Each
-//! unit then *forks* the snapshot: cloning a [`Session`] clones the
-//! machine, whose backing store shares its pages `Arc`-per-page and
-//! unshares only what the fork writes (see `specrun_mem::BackingStore`),
-//! and whose program slots share the snapshot's predecode. Planting the
-//! secret and running the victim touches a handful of pages, so a fork
-//! costs a small fraction of a fresh [`Session::builder`] build — that
-//! ratio is what `specrun-lab perf` reports as `sessions_per_sec`.
+//! applied, and the shard's [`Attack`] prepared — its programs predecoded
+//! once into `Arc<DecodedProgram>`s (`specrun_isa`) and every
+//! secret-independent step (text warming, BTB training) already executed.
+//! Each unit then *forks* the snapshot and strikes: cloning a [`Session`]
+//! clones the machine, whose backing store shares its pages `Arc`-per-page
+//! and unshares only what the fork writes (see
+//! `specrun_mem::BackingStore`), and whose program slots share the
+//! snapshot's predecode. Planting the secret and running the victim
+//! touches a handful of pages, so a fork costs a small fraction of a fresh
+//! [`Session::builder`] build — that ratio is what `specrun-lab perf`
+//! reports as `sessions_per_sec`.
 //!
-//! [`run_unit_fresh`] is the control: the same unit on a snapshot built
-//! from scratch and consumed in place, never cloned. Fork and fresh runs
-//! must agree **bit for bit** (leak verdict, signature counters,
-//! architectural fingerprint) — the property the tests below pin and the
-//! `pool-repro` CI gate re-checks end to end.
+//! A pool unit is the same attack sequence as [`crate::attack::run_poc`]
+//! (prepare, then strike), with the fork in between. A fresh
+//! [`ShardSnapshot::prepare`] plus one [`ShardSnapshot::run_forked`] is
+//! therefore the never-pooled control, and a forked unit must agree **bit
+//! for bit** (leak verdict, signature counters, architectural fingerprint,
+//! statistics) with `run_poc` on a fresh session built like the shard —
+//! the property the tests below pin and the `pool-repro` CI gate re-checks
+//! end to end.
 
-use std::sync::Arc;
-
-use specrun_cpu::{CancelToken, CpuConfig, RunExit};
-use specrun_isa::DecodedProgram;
+use specrun_cpu::{CancelToken, CpuConfig};
 use specrun_workloads::clock::WallClock;
 use specrun_workloads::harness::RunError;
-use specrun_workloads::plan::GadgetKind;
 use specrun_workloads::pool::{CampaignSpec, PoolReport, SessionPool, ShardSpec, ShardStats};
 use specrun_workloads::supervisor::UnitCtx;
 
-use crate::attack::covert::DEFAULT_THRESHOLD;
-use crate::attack::gadget;
-use crate::attack::poc::{build_pht_program, PocConfig};
-use crate::attack::variants::{build_btb_trainer, build_btb_victim, build_rsb_victim};
-use crate::attack::AttackLayout;
+use crate::attack::{Attack, AttackLayout, PocConfig, DEFAULT_THRESHOLD};
 use crate::session::{Policy, Session};
-
-/// BTB training runs performed while preparing a BTB shard's snapshot
-/// (the §4.4 variant's fixed warm-up, not the PHT `training_rounds` axis).
-const BTB_TRAINING_RUNS: u32 = 4;
-/// Cycle budget for one BTB trainer run (its normal exit is Wedged).
-const BTB_TRAINER_BUDGET: u64 = 100_000;
 
 /// The machine configuration one shard describes: Table 1, then the
 /// shard's policy, then the campaign's knobs — the same composition order
@@ -59,115 +49,46 @@ pub fn shard_config(spec: &CampaignSpec, shard: &ShardSpec) -> CpuConfig {
 
 /// The attack layout a campaign describes (shared by every shard).
 pub fn campaign_layout(spec: &CampaignSpec) -> AttackLayout {
-    let l = &spec.layout;
-    AttackLayout {
-        bound_addr: l.bound_addr,
-        bound_value: l.bound_value,
-        array1_base: l.array1_base,
-        secret_addr: l.secret_addr,
-        probe_base: l.probe_base,
-        probe_stride: l.probe_stride,
-        probe_entries: l.probe_entries,
-        results_base: l.results_base,
+    spec.layout
+}
+
+/// The PoC configuration one shard describes. Its `secret` is a
+/// placeholder: [`Attack::prepare`] never reads it, which is what makes
+/// one prepared attack per shard sound.
+fn shard_poc_config(spec: &CampaignSpec, shard: &ShardSpec) -> PocConfig {
+    PocConfig {
+        layout: spec.layout,
+        secret: 0,
+        training_rounds: spec.training_rounds,
+        nop_slide: shard.nop_slide as usize,
+        attack_filler: spec.attack_filler as usize,
+        threshold: DEFAULT_THRESHOLD,
+        max_cycles: spec.max_cycles,
     }
 }
 
-/// The gadget-specific half of a snapshot: predecoded programs plus the
-/// addresses the per-unit steps need. None of these depend on the secret.
-#[derive(Debug, Clone)]
-enum ShardPrograms {
-    /// Fig. 8 single-binary attack (train → flush → victim → probe).
-    Pht { attack: Arc<DecodedProgram> },
-    /// §4.4 BTB variant: trained victim plus the attacker's probe;
-    /// `slot_addr` is the victim's jump-table slot the unit flushes.
-    Btb { victim: Arc<DecodedProgram>, probe: Arc<DecodedProgram>, slot_addr: u64 },
-    /// §4.4 RSB variant: victim plus the attacker's probe.
-    Rsb { victim: Arc<DecodedProgram>, probe: Arc<DecodedProgram> },
-}
-
-/// One shard's warmed parent machine plus its predecoded programs.
+/// One shard's warmed parent session plus its prepared attack.
 ///
 /// Everything secret-independent has already happened here; a unit is
-/// [`ShardSnapshot::run_forked`] — clone, plant, run, read back.
+/// [`ShardSnapshot::run_forked`] — clone, strike, check.
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
     session: Session,
-    programs: ShardPrograms,
-    layout: AttackLayout,
-    max_cycles: u64,
+    attack: Attack,
     label: String,
 }
 
 impl ShardSnapshot {
-    /// Builds and warms the shard's parent machine: configuration
-    /// composed, campaign warm-up applied, programs built and predecoded,
-    /// attacker/victim text warmed, and (for BTB) the predictor trained.
+    /// Builds and warms the shard's parent session: configuration
+    /// composed, campaign warm-up applied, attack prepared.
     pub fn prepare(spec: &CampaignSpec, shard: &ShardSpec) -> ShardSnapshot {
-        let layout = campaign_layout(spec);
         let mut session =
-            Session::builder().config(shard_config(spec, shard)).layout(layout).build();
+            Session::builder().config(shard_config(spec, shard)).layout(spec.layout).build();
         for w in &spec.warm {
             session.warm(w.addr, w.len);
         }
-        let programs = match shard.gadget {
-            GadgetKind::Pht => {
-                let cfg = PocConfig {
-                    layout,
-                    // The program encodes geometry and scale, never the
-                    // secret — that is what makes one predecode per shard
-                    // sound. The placeholder is unused.
-                    secret: 0,
-                    training_rounds: spec.training_rounds,
-                    nop_slide: shard.nop_slide as usize,
-                    attack_filler: spec.attack_filler as usize,
-                    threshold: DEFAULT_THRESHOLD,
-                    max_cycles: spec.max_cycles,
-                };
-                let program = build_pht_program(&cfg);
-                session.warm_text(&program);
-                ShardPrograms::Pht { attack: Arc::new(DecodedProgram::new(program)) }
-            }
-            GadgetKind::Btb => {
-                let victim = build_btb_victim(&layout, shard.nop_slide as usize);
-                let benign = victim.symbol("benign").expect("BTB victim has a benign label");
-                let slot_addr = layout.bound_addr + 64;
-                session.write_value(slot_addr, 8, benign);
-                session.warm(slot_addr, 8);
-                // Train the BTB once for the whole shard: the predictor
-                // state is part of the snapshot every fork inherits.
-                let trainer = Arc::new(DecodedProgram::new(build_btb_trainer(&victim)));
-                for _ in 0..BTB_TRAINING_RUNS {
-                    session.run_predecoded(trainer.clone(), BTB_TRAINER_BUDGET);
-                }
-                // The trainer's normal exit is Wedged (it jumps to an
-                // address that exists only in the victim's image);
-                // discharge it so unit health checks see units only.
-                session.acknowledge_non_halt();
-                session.warm_text(&victim);
-                let probe = gadget::build_probe_program(&layout);
-                ShardPrograms::Btb {
-                    victim: Arc::new(DecodedProgram::new(victim)),
-                    probe: Arc::new(DecodedProgram::new(probe)),
-                    slot_addr,
-                }
-            }
-            GadgetKind::Rsb => {
-                let victim = build_rsb_victim(&layout, shard.nop_slide as usize);
-                session.warm_text(&victim);
-                let probe = gadget::build_probe_program(&layout);
-                ShardPrograms::Rsb {
-                    victim: Arc::new(DecodedProgram::new(victim)),
-                    probe: Arc::new(DecodedProgram::new(probe)),
-                }
-            }
-        };
-        ShardSnapshot {
-            session,
-            programs,
-            layout,
-            max_cycles: spec.max_cycles,
-            label: shard.label(),
-        }
+        let attack = Attack::prepare(&mut session, shard.gadget, &shard_poc_config(spec, shard));
+        ShardSnapshot { session, attack, label: shard.label() }
     }
 
     /// The warmed parent session (read-only; forks clone it).
@@ -181,85 +102,27 @@ impl ShardSnapshot {
         secret: u8,
         token: Option<CancelToken>,
     ) -> Result<UnitResult, RunError> {
-        self.run_on(self.session.clone(), secret, token)
+        self.strike_fork(secret, token).map(|(unit, _)| unit)
     }
 
-    /// Runs one unit on the snapshot itself, consuming it — the fresh
-    /// (never-forked) control path for equivalence tests and the perf
-    /// baseline.
-    pub fn run_consuming(
-        self,
-        secret: u8,
-        token: Option<CancelToken>,
-    ) -> Result<UnitResult, RunError> {
-        let session = self.session.clone();
-        self.run_on(session, secret, token)
-    }
-
-    fn run_on(
+    /// [`ShardSnapshot::run_forked`], also handing back the struck fork.
+    fn strike_fork(
         &self,
-        mut session: Session,
         secret: u8,
         token: Option<CancelToken>,
-    ) -> Result<UnitResult, RunError> {
+    ) -> Result<(UnitResult, Session), RunError> {
+        let mut session = self.session.clone();
         session.machine_mut().set_cancel_token(token);
-        session.plant(&self.layout, secret);
-        let (leaked, runahead_entries, inv_branches) = match &self.programs {
-            ShardPrograms::Pht { attack } => {
-                session.reset_stats();
-                session.run_predecoded(attack.clone(), self.max_cycles);
-                let out = session.outcome_with(secret, DEFAULT_THRESHOLD, &[0]);
-                (out.leaked, out.runahead_entries, out.inv_branches)
-            }
-            ShardPrograms::Btb { victim, probe, slot_addr } => {
-                // Evict the victim's jump-table slot, then let the victim
-                // enter runahead and fetch down the trained BTB path.
-                session.flush(*slot_addr);
-                session.reset_stats();
-                session.run_predecoded(victim.clone(), self.max_cycles);
-                let runahead = session.stats().runahead_entries;
-                let inv = session.stats().inv_unresolved_branches;
-                session.run_predecoded(probe.clone(), self.max_cycles);
-                let leaked = session.probe_timings().leaked_byte(DEFAULT_THRESHOLD, &[0]);
-                (leaked, runahead, inv)
-            }
-            ShardPrograms::Rsb { victim, probe } => {
-                // D holds 0 so that architecturally F = benign.
-                session.write_value(self.layout.bound_addr, 8, 0);
-                session.warm(self.layout.bound_addr, 8);
-                session.reset_stats();
-                session.run_predecoded(victim.clone(), self.max_cycles);
-                let runahead = session.stats().runahead_entries;
-                let inv = session.stats().inv_unresolved_branches;
-                session.run_predecoded(probe.clone(), self.max_cycles);
-                let leaked = session.probe_timings().leaked_byte(DEFAULT_THRESHOLD, &[0]);
-                (leaked, runahead, inv)
-            }
-        };
-        let committed = session.stats().committed;
-        let what = || format!("pool shard {} secret {secret}", self.label);
-        match session.first_non_halt() {
-            None => {}
-            Some((RunExit::CycleLimit, budget)) => {
-                return Err(RunError::CycleBudgetExceeded { what: what(), budget, committed });
-            }
-            Some((RunExit::Cancelled, _)) => {
-                return Err(RunError::Cancelled { what: what(), committed });
-            }
-            Some((exit, _)) => {
-                return Err(RunError::NoHalt {
-                    what: what(),
-                    detail: format!("a program exited with {exit:?}"),
-                });
-            }
-        }
-        Ok(UnitResult {
-            leaked,
+        let outcome = self.attack.strike(&mut session, secret);
+        session.check_halted(|| format!("pool shard {} secret {secret}", self.label))?;
+        let unit = UnitResult {
+            leaked: outcome.leaked,
             expected: secret,
-            runahead_entries,
-            inv_branches,
+            runahead_entries: outcome.runahead_entries,
+            inv_branches: outcome.inv_branches,
             arch_fingerprint: session.machine().core().arch_fingerprint(),
-        })
+        };
+        Ok((unit, session))
     }
 }
 
@@ -303,16 +166,6 @@ pub fn run_shard(
     Ok(stats)
 }
 
-/// Runs one unit on a fresh, never-forked snapshot — the control the
-/// fork path is measured and verified against.
-pub fn run_unit_fresh(
-    spec: &CampaignSpec,
-    shard: &ShardSpec,
-    secret: u8,
-) -> Result<UnitResult, RunError> {
-    ShardSnapshot::prepare(spec, shard).run_consuming(secret, None)
-}
-
 /// Runs a whole campaign with fork-based pooling under passive
 /// supervision: `spec.shards` fanned out over `threads` workers, one
 /// snapshot per shard, one fork per secret.
@@ -323,7 +176,9 @@ pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> PoolReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::run_poc;
     use proptest::prelude::*;
+    use specrun_workloads::plan::GadgetKind;
     use specrun_workloads::plan::PlanPolicy;
     use specrun_workloads::pool::ShardStatus;
 
@@ -336,20 +191,46 @@ mod tests {
         ShardSpec { gadget, policy, nop_slide }
     }
 
+    /// The pool and the PoC run the same attack: every forked unit of the
+    /// paper matrix equals `run_poc` on a fresh session built like the
+    /// shard (same configuration, layout and campaign warm-up) — verdict,
+    /// counters, architectural fingerprint and the full statistics.
     #[test]
-    fn fork_equals_fresh_bit_for_bit_across_gadgets() {
-        let spec = small_spec(vec![]);
-        for cell in [
-            shard(GadgetKind::Pht, PlanPolicy::Runahead, 0),
-            shard(GadgetKind::Pht, PlanPolicy::Runahead, 300),
-            shard(GadgetKind::Btb, PlanPolicy::Runahead, 0),
-            shard(GadgetKind::Rsb, PlanPolicy::Runahead, 0),
-        ] {
-            let snapshot = ShardSnapshot::prepare(&spec, &cell);
+    fn forked_units_equal_fresh_run_poc_across_the_paper_matrix() {
+        let spec = CampaignSpec::paper_matrix();
+        for cell in &spec.shards {
+            let snapshot = ShardSnapshot::prepare(&spec, cell);
             for &secret in &spec.secrets {
-                let forked = snapshot.run_forked(secret, None).expect("forked unit runs");
-                let fresh = run_unit_fresh(&spec, &cell, secret).expect("fresh unit runs");
-                assert_eq!(forked, fresh, "{} secret {secret}: fork must be exact", cell.label());
+                let (forked, fork) = snapshot.strike_fork(secret, None).expect("forked unit runs");
+                let mut fresh = Session::builder()
+                    .config(shard_config(&spec, cell))
+                    .layout(spec.layout)
+                    .build();
+                for w in &spec.warm {
+                    fresh.warm(w.addr, w.len);
+                }
+                let cfg = PocConfig {
+                    layout: spec.layout,
+                    secret,
+                    training_rounds: spec.training_rounds,
+                    nop_slide: cell.nop_slide as usize,
+                    attack_filler: spec.attack_filler as usize,
+                    max_cycles: spec.max_cycles,
+                    ..PocConfig::default()
+                };
+                let outcome = run_poc(&mut fresh, cell.gadget, &cfg);
+                assert_eq!(fresh.first_non_halt(), None, "{} secret {secret}", cell.label());
+                let what = format!("{} secret {secret}", cell.label());
+                assert_eq!(forked.leaked, outcome.leaked, "{what}: verdict");
+                assert_eq!(forked.expected, outcome.expected, "{what}: expected");
+                assert_eq!(forked.runahead_entries, outcome.runahead_entries, "{what}");
+                assert_eq!(forked.inv_branches, outcome.inv_branches, "{what}");
+                assert_eq!(
+                    forked.arch_fingerprint,
+                    fresh.core().arch_fingerprint(),
+                    "{what}: architectural state"
+                );
+                assert_eq!(fork.stats(), fresh.stats(), "{what}: statistics");
             }
         }
     }
@@ -457,7 +338,7 @@ mod tests {
         let mut spec = small_spec(vec![]);
         spec.max_cycles = 40;
         let cell = shard(GadgetKind::Pht, PlanPolicy::Runahead, 0);
-        match run_unit_fresh(&spec, &cell, 86) {
+        match ShardSnapshot::prepare(&spec, &cell).run_forked(86, None) {
             Err(RunError::CycleBudgetExceeded { what, budget, .. }) => {
                 assert!(what.contains("pht_runahead"), "{what}");
                 assert_eq!(budget, 40);

@@ -9,12 +9,12 @@
 //! share.
 //!
 //! ```
-//! use specrun::attack::{run_pht_poc, PocConfig};
+//! use specrun::attack::{run_poc, GadgetKind, PocConfig};
 //! use specrun::session::{Policy, Session};
 //!
 //! let mut session = Session::builder().policy(Policy::Runahead).build();
 //! let cfg = PocConfig { training_rounds: 16, ..PocConfig::default() };
-//! let outcome = run_pht_poc(&mut session, &cfg);
+//! let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
 //! assert_eq!(outcome.leaked, Some(cfg.secret), "SPECRUN leaks on the runahead machine");
 //! ```
 //!
@@ -47,8 +47,7 @@ use specrun_cpu::{CpuConfig, RunaheadPolicy, RunaheadTrigger, SecureConfig};
 use specrun_trace::{PipelineEvent, RecordingObserver};
 
 use crate::attack::covert::ProbeTimings;
-use crate::attack::layout::AttackLayout;
-use crate::attack::poc::PocOutcome;
+use crate::attack::AttackLayout;
 use crate::machine::Machine;
 
 /// The paper's machine policies, as one closed choice instead of six named
@@ -272,28 +271,6 @@ impl<O: PipelineObserver> Session<O> {
     /// machine memory.
     pub fn probe_timings(&self) -> ProbeTimings {
         ProbeTimings::read_from(&self.machine, &self.layout)
-    }
-
-    /// The typed outcome of an attack run: probe timings read back, the
-    /// byte they leak (under `threshold`, ignoring `exclude` indices), and
-    /// the runahead/INV-branch signature counters.
-    pub fn outcome_with(&self, expected: u8, threshold: u64, exclude: &[usize]) -> PocOutcome {
-        let timings = self.probe_timings();
-        let leaked = timings.leaked_byte(threshold, exclude);
-        let stats = self.machine.stats();
-        PocOutcome {
-            leaked,
-            expected,
-            runahead_entries: stats.runahead_entries,
-            inv_branches: stats.inv_unresolved_branches,
-            timings,
-        }
-    }
-
-    /// [`Session::outcome_with`] at the default threshold, excluding probe
-    /// entry 0 (warmed architecturally by PHT training).
-    pub fn outcome(&self, expected: u8) -> PocOutcome {
-        self.outcome_with(expected, crate::attack::covert::DEFAULT_THRESHOLD, &[0])
     }
 }
 

@@ -32,7 +32,6 @@ fn unthrottled_runahead() -> Session {
 
 /// The three window sizes of §5.3 plus context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowReport {
     /// ➀ normal machine, flush once (paper: 255).
     pub n1: u64,

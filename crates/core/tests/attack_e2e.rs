@@ -1,6 +1,6 @@
 //! End-to-end attack tests: the paper's headline results as assertions.
 
-use specrun::attack::{run_btb_poc, run_pht_poc, run_rsb_poc, PocConfig};
+use specrun::attack::{run_poc, GadgetKind, PocConfig};
 use specrun::session::{Policy, Session};
 use specrun_cpu::RunaheadPolicy;
 
@@ -10,7 +10,7 @@ use specrun_cpu::RunaheadPolicy;
 fn fig9_pht_poc_leaks_on_runahead_machine() {
     let cfg = PocConfig::default();
     let mut machine = Session::builder().policy(Policy::Runahead).build();
-    let outcome = run_pht_poc(&mut machine, &cfg);
+    let outcome = run_poc(&mut machine, GadgetKind::Pht, &cfg);
     assert!(outcome.runahead_entries >= 1, "attack must trigger runahead");
     assert!(outcome.inv_branches >= 1, "the poisoned branch must stay unresolved");
     assert_eq!(outcome.leaked, Some(86), "timings: {:?}", outcome.timings.as_slice());
@@ -26,11 +26,11 @@ fn fig9_pht_poc_leaks_on_runahead_machine() {
 fn fig11_nop_slide_separates_machines() {
     let cfg = PocConfig::fig11(300);
     let mut plain = Session::builder().policy(Policy::NoRunahead).build();
-    let baseline = run_pht_poc(&mut plain, &cfg);
+    let baseline = run_poc(&mut plain, GadgetKind::Pht, &cfg);
     assert_eq!(baseline.leaked, None, "no-runahead machine must not leak past the ROB");
 
     let mut runahead = Session::builder().policy(Policy::Runahead).build();
-    let attacked = run_pht_poc(&mut runahead, &cfg);
+    let attacked = run_poc(&mut runahead, GadgetKind::Pht, &cfg);
     assert_eq!(attacked.leaked, Some(127), "runahead machine leaks beyond the ROB");
 }
 
@@ -40,7 +40,7 @@ fn fig11_nop_slide_separates_machines() {
 fn short_slide_leaks_even_without_runahead() {
     let cfg = PocConfig::default();
     let mut plain = Session::builder().policy(Policy::NoRunahead).build();
-    let outcome = run_pht_poc(&mut plain, &cfg);
+    let outcome = run_poc(&mut plain, GadgetKind::Pht, &cfg);
     assert_eq!(outcome.leaked, Some(86), "plain Spectre-PHT works within the ROB");
     assert_eq!(outcome.runahead_entries, 0);
 }
@@ -51,7 +51,7 @@ fn variants_of_runahead_all_leak() {
     for policy in [RunaheadPolicy::Original, RunaheadPolicy::Precise, RunaheadPolicy::Vector] {
         let cfg = PocConfig::fig11(300);
         let mut machine = Session::builder().policy(Policy::Variant(policy)).build();
-        let outcome = run_pht_poc(&mut machine, &cfg);
+        let outcome = run_poc(&mut machine, GadgetKind::Pht, &cfg);
         assert_eq!(
             outcome.leaked,
             Some(127),
@@ -67,14 +67,14 @@ fn variants_of_runahead_all_leak() {
 fn btb_variant_leaks_via_congruent_training() {
     let cfg = PocConfig { nop_slide: 300, ..PocConfig::default() };
     let mut machine = Session::builder().policy(Policy::Runahead).build();
-    let outcome = run_btb_poc(&mut machine, &cfg);
+    let outcome = run_poc(&mut machine, GadgetKind::Btb, &cfg);
     assert!(outcome.runahead_entries >= 1, "victim must enter runahead");
     assert_eq!(outcome.leaked, Some(86));
 
     // Control: without training, the same victim does not leak.
     let mut fresh = Session::builder().policy(Policy::Runahead).build();
     let cfg2 = PocConfig { nop_slide: 300, ..PocConfig::default() };
-    specrun::attack::poc::plant_data(&mut fresh, &cfg2);
+    fresh.plant(&cfg2.layout, cfg2.secret);
     let victim = specrun::attack::build_btb_victim(&cfg2.layout, cfg2.nop_slide);
     let benign = victim.symbol("benign").unwrap();
     fresh.write_value(cfg2.layout.bound_addr + 64, 8, benign);
@@ -94,7 +94,7 @@ fn btb_variant_leaks_via_congruent_training() {
 fn rsb_variant_leaks_via_poisoned_return() {
     let cfg = PocConfig { nop_slide: 300, ..PocConfig::default() };
     let mut machine = Session::builder().policy(Policy::Runahead).build();
-    let outcome = run_rsb_poc(&mut machine, &cfg);
+    let outcome = run_poc(&mut machine, GadgetKind::Rsb, &cfg);
     assert!(outcome.runahead_entries >= 1, "victim must enter runahead");
     assert_eq!(outcome.leaked, Some(86));
 
@@ -110,7 +110,7 @@ fn poc_is_deterministic() {
     let run = || {
         let cfg = PocConfig::default();
         let mut machine = Session::builder().policy(Policy::Runahead).build();
-        let o = run_pht_poc(&mut machine, &cfg);
+        let o = run_poc(&mut machine, GadgetKind::Pht, &cfg);
         (o.leaked, o.timings.as_slice().to_vec())
     };
     assert_eq!(run(), run());
@@ -122,7 +122,7 @@ fn leaks_arbitrary_secret_values() {
     for secret in [1u8, 42, 171, 254] {
         let cfg = PocConfig { secret, ..PocConfig::default() };
         let mut machine = Session::builder().policy(Policy::Runahead).build();
-        let outcome = run_pht_poc(&mut machine, &cfg);
+        let outcome = run_poc(&mut machine, GadgetKind::Pht, &cfg);
         assert_eq!(outcome.leaked, Some(secret), "secret {secret}");
     }
 }

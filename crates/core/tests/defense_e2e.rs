@@ -2,7 +2,7 @@
 //! mitigation must block every attack configuration that leaks on the
 //! undefended runahead machine.
 
-use specrun::attack::{run_pht_poc, PocConfig};
+use specrun::attack::{run_poc, GadgetKind, PocConfig};
 use specrun::defense::verify_pht_blocked;
 use specrun::session::{Policy, Session};
 
@@ -11,7 +11,8 @@ use specrun::session::{Policy, Session};
 #[test]
 fn undefended_machine_leaks() {
     let cfg = PocConfig::fig11(300);
-    let outcome = run_pht_poc(&mut Session::builder().policy(Policy::Runahead).build(), &cfg);
+    let outcome =
+        run_poc(&mut Session::builder().policy(Policy::Runahead).build(), GadgetKind::Pht, &cfg);
     assert_eq!(outcome.leaked, Some(127));
 }
 
@@ -65,13 +66,12 @@ fn skip_inv_branches_blocks_fig11_attack() {
 /// are tagged safe and promote. This test pins the analyzed behaviour.
 #[test]
 fn finding_sl_cache_does_not_cover_btb_rsb() {
-    use specrun::attack::{run_btb_poc, run_rsb_poc};
     let cfg = PocConfig { nop_slide: 300, ..PocConfig::default() };
     let mut m = Session::builder().policy(Policy::Secure).build();
-    assert_eq!(run_btb_poc(&mut m, &cfg).leaked, Some(86), "BTB evades the SL scheme");
+    assert_eq!(run_poc(&mut m, GadgetKind::Btb, &cfg).leaked, Some(86), "BTB evades the SL scheme");
     let cfg = PocConfig { nop_slide: 300, ..PocConfig::default() };
     let mut m = Session::builder().policy(Policy::Secure).build();
-    assert_eq!(run_rsb_poc(&mut m, &cfg).leaked, Some(86), "RSB evades the SL scheme");
+    assert_eq!(run_poc(&mut m, GadgetKind::Rsb, &cfg).leaked, Some(86), "RSB evades the SL scheme");
 }
 
 /// The skip-INV mitigation generalizes to all unresolvable control flow
@@ -79,13 +79,12 @@ fn finding_sl_cache_does_not_cover_btb_rsb() {
 /// blocks all three variants.
 #[test]
 fn skip_inv_blocks_btb_and_rsb_variants() {
-    use specrun::attack::{run_btb_poc, run_rsb_poc};
     let cfg = PocConfig { nop_slide: 300, ..PocConfig::default() };
     let mut m = Session::builder().policy(Policy::SkipInv).build();
-    assert_eq!(run_btb_poc(&mut m, &cfg).leaked, None);
+    assert_eq!(run_poc(&mut m, GadgetKind::Btb, &cfg).leaked, None);
     let cfg = PocConfig { nop_slide: 300, ..PocConfig::default() };
     let mut m = Session::builder().policy(Policy::SkipInv).build();
-    assert_eq!(run_rsb_poc(&mut m, &cfg).leaked, None);
+    assert_eq!(run_poc(&mut m, GadgetKind::Rsb, &cfg).leaked, None);
 }
 
 /// The defense preserves architectural correctness: a benign program

@@ -11,7 +11,6 @@ use specrun_mem::MemConfig;
 
 /// One functional-unit class: how many units and their latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FuClass {
     /// Number of identical units.
     pub count: usize,
@@ -23,7 +22,6 @@ pub struct FuClass {
 
 /// The functional-unit mix (Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FuConfig {
     /// Integer adders / logic / branches (Table 1: 4 × 1 cycle).
     pub int_add: FuClass,
@@ -57,7 +55,6 @@ impl Default for FuConfig {
 
 /// Which runahead scheme the core implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RunaheadPolicy {
     /// Runahead disabled (the paper's "no-runahead" baseline machine).
     Disabled,
@@ -76,7 +73,6 @@ pub enum RunaheadPolicy {
 
 /// What makes the core enter runahead mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RunaheadTrigger {
     /// A DRAM-bound load reaches the ROB head *and* the window is blocked —
     /// the ROB, load queue or store queue is full, so the pipeline has
@@ -94,7 +90,6 @@ pub enum RunaheadTrigger {
 
 /// Defense configuration (paper §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SecureConfig {
     /// Enables the SL-cache + taint-tracking scheme: runahead DRAM fills go
     /// to the SL cache and Algorithm 1 gates their promotion after exit.
@@ -124,7 +119,6 @@ impl SecureConfig {
 
 /// Runahead execution parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunaheadConfig {
     /// Scheme selection.
     pub policy: RunaheadPolicy,
@@ -174,7 +168,6 @@ impl Default for RunaheadConfig {
 
 /// Full processor configuration (Table 1 defaults).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuConfig {
     /// Core frequency in GHz (cosmetic; Table 1: 2 GHz out-of-order).
     pub freq_ghz: f64,

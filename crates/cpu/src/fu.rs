@@ -6,7 +6,6 @@ use crate::config::{FuClass, FuConfig};
 
 /// Functional-unit classes an instruction can require.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FuKind {
     /// Integer add/logic/shift/compare, branches, moves.
     IntAdd,

@@ -11,7 +11,6 @@ use std::collections::VecDeque;
 
 /// Register class of a physical register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RegClass {
     /// 64-bit integer.
     Int,
@@ -31,7 +30,6 @@ impl RegClass {
 
 /// A physical register reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhysRef {
     /// Register class.
     pub class: RegClass,

@@ -4,7 +4,6 @@ use core::fmt;
 
 /// Counters accumulated by the core while running.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuStats {
     /// Cycles simulated.
     pub cycles: u64,

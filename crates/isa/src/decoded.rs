@@ -37,7 +37,6 @@ use crate::reg::ArchReg;
 /// of the paper's Table 1). The mapping is fixed at decode so issue does
 /// not re-classify the instruction every cycle it retries for a free unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 pub enum ExecClass {
     /// Integer add/logic/shift/compare, branches, moves, nops.
@@ -59,7 +58,6 @@ pub enum ExecClass {
 /// Control-flow class of a micro-op — the predictor classification,
 /// resolved once at decode instead of per fetch cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 pub enum CtrlClass {
     /// Not a control-flow instruction.

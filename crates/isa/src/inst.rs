@@ -18,7 +18,6 @@ pub const INST_BYTES: u64 = 8;
 
 /// Integer ALU operation kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AluOp {
     /// Wrapping addition.
     Add,
@@ -97,7 +96,6 @@ impl AluOp {
 
 /// Floating-point ALU operation kinds (IEEE-754 double precision).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FpOp {
     /// Addition.
     Add,
@@ -135,7 +133,6 @@ impl FpOp {
 
 /// Condition codes for conditional branches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BranchCond {
     /// Equal.
     Eq,
@@ -185,7 +182,6 @@ impl BranchCond {
 
 /// Access width of a memory operation in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemWidth {
     /// One byte.
     B1,
@@ -219,7 +215,6 @@ impl MemWidth {
 /// Field conventions: `rd`/`fd` destination, `rs*`/`fs*` sources, `base` +
 /// `offset` the effective address, `imm` a sign-extended 32-bit immediate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)] // field meanings are uniform; see enum-level docs
 pub enum Inst {
     /// `rd = op(rs1, rs2)`.

@@ -35,7 +35,6 @@ use crate::reg::{FpReg, IntReg};
 /// Start/end addresses of a structured branch body, the `B_ns`/`B_ne`
 /// metadata consumed by the secure-runahead taint tracker (paper §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BranchScope {
     /// PC of the guarding conditional branch (`B_ns`).
     pub branch_pc: u64,
@@ -45,7 +44,6 @@ pub struct BranchScope {
 
 /// An assembled, immutable program image.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Program {
     text_base: u64,
     entry: u64,

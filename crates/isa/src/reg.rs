@@ -28,7 +28,6 @@ pub const NUM_FP_REGS: usize = 16;
 /// assert_eq!(IntReg::ZERO.index(), 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IntReg(u8);
 
 impl IntReg {
@@ -71,7 +70,6 @@ impl fmt::Display for IntReg {
 /// assert!(FpReg::new(16).is_none());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FpReg(u8);
 
 impl FpReg {
@@ -103,7 +101,6 @@ impl fmt::Display for FpReg {
 /// assert_eq!(a.to_string(), "r31");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ArchReg {
     /// An integer register.
     Int(IntReg),

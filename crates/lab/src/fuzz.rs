@@ -2,7 +2,7 @@
 //!
 //! A fuzz campaign is a pure function of `(seed, plan count, mode)`: it
 //! generates [`Plan`]s with the grammar in `specrun_workloads::plan`, runs
-//! each one twice through [`specrun::run_plan`] (the re-run feeds the
+//! each one twice through [`specrun::try_run_plan`] (the re-run feeds the
 //! determinism oracle), and checks the [`INVARIANTS`] registry — the
 //! cross-cutting claims that must hold for *every* victim shape the
 //! grammar can produce, not just the paper's hand-written PoCs. Trials fan
@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use specrun::plan::{run_plan, try_run_plan, try_run_plan_governed, PlanOutcome};
+use specrun::plan::{try_run_plan, try_run_plan_governed, PlanOutcome};
 use specrun_workloads::clock::WallClock;
 use specrun_workloads::fuzz::shrink_plan;
 use specrun_workloads::harness::{default_threads, RunError};
@@ -230,17 +230,11 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// Runs `plan` twice and returns both outcomes. Panics propagate — the
-/// campaign path catches them in the trial harness, the shrinking path
-/// in [`checked_violations`].
-pub fn evaluate(plan: &Plan) -> PlanEval {
-    PlanEval { first: run_plan(plan), second: run_plan(plan) }
-}
-
-/// Fallible [`evaluate`]: a plan whose programs exhaust their cycle
-/// budget (or wedge) surfaces as a [`RunError`] instead of a panic, which
+/// Runs `plan` twice and returns both outcomes. A plan whose programs
+/// exhaust their cycle budget (or wedge) surfaces as a [`RunError`], which
 /// the campaign records as a `run_error` violation — a reported failing
-/// plan, not a dead campaign.
+/// plan, not a dead campaign. Panics propagate: the campaign path catches
+/// them in the trial harness, the shrinking path in [`checked_violations`].
 pub fn try_evaluate(plan: &Plan) -> Result<PlanEval, RunError> {
     Ok(PlanEval { first: try_run_plan(plan)?, second: try_run_plan(plan)? })
 }

@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use specrun::attack::{run_pht_sweep, SweepConfig};
-use specrun::pool::{run_unit_fresh, ShardSnapshot};
+use specrun::pool::ShardSnapshot;
 use specrun_cpu::{Core, CpuConfig};
 use specrun_isa::ProgramBuilder;
 use specrun_trace::RecordingObserver;
@@ -259,7 +259,9 @@ fn measure_pool(spec: &CampaignSpec, repeats: u32) -> PoolResult {
 
         let t = Instant::now();
         for i in 0..fresh_units {
-            let unit = run_unit_fresh(spec, shard, secret(i)).expect("fresh unit completes");
+            let unit = ShardSnapshot::prepare(spec, shard)
+                .run_forked(secret(i), None)
+                .expect("fresh unit completes");
             assert_eq!(unit.leaked, Some(secret(i)), "fresh unit must leak its secret");
         }
         let fresh_secs = t.elapsed().as_secs_f64();

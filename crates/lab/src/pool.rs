@@ -24,7 +24,7 @@
 //! assert_eq!(decoded, spec, "the emitted spec decodes back to itself");
 //! ```
 
-use specrun_workloads::plan::{GadgetKind, KnobSpec, PlanLayout, PlanPolicy, WarmStep};
+use specrun_workloads::plan::{AttackLayout, GadgetKind, KnobSpec, PlanPolicy, WarmStep};
 use specrun_workloads::pool::{CampaignSpec, PoolReport, ShardSpec, ShardStatus};
 
 use crate::json::Json;
@@ -111,7 +111,7 @@ pub fn decode_spec(json: &Json) -> Result<CampaignSpec, String> {
             Some(v) => u64_of(v, "pool spec: seed")?,
         },
         layout: match json.get("layout") {
-            None => PlanLayout::paper_default(),
+            None => AttackLayout::default(),
             Some(v) => decode_layout(v)?,
         },
         knobs: match json.get("knobs") {
@@ -140,8 +140,8 @@ fn req<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
     json.get(key).ok_or_else(|| format!("pool spec: missing `{key}`"))
 }
 
-fn decode_layout(json: &Json) -> Result<PlanLayout, String> {
-    let mut layout = PlanLayout::paper_default();
+fn decode_layout(json: &Json) -> Result<AttackLayout, String> {
+    let mut layout = AttackLayout::default();
     let fields = match json {
         Json::Obj(fields) => fields,
         _ => return Err("pool spec: `layout` must be an object".into()),
@@ -324,7 +324,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        assert_eq!(spec.layout, PlanLayout::paper_default());
+        assert_eq!(spec.layout, AttackLayout::default());
         assert_eq!(spec.knobs, KnobSpec::default());
         assert!(spec.warm.is_empty());
         assert_eq!(spec.seed, 0);

@@ -4,9 +4,7 @@
 //! that produces metrics (through the [`MetricSource`] extraction traits),
 //! config digests and paper-claim invariants — not a new binary.
 
-use specrun::attack::{
-    run_btb_poc, run_pht_poc, run_pht_sweep, run_rsb_poc, PocConfig, PocOutcome, SweepConfig,
-};
+use specrun::attack::{run_pht_sweep, run_poc, GadgetKind, PocConfig, PocOutcome, SweepConfig};
 use specrun::defense::verify_pht_blocked;
 use specrun::session::{leak_trace_for, Policy, Session};
 use specrun::window::measure_windows;
@@ -324,7 +322,7 @@ fn run_fig9(ctx: &RunContext) -> ScenarioRun {
     run.digest("runahead", &CpuConfig::default());
 
     let mut session = Session::builder().policy(Policy::Runahead).build();
-    let outcome = run_pht_poc(&mut session, &cfg);
+    let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
 
     outcome.emit_metrics("poc", &mut run.metrics);
     let timings = outcome.timings.as_slice();
@@ -425,7 +423,7 @@ fn run_fig11(ctx: &RunContext) -> ScenarioRun {
     let policies = [Policy::NoRunahead, Policy::Runahead];
     let outcomes = parallel_map(&policies, worker_threads(ctx), |_, &policy| {
         let mut session = Session::builder().policy(policy).build();
-        run_pht_poc(&mut session, &PocConfig::fig11(FIG11_SLIDE))
+        run_poc(&mut session, GadgetKind::Pht, &PocConfig::fig11(FIG11_SLIDE))
     });
     let (base, attacked) = (&outcomes[0], &outcomes[1]);
     base.emit_metrics("no_runahead", &mut run.metrics);
@@ -467,15 +465,15 @@ fn run_variants(ctx: &RunContext) -> ScenarioRun {
 
     enum Job {
         Policy(RunaheadPolicy),
-        Variant(&'static str),
+        Variant(GadgetKind),
     }
     let jobs = [
         Job::Policy(RunaheadPolicy::Original),
         Job::Policy(RunaheadPolicy::Precise),
         Job::Policy(RunaheadPolicy::Vector),
-        Job::Variant("pht"),
-        Job::Variant("btb"),
-        Job::Variant("rsb"),
+        Job::Variant(GadgetKind::Pht),
+        Job::Variant(GadgetKind::Btb),
+        Job::Variant(GadgetKind::Rsb),
     ];
     for policy in [RunaheadPolicy::Original, RunaheadPolicy::Precise, RunaheadPolicy::Vector] {
         let mut cfg = CpuConfig::default();
@@ -485,17 +483,12 @@ fn run_variants(ctx: &RunContext) -> ScenarioRun {
     let outcomes = parallel_map(&jobs, worker_threads(ctx), |_, job| match job {
         Job::Policy(policy) => {
             let mut session = Session::builder().policy(Policy::Variant(*policy)).build();
-            run_pht_poc(&mut session, &PocConfig::fig11(FIG11_SLIDE))
+            run_poc(&mut session, GadgetKind::Pht, &PocConfig::fig11(FIG11_SLIDE))
         }
-        Job::Variant(name) => {
+        Job::Variant(gadget) => {
             let cfg = PocConfig { nop_slide: FIG11_SLIDE, ..PocConfig::default() };
             let mut session = Session::builder().policy(Policy::Runahead).build();
-            match *name {
-                "pht" => run_pht_poc(&mut session, &cfg),
-                "btb" => run_btb_poc(&mut session, &cfg),
-                "rsb" => run_rsb_poc(&mut session, &cfg),
-                other => unreachable!("unknown variant {other}"),
-            }
+            run_poc(&mut session, *gadget, &cfg)
         }
     });
 
@@ -514,8 +507,8 @@ fn run_variants(ctx: &RunContext) -> ScenarioRun {
     run.line("== Spectre variants nested in (original) runahead ==".to_string());
     run.line("variant,leaked,expected,runahead_entries".to_string());
     for (job, o) in jobs.iter().zip(&outcomes).skip(3) {
-        let Job::Variant(name) = job else { unreachable!() };
-        let label = format!("variant_{name}");
+        let Job::Variant(gadget) = job else { unreachable!() };
+        let label = format!("variant_{}", gadget.label().to_lowercase());
         o.emit_metrics(&label, &mut run.metrics);
         run.line(format!("{label},{:?},{},{}", o.leaked, o.expected, o.runahead_entries));
     }
@@ -525,7 +518,7 @@ fn run_variants(ctx: &RunContext) -> ScenarioRun {
         .map(|(job, o)| {
             let label = match job {
                 Job::Policy(policy) => format!("{policy:?}"),
-                Job::Variant(name) => name.to_string(),
+                Job::Variant(gadget) => gadget.label().to_lowercase(),
             };
             format!("{label}:{:?}", o.leaked)
         })
@@ -695,7 +688,7 @@ fn run_leak_trace(ctx: &RunContext) -> ScenarioRun {
             .policy(*policy)
             .observer((CountingObserver::default(), tracer))
             .build();
-        let outcome = run_pht_poc(&mut session, &cfg);
+        let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
         let stats = *session.stats();
         let (counts, trace) = session.observer().clone();
         (outcome, stats, counts, trace)
@@ -818,7 +811,7 @@ fn run_trace_repro(ctx: &RunContext) -> ScenarioRun {
             .policy(*policy)
             .observer(((CountingObserver::default(), tracer), RecordingObserver::new()))
             .build();
-        let outcome = run_pht_poc(&mut session, &cfg);
+        let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
         let ((counts, trace), recorder) = session.observer().clone();
         (outcome, counts, trace, recorder.into_events())
     });

@@ -22,7 +22,7 @@
 
 use std::path::{Path, PathBuf};
 
-use specrun::attack::{run_pht_poc, PocConfig};
+use specrun::attack::{run_poc, GadgetKind, PocConfig};
 use specrun::session::{leak_trace_for, Policy, Session};
 use specrun_cpu::probe::{CountingObserver, LeakTraceObserver};
 use specrun_cpu::CpuConfig;
@@ -196,7 +196,7 @@ fn record(out: &Path, policy: Policy, metrics: Option<&Path>) -> Result<i32, Str
         .observer((CountingObserver::default(), fresh_tracer(&cfg)))
         .trace(out)
         .build();
-    let outcome = run_pht_poc(&mut session, &cfg);
+    let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
     let events = session.recorded_events().to_vec();
     let bytes = encode_events(&events);
     ArtifactTraceSink(&FsSink)

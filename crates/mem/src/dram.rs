@@ -9,7 +9,6 @@
 
 /// Timing parameters of the DRAM model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramConfig {
     /// Fixed access latency in cycles (paper: 200).
     pub latency: u64,

@@ -17,7 +17,6 @@ use crate::stats::MemStats;
 
 /// Which structure serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HitLevel {
     /// L1 instruction or data cache.
     L1,
@@ -75,7 +74,6 @@ pub struct Access {
 
 /// Cache geometry and latency for the whole hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemConfig {
     /// L1 instruction cache (Table 1: 16 KiB, 4-way, 2 cycles).
     pub l1i: CacheConfig,

@@ -31,7 +31,6 @@ pub type BranchId = u32;
 /// `Btag` of an SL-cache entry: which branch scope the load executed under
 /// and its USL ordinal within that scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Btag {
     /// Enclosing branch (`B_n`).
     pub branch: BranchId,
@@ -41,7 +40,6 @@ pub struct Btag {
 
 /// Tags attached to one SL-cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlTags {
     /// `Btag`, `None` for loads outside any branch scope (paper: `Btag = 0`).
     pub btag: Option<Btag>,

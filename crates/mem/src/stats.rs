@@ -6,7 +6,6 @@ use crate::hierarchy::HitLevel;
 
 /// Hit/miss and traffic counters for the whole hierarchy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemStats {
     /// Data-side L1 hits.
     pub l1d_hits: u64,

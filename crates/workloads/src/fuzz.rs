@@ -54,7 +54,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{KnobSpec, PlanLayout};
+    use crate::plan::{AttackLayout, KnobSpec};
 
     #[test]
     fn shrink_reaches_local_minimum_and_preserves_failure() {
@@ -68,7 +68,7 @@ mod tests {
         assert!(fails(&shrunk), "shrinking must preserve the failure");
         assert!(shrunk.weight() < plan.weight(), "shrinking must strictly reduce the plan");
         // Everything unrelated to the predicate collapsed to the floor.
-        assert_eq!(shrunk.layout, PlanLayout::paper_default());
+        assert_eq!(shrunk.layout, AttackLayout::default());
         assert_eq!(shrunk.knobs, KnobSpec::default());
         assert!(shrunk.warm.is_empty());
         assert_eq!(shrunk.secret, 1);

@@ -68,14 +68,14 @@ impl std::fmt::Display for TrialError {
 impl std::error::Error for TrialError {}
 
 /// A structured execution failure: what [`run_workload`](crate::ipc::run_workload)
-/// and `run_plan` used to express as a panic, as data.
+/// expresses as a panic, as data.
 ///
 /// Campaign layers thread this through `try_*` entry points so one
 /// pathological workload or plan degrades to a reported `failed` entry in
 /// the campaign artifact instead of unwinding through the whole run. The
-/// panicking entry points still exist; they delegate to the `try_*` form
-/// and panic with this error's `Display` rendering, so `catch_unwind`
-/// call sites recover the same message.
+/// panicking `run_workload` delegates to the `try_*` form and panics with
+/// this error's `Display` rendering, so `catch_unwind` call sites recover
+/// the same message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The cycle budget elapsed before the program committed a halt.

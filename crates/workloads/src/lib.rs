@@ -38,7 +38,7 @@ pub use ipc::{
 };
 pub use kernels::Workload;
 pub use metrics::{MetricSet, MetricSource};
-pub use plan::{GadgetKind, KnobSpec, Plan, PlanLayout, PlanPolicy, VictimSpec, WarmStep};
+pub use plan::{AttackLayout, GadgetKind, KnobSpec, Plan, PlanPolicy, VictimSpec, WarmStep};
 pub use pool::{
     CampaignSpec, PoolReport, SessionPool, ShardOutcome, ShardSpec, ShardStats, ShardStatus,
 };

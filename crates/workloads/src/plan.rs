@@ -118,32 +118,40 @@ impl PlanPolicy {
     }
 }
 
-/// Fuzzed memory geometry — the same shape as the attack layout, kept as
-/// plain numbers so the plan crate needs no dependency on `specrun`.
+/// Addresses and geometry of the attack's data structures (Fig. 8) — one
+/// type for the attack programs, fuzz plans and campaign specs alike.
+///
+/// * `bound_addr` is `D`: the location of `array1_size`, the value the
+///   attacker flushes to trigger runahead.
+/// * `array1_base` is the victim array; the malicious index `x` is chosen so
+///   `array1_base + x` lands on the secret byte.
+/// * `probe_base`/`probe_stride` define `array2`, the covert-channel probe
+///   array (one cache line per possible byte value).
+/// * `results_base` receives the 256 probe timings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanLayout {
+pub struct AttackLayout {
     /// Address of `array1_size` (the paper's `D`).
     pub bound_addr: u64,
     /// In-bounds length of `array1`.
     pub bound_value: u64,
     /// Base of the victim array `array1`.
     pub array1_base: u64,
-    /// Address of the secret byte.
+    /// Address of the secret byte the attacker wants.
     pub secret_addr: u64,
     /// Base of the probe array `array2`.
     pub probe_base: u64,
-    /// Bytes between probe entries (at least a cache line).
+    /// Bytes between probe entries (`N` in the paper; at least a line).
     pub probe_stride: u64,
     /// Number of probe entries (one per byte value).
     pub probe_entries: u64,
-    /// Where the probe loop stores its latencies.
+    /// Where the probe loop stores its 256 latencies (8 bytes each).
     pub results_base: u64,
 }
 
-impl PlanLayout {
-    /// The paper's Fig. 8 layout (mirrors `AttackLayout::default`).
-    pub fn paper_default() -> PlanLayout {
-        PlanLayout {
+impl Default for AttackLayout {
+    /// The paper's Fig. 8 layout.
+    fn default() -> AttackLayout {
+        AttackLayout {
             bound_addr: 0x0009_0000,
             bound_value: 16,
             array1_base: 0x000a_0000,
@@ -154,8 +162,10 @@ impl PlanLayout {
             results_base: 0x0200_0000,
         }
     }
+}
 
-    /// The malicious index `secret_addr - array1_base`.
+impl AttackLayout {
+    /// The malicious index: `secret_addr - array1_base`.
     pub fn malicious_x(&self) -> u64 {
         self.secret_addr - self.array1_base
     }
@@ -163,6 +173,11 @@ impl PlanLayout {
     /// Address of probe entry `value`.
     pub fn probe_addr(&self, value: u64) -> u64 {
         self.probe_base + value * self.probe_stride
+    }
+
+    /// Address of the timing slot for probe entry `value`.
+    pub fn result_addr(&self, value: u64) -> u64 {
+        self.results_base + value * 8
     }
 
     /// Structural soundness: regions line-aligned, ordered and disjoint,
@@ -184,7 +199,7 @@ impl PlanLayout {
     }
 
     fn diff_count(&self) -> u64 {
-        let d = PlanLayout::paper_default();
+        let d = AttackLayout::default();
         u64::from(self.bound_addr != d.bound_addr)
             + u64::from(self.bound_value != d.bound_value)
             + u64::from(self.array1_base != d.array1_base)
@@ -371,7 +386,7 @@ pub struct Plan {
     /// Victim shape.
     pub victim: VictimSpec,
     /// Memory geometry.
-    pub layout: PlanLayout,
+    pub layout: AttackLayout,
     /// The planted secret byte. Never 0: training architecturally warms
     /// probe entry 0, so the channel excludes it and a secret of 0 is
     /// unrecoverable by construction.
@@ -436,7 +451,7 @@ impl Plan {
         };
 
         let data_shift = rng.next_below(64) * LINE;
-        let layout = PlanLayout {
+        let layout = AttackLayout {
             bound_addr: 0x0009_0000 + data_shift,
             bound_value: pick(&mut rng, &[8, 16, 32, 64]),
             array1_base: 0x000a_0000 + data_shift,
@@ -498,8 +513,8 @@ impl Plan {
     /// [`Plan::weight`].
     pub fn shrink_candidates(&self) -> Vec<Plan> {
         let mut out = Vec::new();
-        if self.layout != PlanLayout::paper_default() {
-            out.push(Plan { layout: PlanLayout::paper_default(), ..self.clone() });
+        if self.layout != AttackLayout::default() {
+            out.push(Plan { layout: AttackLayout::default(), ..self.clone() });
         }
         for i in 0..self.warm.len() {
             let mut warm = self.warm.clone();
@@ -609,6 +624,24 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_layout_is_disjoint_and_line_separated() {
+        let l = AttackLayout::default();
+        assert!(l.is_valid(), "the paper layout is a valid plan layout");
+        assert!(l.probe_stride >= 64, "probe entries must not share lines");
+        assert!(l.array1_base + l.bound_value < l.secret_addr);
+        assert!(l.probe_addr(255) < l.results_base);
+        assert_eq!(l.malicious_x(), 0x1_0000);
+        assert!(l.secret_addr < l.probe_base);
+    }
+
+    #[test]
+    fn addressing_helpers() {
+        let l = AttackLayout::default();
+        assert_eq!(l.probe_addr(2) - l.probe_addr(1), l.probe_stride);
+        assert_eq!(l.result_addr(3) - l.result_addr(2), 8);
+    }
 
     #[test]
     fn generation_is_deterministic_and_index_independent() {

@@ -43,7 +43,7 @@
 use crate::clock::Clock;
 use crate::harness::RunError;
 use crate::metrics::{metric_key, MetricSet, MetricSource};
-use crate::plan::{GadgetKind, KnobSpec, PlanLayout, PlanPolicy, WarmStep};
+use crate::plan::{AttackLayout, GadgetKind, KnobSpec, PlanPolicy, WarmStep};
 use crate::supervisor::{supervised_map_with, SupervisorConfig, UnitCtx, UnitOutcome};
 
 /// One cell of the campaign matrix: which gadget, under which policy,
@@ -87,7 +87,7 @@ pub struct CampaignSpec {
     /// from it; the attack itself is deterministic and does not use it).
     pub seed: u64,
     /// Memory geometry shared by every shard.
-    pub layout: PlanLayout,
+    pub layout: AttackLayout,
     /// Machine knobs applied on top of every shard's policy.
     pub knobs: KnobSpec,
     /// Cache warm-up steps applied to every shard's snapshot.
@@ -121,7 +121,7 @@ impl CampaignSpec {
         const FIG11_SLIDE: u32 = 300;
         CampaignSpec {
             seed: 0xf199,
-            layout: PlanLayout::paper_default(),
+            layout: AttackLayout::default(),
             knobs: KnobSpec::default(),
             warm: Vec::new(),
             training_rounds: 24,

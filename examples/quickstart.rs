@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use specrun::attack::{run_pht_poc, PocConfig};
+use specrun::attack::{run_poc, GadgetKind, PocConfig};
 use specrun::session::{leak_trace_for, Policy, Session};
 use specrun_cpu::CpuConfig;
 
@@ -27,7 +27,7 @@ fn main() {
         .observer(leak_trace_for(&cfg.layout, &CpuConfig::default()))
         .build();
 
-    let outcome = run_pht_poc(&mut session, &cfg);
+    let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
 
     println!("planted secret:  {} ({:?})", cfg.secret, cfg.secret as char);
     match outcome.leaked {

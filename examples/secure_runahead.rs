@@ -6,7 +6,7 @@
 //! cargo run --release --example secure_runahead
 //! ```
 
-use specrun::attack::{run_pht_poc, PocConfig};
+use specrun::attack::{run_poc, GadgetKind, PocConfig};
 use specrun::defense::verify_pht_blocked;
 use specrun::session::{Policy, Session};
 
@@ -14,7 +14,7 @@ fn main() {
     // Control: undefended runahead machine.
     let cfg = PocConfig::fig11(300);
     let mut undefended = Session::builder().policy(Policy::Runahead).build();
-    let outcome = run_pht_poc(&mut undefended, &cfg);
+    let outcome = run_poc(&mut undefended, GadgetKind::Pht, &cfg);
     println!("undefended runahead machine: leaked = {:?} (secret 127)", outcome.leaked);
     assert_eq!(outcome.leaked, Some(127));
 

@@ -5,7 +5,7 @@
 //! cargo run --release --example specrun_poc
 //! ```
 
-use specrun::attack::{run_pht_poc, AttackLayout, PocConfig};
+use specrun::attack::{run_poc, AttackLayout, GadgetKind, PocConfig};
 use specrun::session::{Policy, Session};
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         };
         let cfg = PocConfig { layout, secret: byte, ..PocConfig::default() };
         let mut session = Session::builder().policy(Policy::Runahead).layout(layout).build();
-        let outcome = run_pht_poc(&mut session, &cfg);
+        let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
         let got = outcome.leaked.unwrap_or(b'?');
         print!("{}", got as char);
         recovered.push(got);

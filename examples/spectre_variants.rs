@@ -6,13 +6,13 @@
 //! cargo run --release --example spectre_variants
 //! ```
 
-use specrun::attack::{run_btb_poc, run_rsb_poc, PocConfig};
+use specrun::attack::{run_poc, GadgetKind, PocConfig};
 use specrun::session::{Policy, Session};
 
 fn main() {
     let cfg = PocConfig { nop_slide: 300, ..PocConfig::default() };
     let mut session = Session::builder().policy(Policy::Runahead).build();
-    let btb = run_btb_poc(&mut session, &cfg);
+    let btb = run_poc(&mut session, GadgetKind::Btb, &cfg);
     println!(
         "SpectreBTB-in-runahead: leaked = {:?} (expected {}), episodes = {}",
         btb.leaked, btb.expected, btb.runahead_entries
@@ -21,7 +21,7 @@ fn main() {
 
     let cfg = PocConfig { nop_slide: 300, ..PocConfig::default() };
     let mut session = Session::builder().policy(Policy::Runahead).build();
-    let rsb = run_rsb_poc(&mut session, &cfg);
+    let rsb = run_poc(&mut session, GadgetKind::Rsb, &cfg);
     println!(
         "SpectreRSB-in-runahead: leaked = {:?} (expected {}), episodes = {}",
         rsb.leaked, rsb.expected, rsb.runahead_entries

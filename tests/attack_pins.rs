@@ -10,7 +10,7 @@
 //! shifts a cycle or an event) fails here even if every run is still
 //! deterministic.
 
-use specrun::attack::{run_btb_poc, run_pht_poc, run_rsb_poc, PocConfig};
+use specrun::attack::{run_poc, GadgetKind, PocConfig};
 use specrun::session::{Policy, Session};
 use specrun_trace::{encode_events, RecordingObserver};
 
@@ -67,12 +67,13 @@ fn measure(gadget: &str, policy_name: &str, nop_slide: usize) -> (u64, u64, u64,
     let mut session =
         Session::builder().policy(policy(policy_name)).observer(RecordingObserver::new()).build();
     let cfg = PocConfig { nop_slide, ..PocConfig::default() };
-    let outcome = match gadget {
-        "pht" => run_pht_poc(&mut session, &cfg),
-        "btb" => run_btb_poc(&mut session, &cfg),
-        "rsb" => run_rsb_poc(&mut session, &cfg),
+    let gadget = match gadget {
+        "pht" => GadgetKind::Pht,
+        "btb" => GadgetKind::Btb,
+        "rsb" => GadgetKind::Rsb,
         other => panic!("unknown gadget {other}"),
     };
+    let outcome = run_poc(&mut session, gadget, &cfg);
     (
         fnv1a(&encode_events(session.observer().events())),
         session.stats().cycles,

@@ -7,8 +7,8 @@
 //! kernels contain no `rdcycle`, `clflush`, SL-cache fill or skip-INV park,
 //! so the attack PoCs and the generated fuzz plans cover those.
 
-use specrun::attack::{run_btb_poc, run_pht_poc, run_rsb_poc, PocConfig};
-use specrun::plan::run_plan;
+use specrun::attack::{run_poc, GadgetKind, PocConfig};
+use specrun::plan::try_run_plan;
 use specrun::session::Session;
 use specrun_cpu::{Core, CpuConfig, CpuStats, RunExit};
 use specrun_isa::IntReg;
@@ -114,7 +114,7 @@ fn fast_forward_is_invisible_to_the_attack_poc() {
     for ff in [true, false] {
         let cfg = CpuConfig { fast_forward: ff, ..CpuConfig::default() };
         let mut session = Session::builder().config(cfg).build();
-        let out = run_pht_poc(&mut session, &PocConfig::default());
+        let out = run_poc(&mut session, GadgetKind::Pht, &PocConfig::default());
         outcomes.push((out.leaked, out.expected, *session.core().stats()));
     }
     assert_eq!(outcomes[0], outcomes[1], "fast-forward changed the PoC outcome");
@@ -132,9 +132,9 @@ fn fast_forward_is_invisible_to_fuzz_plans() {
     for index in 0..40 {
         let mut plan = Plan::generate(0xC0FFEE, index, true);
         plan.knobs.fast_forward = true;
-        let ff = run_plan(&plan);
+        let ff = try_run_plan(&plan).expect("quick plan runs");
         plan.knobs.fast_forward = false;
-        let naive = run_plan(&plan);
+        let naive = try_run_plan(&plan).expect("quick plan runs");
         assert_eq!(ff.stats, naive.stats, "stats diverge on plan {index}");
         assert_eq!(
             ff.arch_fingerprint, naive.arch_fingerprint,
@@ -156,9 +156,9 @@ fn fast_forward_is_invisible_to_fuzz_plans() {
 fn ff_check_validates_the_attack_pocs() {
     let cfg = CpuConfig { ff_check: true, ..CpuConfig::default() };
     let poc = PocConfig::default();
-    let pht = run_pht_poc(&mut Session::builder().config(cfg.clone()).build(), &poc);
-    let btb = run_btb_poc(&mut Session::builder().config(cfg.clone()).build(), &poc);
-    let rsb = run_rsb_poc(&mut Session::builder().config(cfg).build(), &poc);
+    let pht = run_poc(&mut Session::builder().config(cfg.clone()).build(), GadgetKind::Pht, &poc);
+    let btb = run_poc(&mut Session::builder().config(cfg.clone()).build(), GadgetKind::Btb, &poc);
+    let rsb = run_poc(&mut Session::builder().config(cfg).build(), GadgetKind::Rsb, &poc);
     for (name, out) in [("pht", pht), ("btb", btb), ("rsb", rsb)] {
         assert!(out.success(), "{name} PoC leaked {:?} under ff_check", out.leaked);
     }
@@ -177,7 +177,7 @@ fn sched_check_validates_the_serializing_poc() {
         for check in [true, false] {
             let cfg = CpuConfig { sched_check: check, ..base.clone() };
             let mut session = Session::builder().config(cfg).build();
-            let out = run_pht_poc(&mut session, &PocConfig::default());
+            let out = run_poc(&mut session, GadgetKind::Pht, &PocConfig::default());
             outcomes.push((out.leaked, out.runahead_entries, *session.core().stats()));
         }
         assert_eq!(outcomes[0], outcomes[1], "sched_check changes the PoC on {machine}");
@@ -195,7 +195,7 @@ fn predecode_check_is_invisible_to_the_attack_poc() {
     for check in [true, false] {
         let cfg = CpuConfig { predecode_check: check, ..CpuConfig::default() };
         let mut session = Session::builder().config(cfg).build();
-        let out = run_pht_poc(&mut session, &PocConfig::default());
+        let out = run_poc(&mut session, GadgetKind::Pht, &PocConfig::default());
         outcomes.push((out.leaked, out.expected, *session.core().stats()));
     }
     assert_eq!(outcomes[0], outcomes[1], "predecode_check changed the PoC outcome");

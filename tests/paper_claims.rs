@@ -1,7 +1,7 @@
 //! Repository-level integration tests: one test per headline claim of the
 //! paper, spanning all crates through the public APIs.
 
-use specrun::attack::{run_pht_poc, PocConfig};
+use specrun::attack::{run_poc, GadgetKind, PocConfig};
 use specrun::defense::verify_pht_blocked;
 use specrun::session::{Policy, Session};
 use specrun::window::measure_windows;
@@ -12,7 +12,7 @@ use specrun_workloads::{compare, geomean_speedup, suite_with_iters};
 fn claim_fig9_leak() {
     let cfg = PocConfig::default();
     let mut session = Session::builder().policy(Policy::Runahead).build();
-    let outcome = run_pht_poc(&mut session, &cfg);
+    let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
     assert_eq!(outcome.leaked, Some(86));
     assert!(outcome.runahead_entries > 0);
 }
@@ -31,10 +31,10 @@ fn claim_window_shape() {
 fn claim_fig11_separation() {
     let cfg = PocConfig::fig11(300);
     let mut plain = Session::builder().policy(Policy::NoRunahead).build();
-    assert_eq!(run_pht_poc(&mut plain, &cfg).leaked, None);
+    assert_eq!(run_poc(&mut plain, GadgetKind::Pht, &cfg).leaked, None);
     let cfg = PocConfig::fig11(300);
     let mut ra = Session::builder().policy(Policy::Runahead).build();
-    assert_eq!(run_pht_poc(&mut ra, &cfg).leaked, Some(127));
+    assert_eq!(run_poc(&mut ra, GadgetKind::Pht, &cfg).leaked, Some(127));
 }
 
 /// Fig. 7: runahead improves IPC on every kernel; the mean lands near the
@@ -75,7 +75,7 @@ fn claim_deterministic() {
     let run = || {
         let cfg = PocConfig::default();
         let mut session = Session::builder().policy(Policy::Runahead).build();
-        let o = run_pht_poc(&mut session, &cfg);
+        let o = run_poc(&mut session, GadgetKind::Pht, &cfg);
         (o.leaked, session.stats().cycles, session.stats().committed)
     };
     assert_eq!(run(), run());
