@@ -182,16 +182,6 @@ impl BranchPredictor {
         self.rsb.restore(checkpoint);
     }
 
-    /// Direct access to the direction predictor (training loops, tests).
-    pub fn two_level_mut(&mut self) -> &mut TwoLevel {
-        &mut self.two_level
-    }
-
-    /// Direct access to the BTB (training loops, tests).
-    pub fn btb_mut(&mut self) -> &mut Btb {
-        &mut self.btb
-    }
-
     /// Direct access to the RSB (training loops, tests).
     pub fn rsb_mut(&mut self) -> &mut Rsb {
         &mut self.rsb

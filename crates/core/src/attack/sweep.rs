@@ -7,8 +7,8 @@
 //! [`Session`], so the sweep fans out over all host cores through
 //! [`specrun_workloads::harness`].
 
-use specrun_cpu::CpuConfig;
-use specrun_workloads::harness::{self, parallel_map, TrialSpec};
+use specrun_cpu::{CancelToken, CpuConfig};
+use specrun_workloads::harness::{self, parallel_map, RunError, TrialSpec};
 
 use crate::attack::poc::{run_poc, PocConfig, PocOutcome};
 use crate::attack::GadgetKind;
@@ -57,8 +57,6 @@ pub struct SweepTrial {
 pub struct SweepReport {
     /// Per-trial outcomes, in trial order.
     pub trials: Vec<SweepTrial>,
-    /// Worker threads actually used.
-    pub threads: usize,
 }
 
 impl SweepReport {
@@ -84,22 +82,29 @@ impl SweepReport {
 
 /// Runs `cfg.trials` independent SpectrePHT-in-runahead attacks in
 /// parallel, each with a per-trial random secret, and aggregates the
-/// results. Deterministic for a fixed seed regardless of thread count.
-pub fn run_pht_sweep(cfg: &SweepConfig) -> SweepReport {
-    let threads = if cfg.threads == 0 { harness::default_threads() } else { cfg.threads };
+/// results. Every trial's session runs under `token`; a trial whose
+/// programs do not halt cleanly (budget, wedge, cancellation) fails the
+/// sweep with its [`RunError`]. Deterministic for a fixed seed regardless
+/// of thread count.
+pub fn run_pht_sweep(
+    cfg: &SweepConfig,
+    token: Option<&CancelToken>,
+) -> Result<SweepReport, RunError> {
     let specs: Vec<TrialSpec> =
         harness::ConfigMatrix::new(cfg.machine.clone()).trials(cfg.trials).seed(cfg.seed).build();
-    let trials = parallel_map(&specs, threads, |i, spec| {
+    let trials = parallel_map(&specs, cfg.threads, |i, spec| {
         let mut rng = spec.rng();
         // Avoid 0: probe entry 0 is warmed by training and excluded by the
         // analyzer, so a 0 secret could never be recovered.
         let secret = (rng.next_below(255) + 1) as u8;
         let mut session = Session::builder().config(spec.config.clone()).build();
+        session.set_cancel_token(token.cloned());
         let poc = PocConfig { secret, ..cfg.poc.clone() };
         let outcome = run_poc(&mut session, GadgetKind::Pht, &poc);
-        SweepTrial { id: i, secret, outcome }
+        session.check_halted(|| format!("sweep trial {i}"))?;
+        Ok(SweepTrial { id: i, secret, outcome })
     });
-    SweepReport { trials, threads }
+    Ok(SweepReport { trials: trials.into_iter().collect::<Result<_, RunError>>()? })
 }
 
 #[cfg(test)]
@@ -109,7 +114,7 @@ mod tests {
     #[test]
     fn sweep_recovers_random_secrets_on_runahead_machine() {
         let cfg = SweepConfig { trials: 4, threads: 2, ..SweepConfig::default() };
-        let report = run_pht_sweep(&cfg);
+        let report = run_pht_sweep(&cfg, None).unwrap();
         assert_eq!(report.trials.len(), 4);
         assert_eq!(report.successes(), 4, "runahead machine must leak every secret");
         assert!(report.mean_runahead_entries() > 0.0);
@@ -117,8 +122,11 @@ mod tests {
 
     #[test]
     fn sweep_is_thread_invariant() {
-        let one = run_pht_sweep(&SweepConfig { trials: 3, threads: 1, ..SweepConfig::default() });
-        let four = run_pht_sweep(&SweepConfig { trials: 3, threads: 4, ..SweepConfig::default() });
+        let sweep = |threads| {
+            run_pht_sweep(&SweepConfig { trials: 3, threads, ..SweepConfig::default() }, None)
+                .unwrap()
+        };
+        let (one, four) = (sweep(1), sweep(4));
         let secrets = |r: &SweepReport| r.trials.iter().map(|t| t.secret).collect::<Vec<_>>();
         let leaks = |r: &SweepReport| r.trials.iter().map(|t| t.outcome.leaked).collect::<Vec<_>>();
         assert_eq!(secrets(&one), secrets(&four));

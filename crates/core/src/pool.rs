@@ -31,7 +31,6 @@ use specrun_cpu::{CancelToken, CpuConfig};
 use specrun_workloads::clock::WallClock;
 use specrun_workloads::harness::RunError;
 use specrun_workloads::pool::{CampaignSpec, PoolReport, SessionPool, ShardSpec, ShardStats};
-use specrun_workloads::supervisor::UnitCtx;
 
 use crate::attack::{Attack, AttackLayout, PocConfig, DEFAULT_THRESHOLD};
 use crate::session::{Policy, Session};
@@ -82,11 +81,22 @@ impl ShardSnapshot {
     /// Builds and warms the shard's parent session: configuration
     /// composed, campaign warm-up applied, attack prepared.
     pub fn prepare(spec: &CampaignSpec, shard: &ShardSpec) -> ShardSnapshot {
+        ShardSnapshot::prepare_governed(spec, shard, None)
+    }
+
+    /// [`ShardSnapshot::prepare`] under `token`, so the BTB training runs
+    /// stop when it trips (forks attach their own token).
+    fn prepare_governed(
+        spec: &CampaignSpec,
+        shard: &ShardSpec,
+        token: Option<&CancelToken>,
+    ) -> ShardSnapshot {
         let mut session =
             Session::builder().config(shard_config(spec, shard)).layout(spec.layout).build();
         for w in &spec.warm {
             session.warm(w.addr, w.len);
         }
+        session.set_cancel_token(token.cloned());
         let attack = Attack::prepare(&mut session, shard.gadget, &shard_poc_config(spec, shard));
         ShardSnapshot { session, attack, label: shard.label() }
     }
@@ -143,18 +153,18 @@ pub struct UnitResult {
     pub arch_fingerprint: u64,
 }
 
-/// The shard runner [`SessionPool::run_with`] expects: prepares the
-/// shard's snapshot once, forks a session per secret, folds every unit
-/// into a streaming [`ShardStats`].
+/// Runs one shard: prepares its snapshot once, forks a session per
+/// secret, folds every unit into a streaming [`ShardStats`]. Every
+/// simulation runs under `token`.
 pub fn run_shard(
     spec: &CampaignSpec,
     shard: &ShardSpec,
-    ctx: &UnitCtx,
+    token: &CancelToken,
 ) -> Result<ShardStats, RunError> {
-    let snapshot = ShardSnapshot::prepare(spec, shard);
+    let snapshot = ShardSnapshot::prepare_governed(spec, shard, Some(token));
     let mut stats = ShardStats::default();
     for &secret in &spec.secrets {
-        let unit = snapshot.run_forked(secret, Some(ctx.token.clone()))?;
+        let unit = snapshot.run_forked(secret, Some(token.clone()))?;
         stats.record(
             unit.leaked,
             unit.expected,
@@ -167,10 +177,29 @@ pub fn run_shard(
 }
 
 /// Runs a whole campaign with fork-based pooling under passive
-/// supervision: `spec.shards` fanned out over `threads` workers, one
-/// snapshot per shard, one fork per secret.
-pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> PoolReport {
-    SessionPool::new(threads).run_with(spec, &WallClock::new(), run_shard)
+/// supervision: `spec.shards` fanned out over `threads` workers (`0` = all
+/// host cores), one snapshot per shard, one fork per secret. Each shard
+/// runs under its pool unit's own token, or under the caller's `token`
+/// when one is given; a shard that fails is reported in its
+/// [`ShardStatus`](specrun_workloads::pool::ShardStatus). The campaign
+/// itself fails only with [`RunError::Cancelled`], when the caller's
+/// token tripped and the report would be partial.
+pub fn run_campaign(
+    spec: &CampaignSpec,
+    threads: usize,
+    token: Option<&CancelToken>,
+) -> Result<PoolReport, RunError> {
+    let report =
+        SessionPool::new(threads).run_with(spec, &WallClock::new(), |spec, shard, unit| {
+            run_shard(spec, shard, token.unwrap_or(&unit.token))
+        });
+    match token {
+        Some(token) if token.is_cancelled() => Err(RunError::Cancelled {
+            what: "pool campaign".to_string(),
+            committed: token.beat_committed(),
+        }),
+        _ => Ok(report),
+    }
 }
 
 #[cfg(test)]
@@ -314,7 +343,7 @@ mod tests {
             shard(GadgetKind::Pht, PlanPolicy::Runahead, 0),
             shard(GadgetKind::Pht, PlanPolicy::Secure, 300),
         ]);
-        let report = run_campaign(&spec, 2);
+        let report = run_campaign(&spec, 2, None).unwrap();
         assert!(report.all_done(), "{:?}", report.shards);
         assert_eq!(report.total_units(), 4);
         assert_eq!(report.shards[0].stats.leaks, 2, "runahead shard leaks every secret");
@@ -328,8 +357,8 @@ mod tests {
             shard(GadgetKind::Pht, PlanPolicy::Runahead, 0),
             shard(GadgetKind::Rsb, PlanPolicy::Runahead, 0),
         ]);
-        let one = run_campaign(&spec, 1);
-        let four = run_campaign(&spec, 4);
+        let one = run_campaign(&spec, 1, None).unwrap();
+        let four = run_campaign(&spec, 4, None).unwrap();
         assert_eq!(one, four, "shard fingerprints must not depend on scheduling");
     }
 

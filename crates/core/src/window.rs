@@ -13,8 +13,9 @@
 //!   episode chains onto the first: `N3 > N2` (paper: 840). The paper calls
 //!   this probabilistic; here the host schedules the flushes precisely.
 
-use specrun_cpu::CpuConfig;
+use specrun_cpu::{CancelToken, CpuConfig};
 use specrun_isa::{IntReg, Program, ProgramBuilder};
+use specrun_workloads::harness::RunError;
 
 use crate::session::{Policy, Session};
 
@@ -65,26 +66,35 @@ pub fn build_window_program(nops: usize) -> Program {
 }
 
 /// Scenario ➀: the no-runahead machine's window (`N1`).
-pub fn measure_n1(nops: usize) -> u64 {
+pub fn measure_n1(nops: usize, token: Option<&CancelToken>) -> Result<u64, RunError> {
     let mut m = Session::builder().policy(Policy::NoRunahead).build();
+    m.set_cancel_token(token.cloned());
     m.warm(TRIGGER_ADDR, 8);
     m.run_program(&build_window_program(nops), 1_000_000);
-    m.stats().max_stall_window
+    m.check_halted(|| "window N1".to_string())?;
+    Ok(m.stats().max_stall_window)
 }
 
 /// Scenario ➁: one runahead episode's window (`N2`).
-pub fn measure_n2(nops: usize) -> u64 {
+pub fn measure_n2(nops: usize, token: Option<&CancelToken>) -> Result<u64, RunError> {
     let mut m = unthrottled_runahead();
+    m.set_cancel_token(token.cloned());
     m.warm(TRIGGER_ADDR, 8);
     m.run_program(&build_window_program(nops), 1_000_000);
-    m.stats().total_episode_window
+    m.check_halted(|| "window N2".to_string())?;
+    Ok(m.stats().total_episode_window)
 }
 
 /// Scenario ➂: chained episodes via host-scheduled re-flushes (`N3`).
 ///
 /// Returns the cumulative window and the number of episodes.
-pub fn measure_n3(nops: usize, extra_flushes: usize) -> (u64, u64) {
+pub fn measure_n3(
+    nops: usize,
+    extra_flushes: usize,
+    token: Option<&CancelToken>,
+) -> Result<(u64, u64), RunError> {
     let mut m = unthrottled_runahead();
+    m.set_cancel_token(token.cloned());
     m.warm(TRIGGER_ADDR, 8);
     m.load(&build_window_program(nops));
     // The first episode ends when the trigger load's data returns (~200
@@ -100,21 +110,24 @@ pub fn measure_n3(nops: usize, extra_flushes: usize) -> (u64, u64) {
         cycle += 240;
     }
     m.run(2_000_000);
-    (m.stats().total_episode_window, m.stats().runahead_exits)
+    m.check_halted(|| "window N3".to_string())?;
+    Ok((m.stats().total_episode_window, m.stats().runahead_exits))
 }
 
-/// Runs all three scenarios — in parallel, one machine per worker — with a
-/// slide long enough that the window, not the program, is the limit.
-pub fn measure_windows() -> WindowReport {
+/// Runs all three scenarios — in parallel, one machine per worker, every
+/// run governed by `token` — with a slide long enough that the window, not
+/// the program, is the limit.
+pub fn measure_windows(token: Option<&CancelToken>) -> Result<WindowReport, RunError> {
     let nops = 4096;
     let scenarios = [1u8, 2, 3];
     let results = specrun_workloads::parallel_map(&scenarios, 3, |_, &s| match s {
-        1 => (measure_n1(nops), 0),
-        2 => (measure_n2(nops), 0),
-        _ => measure_n3(nops, 1),
+        1 => measure_n1(nops, token).map(|n| (n, 0)),
+        2 => measure_n2(nops, token).map(|n| (n, 0)),
+        _ => measure_n3(nops, 1, token),
     });
+    let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let (n3, episodes_n3) = results[2];
-    WindowReport { n1: results[0].0, n2: results[1].0, n3, rob_entries: 256, episodes_n3 }
+    Ok(WindowReport { n1: results[0].0, n2: results[1].0, n3, rob_entries: 256, episodes_n3 })
 }
 
 #[cfg(test)]
@@ -129,26 +142,26 @@ mod tests {
 
     #[test]
     fn n1_is_rob_minus_one() {
-        assert_eq!(measure_n1(2048), 255);
+        assert_eq!(measure_n1(2048, None).unwrap(), 255);
     }
 
     #[test]
     fn n2_exceeds_rob() {
-        let n2 = measure_n2(2048);
+        let n2 = measure_n2(2048, None).unwrap();
         assert!(n2 > 256, "N2 = {n2} must exceed the ROB");
     }
 
     #[test]
     fn n3_exceeds_n2() {
-        let n2 = measure_n2(4096);
-        let (n3, episodes) = measure_n3(4096, 1);
+        let n2 = measure_n2(4096, None).unwrap();
+        let (n3, episodes) = measure_n3(4096, 1, None).unwrap();
         assert!(episodes >= 2, "re-flush must chain a second episode (got {episodes})");
         assert!(n3 > n2, "N3 = {n3} must exceed N2 = {n2}");
     }
 
     #[test]
     fn full_report_shape() {
-        let report = measure_windows();
+        let report = measure_windows(None).unwrap();
         assert!(report.shape_holds(), "{report:?}");
     }
 }

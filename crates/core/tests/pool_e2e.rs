@@ -12,7 +12,7 @@ use specrun_workloads::pool::{CampaignSpec, ShardStatus};
 #[test]
 fn paper_matrix_reproduces_per_figure_verdicts() {
     let spec = CampaignSpec::paper_matrix();
-    let report = run_campaign(&spec, 0);
+    let report = run_campaign(&spec, 0, None).unwrap();
     assert!(report.all_done(), "{:?}", report.shards);
     assert!(!report.breaker_tripped);
     assert_eq!(report.total_units(), spec.unit_count());
@@ -55,8 +55,8 @@ fn paper_matrix_reproduces_per_figure_verdicts() {
 #[test]
 fn paper_matrix_is_deterministic_across_thread_counts() {
     let spec = CampaignSpec::paper_matrix();
-    let serial = run_campaign(&spec, 1);
-    let parallel = run_campaign(&spec, 4);
+    let serial = run_campaign(&spec, 1, None).unwrap();
+    let parallel = run_campaign(&spec, 4, None).unwrap();
     assert_eq!(serial, parallel);
     assert_eq!(serial.metrics(), parallel.metrics());
 }

@@ -335,11 +335,6 @@ impl<O: PipelineObserver> Core<O> {
         &self.bp
     }
 
-    /// Mutable access to the branch predictor (direct training in tests).
-    pub fn predictor_mut(&mut self) -> &mut BranchPredictor {
-        &mut self.bp
-    }
-
     /// Committed (architectural) value of an integer register.
     pub fn read_int_reg(&self, r: IntReg) -> u64 {
         self.regs.value(self.retire_rat.get(ArchReg::Int(r)))
@@ -375,11 +370,6 @@ impl<O: PipelineObserver> Core<O> {
         }
         mix(u64::from(self.halted));
         h
-    }
-
-    /// Number of entries currently resident in the defense's SL cache.
-    pub fn sl_counter(&self) -> usize {
-        self.secure.sl.counter()
     }
 
     /// Injects a host-scheduled `clflush` of `addr` at `cycle` — models the

@@ -154,7 +154,7 @@ fn drill_budget_exhaustion(opts: &ChaosOptions) -> DrillResult {
         .find(|p| matches!(p.victim.gadget, specrun_workloads::plan::GadgetKind::Pht))
         .ok_or("no PHT-gadget plan in the first 32 indices")?;
     plan.victim.max_cycles = 40; // far below any gadget's runtime
-    match fuzz::try_evaluate(&plan) {
+    match fuzz::try_evaluate(&plan, None) {
         Err(RunError::CycleBudgetExceeded { budget: 40, .. }) => {}
         Err(e) => return Err(format!("expected CycleBudgetExceeded, got: {e}")),
         Ok(_) => return Err("a 40-cycle budget cannot complete a gadget".to_string()),

@@ -14,6 +14,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use crate::chaos::{self, ChaosOptions};
 use crate::fuzz::{self, FuzzOptions};
@@ -24,9 +25,9 @@ use crate::registry::{find, registry};
 use crate::report::{LabEntry, LabReport};
 use crate::scenario::RunContext;
 use crate::sink::{ArtifactSink as _, FsSink};
-use specrun_workloads::clock::{Clock, WallClock};
+use specrun_workloads::clock::WallClock;
 use specrun_workloads::pool::CampaignSpec;
-use specrun_workloads::supervisor::backoff_ms;
+use specrun_workloads::supervisor::{supervised_map_with, SupervisorConfig, UnitOutcome};
 
 const USAGE: &str = "\
 specrun-lab — declarative campaign runner for the SPECRUN paper artifacts
@@ -63,12 +64,16 @@ COMMANDS:
             <artifacts-dir>/LAB_report.journal as the campaign goes;
             after a crash, --resume skips the journaled passes and
             produces the same report bytes an uninterrupted run would.
-            --deadline-ms reports a scenario that outlives its wall-clock
-            budget as a deadline overrun (checked after the scenario
-            returns); --retries re-runs a failing scenario with a
-            deterministic seeded backoff, quarantining it after two
-            identical failures. Only final attempts are journaled, and no
-            wall-clock value enters the artifacts.
+            Scenarios run one at a time on the supervised executor fuzz
+            and pool use. --deadline-ms cancels a scenario cooperatively
+            once it outlives its wall-clock budget (every simulation it
+            starts checkpoints every few thousand cycles) and reports a
+            deadline overrun; --retries re-runs a scenario that panicked,
+            hit a run error or overran its deadline, with a deterministic
+            seeded backoff, quarantining it after two identical failures.
+            Failed invariants are deterministic results and are not
+            retried. Only final attempts are journaled, and no wall-clock
+            value enters the artifacts.
     perf    Wall-clock throughput benchmark (writes BENCH_step.json) with
             an optional perf-regression gate. The baseline is read before
             the new report is written; --baseline-from-git reads the
@@ -457,7 +462,7 @@ fn pool_command(args: &[String]) -> Result<i32, String> {
                 spec.secrets.len(),
                 spec.unit_count()
             );
-            let report = specrun::run_campaign(&spec, threads);
+            let report = specrun::run_campaign(&spec, threads, None).map_err(|e| e.to_string())?;
             println!(
                 "{:<22} {:>6} {:>6} {:>10} {:>9}  status",
                 "shard", "units", "leaks", "leak_rate", "runahead"
@@ -571,53 +576,6 @@ fn parse_scenario_payload(payload: &str) -> Option<(usize, String)> {
     Some((count, text))
 }
 
-/// Executes one scenario under the `run` supervision policy: post-hoc
-/// wall-clock deadline detection (scenario bodies are monolithic, so the
-/// deadline is checked once the body returns — the fuzz path is the fully
-/// cooperative one), bounded retries with the same deterministic seeded
-/// backoff the campaign supervisor uses, and quarantine after two
-/// identical failures. Returns the final run plus whether it was
-/// quarantined.
-fn execute_supervised(
-    scenario: &crate::scenario::Scenario,
-    index: usize,
-    ctx: &RunContext,
-    clock: &dyn Clock,
-    deadline_ms: u64,
-    retries: u32,
-) -> (crate::scenario::ScenarioRun, bool) {
-    let mut attempt = 0u32;
-    let mut last_signature: Option<String> = None;
-    loop {
-        if attempt > 0 {
-            let wait = backoff_ms(ctx.seed, index as u64, attempt);
-            println!("  retry {attempt} of {retries} after {wait} ms backoff");
-            clock.sleep_ms(wait);
-        }
-        let started = clock.now_ms();
-        let mut run = scenario.try_execute(ctx);
-        let elapsed = clock.now_ms().saturating_sub(started);
-        if deadline_ms > 0 && elapsed >= deadline_ms && run.error.is_none() {
-            run.error =
-                Some(format!("deadline exceeded: scenario outlived its {deadline_ms} ms budget"));
-        }
-        if run.passed() {
-            return (run, false);
-        }
-        let signature = run.error.clone().unwrap_or_else(|| {
-            run.failures().iter().map(|i| i.name.clone()).collect::<Vec<_>>().join(",")
-        });
-        if last_signature.as_deref() == Some(signature.as_str()) {
-            return (run, true);
-        }
-        if attempt >= retries {
-            return (run, false);
-        }
-        last_signature = Some(signature);
-        attempt += 1;
-    }
-}
-
 fn run_command(args: &[String]) -> Result<i32, String> {
     let RunArgs { names, ctx, artifacts_dir, resume, deadline_ms, retries } = parse_run_args(args)?;
     let scenarios: Vec<_> = names
@@ -669,61 +627,84 @@ fn run_command(args: &[String]) -> Result<i32, String> {
     }
 
     let mut report = LabReport::default();
-    let mut skipped = 0usize;
-    let clock = WallClock::new();
-    for (index, scenario) in scenarios.iter().enumerate() {
-        if let Some((invariant_count, json)) = recovered.remove(scenario.name) {
-            println!(
-                "== {} ({}) — journaled as passed, skipped ==",
-                scenario.name, scenario.paper_ref
-            );
-            println!();
-            skipped += 1;
-            report.runs.push(LabEntry::Journaled {
-                name: scenario.name.to_string(),
-                invariant_count,
-                json,
-            });
+    let mut pending = Vec::new();
+    for scenario in scenarios {
+        let Some((invariant_count, json)) = recovered.remove(scenario.name) else {
+            pending.push(scenario);
             continue;
-        }
-        println!("== {} ({}) — {} ==", scenario.name, scenario.paper_ref, scenario.title);
-        let (run, quarantined) =
-            execute_supervised(scenario, index, &ctx, &clock, deadline_ms, retries);
-        for line in &run.lines {
-            println!("{line}");
-        }
-        for inv in &run.invariants {
-            let verdict = if inv.passed { "ok" } else { "FAILED" };
-            println!("  [{verdict}] {}: {} (observed: {})", inv.name, inv.claim, inv.observed);
-        }
-        if let Some(error) = &run.error {
-            println!("  [FAILED] run_error: scenario did not complete ({error})");
-        }
-        if quarantined {
-            println!(
-                "  [FAILED] quarantined: {} failed identically twice; retries stopped",
-                scenario.name
-            );
-        }
+        };
+        println!("== {} ({}) — journaled as passed, skipped ==", scenario.name, scenario.paper_ref);
         println!();
-        if run.passed() {
-            if let Some(j) = &journal {
-                let mut text = run.to_json().render();
-                text.pop(); // journal entries are single-line; drop the newline
-                let payload = format!("{} {}", run.invariants.len(), json::escape(&text));
-                if let Err(e) = j.append(&format!("scenario:{}", run.name), &payload) {
-                    eprintln!("error: cannot append to journal {}: {e}", j.path().display());
-                    return Ok(2);
-                }
-            }
-        }
-        report.runs.push(run.into());
+        let name = scenario.name.to_string();
+        report.runs.push(LabEntry::Journaled { name, invariant_count, json });
     }
+    let skipped = report.runs.len();
+
+    // The scenarios run one at a time on the campaign pool, each attempt
+    // under its own cancel token (tripped by the monitor at the deadline);
+    // the completion hook prints each final outcome and journals passes.
+    let supervisor =
+        SupervisorConfig { deadline_ms, retries, seed: ctx.seed, ..Default::default() };
+    let journal_error: Mutex<Option<String>> = Mutex::new(None);
+    let outcomes = supervised_map_with(
+        &pending,
+        1,
+        &supervisor,
+        &WallClock::new(),
+        |_, scenario, unit| {
+            if unit.attempt == 0 {
+                println!("== {} ({}) — {} ==", scenario.name, scenario.paper_ref, scenario.title);
+            } else {
+                println!("  retry {} of {retries}", unit.attempt);
+            }
+            (scenario.run)(&RunContext { cancel: Some(unit.token.clone()), ..ctx.clone() })
+        },
+        |i, outcome| {
+            let run = pending[i].settle(&ctx, outcome.clone());
+            for line in &run.lines {
+                println!("{line}");
+            }
+            for inv in &run.invariants {
+                let verdict = if inv.passed { "ok" } else { "FAILED" };
+                println!("  [{verdict}] {}: {} (observed: {})", inv.name, inv.claim, inv.observed);
+            }
+            if let Some(error) = &run.error {
+                println!("  [FAILED] run_error: scenario did not complete ({error})");
+            }
+            if let UnitOutcome::Quarantined { .. } = outcome {
+                let name = &run.name;
+                println!(
+                    "  [FAILED] quarantined: {name} failed identically twice; retries stopped"
+                );
+            }
+            println!();
+            let Some(j) = journal.as_ref().filter(|_| run.passed()) else { return };
+            let mut text = run.to_json().render();
+            text.pop(); // journal entries are single-line; drop the newline
+            let payload = format!("{} {}", run.invariants.len(), json::escape(&text));
+            if let Err(e) = j.append(&format!("scenario:{}", run.name), &payload) {
+                let mut slot = journal_error.lock().unwrap();
+                slot.get_or_insert_with(|| {
+                    format!("cannot append to journal {}: {e}", j.path().display())
+                });
+            }
+        },
+    )
+    .outcomes;
+    if let Some(e) = journal_error.into_inner().unwrap() {
+        eprintln!("error: {e}");
+        return Ok(2);
+    }
+    for (scenario, outcome) in pending.iter().zip(outcomes) {
+        report.runs.push(scenario.settle(&ctx, outcome).into());
+    }
+    // Report entries follow the requested scenario order.
+    report.runs.sort_by_key(|entry| names.iter().position(|n| n == entry.name()));
     if skipped > 0 {
         // Progress note only — the report bytes never depend on resume.
         println!(
             "resumed: {skipped} scenario(s) recovered from the journal; {} re-run",
-            scenarios.len() - skipped
+            pending.len()
         );
     }
 

@@ -23,10 +23,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use specrun::plan::{try_run_plan, try_run_plan_governed, PlanOutcome};
+use specrun::plan::{try_run_plan_governed, PlanOutcome};
 use specrun_workloads::clock::WallClock;
 use specrun_workloads::fuzz::shrink_plan;
-use specrun_workloads::harness::{default_threads, RunError};
+use specrun_workloads::harness::RunError;
 use specrun_workloads::plan::{GadgetKind, Plan, PlanPolicy};
 use specrun_workloads::supervisor::{
     supervised_map_with, CancelToken, SupervisorConfig, UnitCtx, UnitOutcome,
@@ -233,20 +233,16 @@ pub struct Violation {
 /// Runs `plan` twice and returns both outcomes. A plan whose programs
 /// exhaust their cycle budget (or wedge) surfaces as a [`RunError`], which
 /// the campaign records as a `run_error` violation — a reported failing
-/// plan, not a dead campaign. Panics propagate: the campaign path catches
-/// them in the trial harness, the shrinking path in [`checked_violations`].
-pub fn try_evaluate(plan: &Plan) -> Result<PlanEval, RunError> {
-    Ok(PlanEval { first: try_run_plan(plan)?, second: try_run_plan(plan)? })
-}
-
-/// [`try_evaluate`] under a supervisor [`CancelToken`]: both executions
-/// publish heartbeats through the token and stop cooperatively when the
-/// monitor trips it, surfacing as [`RunError::Cancelled`] for the
-/// supervisor to classify as a deadline or stall.
-pub fn try_evaluate_governed(plan: &Plan, token: &CancelToken) -> Result<PlanEval, RunError> {
+/// plan, not a dead campaign. Under a supervisor's `token`, both
+/// executions publish heartbeats through it and stop cooperatively when
+/// the monitor trips it, surfacing as [`RunError::Cancelled`] for the
+/// supervisor to classify as a deadline or stall. Panics propagate: the
+/// campaign path catches them in the campaign pool, the shrinking path in
+/// [`checked_violations`].
+pub fn try_evaluate(plan: &Plan, token: Option<&CancelToken>) -> Result<PlanEval, RunError> {
     Ok(PlanEval {
-        first: try_run_plan_governed(plan, Some(token.clone()))?,
-        second: try_run_plan_governed(plan, Some(token.clone()))?,
+        first: try_run_plan_governed(plan, token.cloned())?,
+        second: try_run_plan_governed(plan, token.cloned())?,
     })
 }
 
@@ -300,7 +296,7 @@ pub fn violations_for(plan: &Plan, eval: &PlanEval, invert: Option<&str>) -> Vec
 /// failure signatures shrink like any invariant violation.
 pub fn checked_violations(plan: &Plan, invert: Option<&str>) -> Vec<Violation> {
     match catch_unwind(AssertUnwindSafe(|| {
-        try_evaluate(plan).map(|eval| violations_for(plan, &eval, invert))
+        try_evaluate(plan, None).map(|eval| violations_for(plan, &eval, invert))
     })) {
         Ok(Ok(violations)) => violations,
         Ok(Err(run_error)) => vec![Violation {
@@ -580,7 +576,7 @@ fn plan_outcome(
             detail: "chaos: injected transient artifact-sink flake".to_string(),
         });
     }
-    match try_evaluate_governed(plan, &ctx.token) {
+    match try_evaluate(plan, Some(&ctx.token)) {
         Ok(eval) => {
             let digest = eval_digest(&eval);
             Ok((violations_for(plan, &eval, invert), digest))
@@ -627,7 +623,6 @@ fn campaign_with(
     let invert = opts.invert.as_deref();
     let plans: Vec<Plan> =
         (0..opts.plans).map(|i| Plan::generate(opts.seed, i, opts.quick)).collect();
-    let threads = if opts.threads == 0 { default_threads() } else { opts.threads };
     let header = opts.journal_header();
 
     let journal = journal.map(|(sink, path)| Journal::new(sink, path));
@@ -656,7 +651,7 @@ fn campaign_with(
     let journal_error: Mutex<Option<String>> = Mutex::new(None);
     let report = supervised_map_with(
         &pending,
-        threads,
+        opts.threads,
         &opts.supervisor_config(),
         &WallClock::new(),
         |_, plan, ctx| plan_outcome(plan, invert, opts, ctx),

@@ -27,7 +27,7 @@
 //! let scenarios = registry::registry();
 //! assert!(scenarios.iter().any(|s| s.name == "fig7"));
 //! let table1 = registry::find("table1").unwrap();
-//! let run = table1.execute(&RunContext::quick());
+//! let run = (table1.run)(&RunContext::quick()).expect("table1 simulates nothing");
 //! assert!(run.passed());
 //! ```
 

@@ -21,11 +21,11 @@ use std::time::Instant;
 
 use specrun::attack::{run_pht_sweep, SweepConfig};
 use specrun::pool::ShardSnapshot;
-use specrun_cpu::{Core, CpuConfig};
+use specrun_cpu::{Core, CpuConfig, NoopObserver};
 use specrun_isa::ProgramBuilder;
 use specrun_trace::RecordingObserver;
 use specrun_workloads::harness;
-use specrun_workloads::ipc::{run_workload_observed, run_workload_timed};
+use specrun_workloads::ipc::try_run_workload_observed;
 use specrun_workloads::kernels;
 use specrun_workloads::pool::CampaignSpec;
 use specrun_workloads::Workload;
@@ -150,15 +150,19 @@ fn measure_kernel(w: &Workload, base: CpuConfig, max_cycles: u64, repeats: u32) 
     let mut ff_cfg = base;
     ff_cfg.fast_forward = true;
 
-    // `run_workload_timed` times only the simulation loop, so cycles/sec
+    // `try_run_workload_observed` times only the simulation loop, so cycles/sec
     // is iteration-count-independent and a quick CI run stays comparable
     // to the committed full-mode baseline. Best-of-N wall clock per
     // configuration: the cycle counts are asserted identical across
     // repeats, only the host-side seconds vary.
     let mut best: Option<KernelResult> = None;
     for _ in 0..repeats.max(1) {
-        let (naive, naive_secs) = run_workload_timed(w, naive_cfg.clone(), max_cycles);
-        let (ff, ff_secs) = run_workload_timed(w, ff_cfg.clone(), max_cycles);
+        let (naive, naive_secs, _) =
+            try_run_workload_observed(w, naive_cfg.clone(), max_cycles, NoopObserver)
+                .expect("perf kernels halt within their budget");
+        let (ff, ff_secs, _) =
+            try_run_workload_observed(w, ff_cfg.clone(), max_cycles, NoopObserver)
+                .expect("perf kernels halt within their budget");
         assert_eq!(
             (naive.cycles, naive.committed),
             (ff.cycles, ff.committed),
@@ -194,9 +198,12 @@ fn measure_trace_overhead(
 ) -> TraceOverheadResult {
     let mut best: Option<TraceOverheadResult> = None;
     for _ in 0..repeats.max(1) {
-        let (plain, noop_secs) = run_workload_timed(w, base.clone(), max_cycles);
+        let (plain, noop_secs, _) =
+            try_run_workload_observed(w, base.clone(), max_cycles, NoopObserver)
+                .expect("perf kernels halt within their budget");
         let (recorded, record_secs, recorder) =
-            run_workload_observed(w, base.clone(), max_cycles, RecordingObserver::new());
+            try_run_workload_observed(w, base.clone(), max_cycles, RecordingObserver::new())
+                .expect("perf kernels halt within their budget");
         assert_eq!(
             (plain.cycles, plain.committed),
             (recorded.cycles, recorded.committed),
@@ -435,7 +442,7 @@ pub fn run(opts: &PerfOptions) -> i32 {
     for &threads in &thread_points {
         let cfg = SweepConfig { trials: sweep_trials, threads, ..SweepConfig::default() };
         let t = Instant::now();
-        let sweep = run_pht_sweep(&cfg);
+        let sweep = run_pht_sweep(&cfg, None).expect("sweep trials halt");
         let secs = t.elapsed().as_secs_f64();
         assert_eq!(
             sweep.successes(),

@@ -8,9 +8,10 @@ use specrun::attack::{run_pht_sweep, run_poc, GadgetKind, PocConfig, PocOutcome,
 use specrun::defense::verify_pht_blocked;
 use specrun::session::{leak_trace_for, Policy, Session};
 use specrun::window::measure_windows;
-use specrun_cpu::probe::CountingObserver;
+use specrun_cpu::probe::{CountingObserver, NoopObserver, PipelineObserver};
 use specrun_cpu::{CpuConfig, RunaheadPolicy};
-use specrun_workloads::ipc::{run_workload, IpcComparison};
+use specrun_workloads::harness::RunError;
+use specrun_workloads::ipc::{try_compare, try_run_workload_governed};
 use specrun_workloads::metrics::MetricSource;
 use specrun_workloads::{geomean_speedup, parallel_map, suite_with_iters};
 
@@ -97,21 +98,36 @@ fn scenario(name: &str) -> Scenario {
     find(name).expect("registry names its own scenarios")
 }
 
-/// Resolves `ctx.threads` for a `parallel_map` fan-out (`0` = all host
-/// cores); `parallel_map` itself clamps to the job count.
-fn worker_threads(ctx: &RunContext) -> usize {
-    if ctx.threads == 0 {
-        specrun_workloads::harness::default_threads()
-    } else {
-        ctx.threads
-    }
+/// Runs `body` on `session` under the context's cancel token; a program
+/// that did not halt cleanly (budget, wedge, cancellation) fails the
+/// scenario, naming `what` was running.
+fn governed<O: PipelineObserver, R>(
+    ctx: &RunContext,
+    session: &mut Session<O>,
+    what: &str,
+    body: impl FnOnce(&mut Session<O>) -> R,
+) -> Result<R, RunError> {
+    session.set_cancel_token(ctx.cancel.clone());
+    let result = body(session);
+    session.check_halted(|| what.to_string())?;
+    Ok(result)
+}
+
+/// Fans `job` out over `items` on `ctx.threads` workers; the first error
+/// in input order fails the scenario.
+fn try_fan_out<T: Sync, R: Send>(
+    ctx: &RunContext,
+    items: &[T],
+    job: impl Fn(&T) -> Result<R, RunError> + Sync,
+) -> Result<Vec<R>, RunError> {
+    parallel_map(items, ctx.threads, |_, item| job(item)).into_iter().collect()
 }
 
 // ---------------------------------------------------------------------------
 // Table 1 — the machine configuration.
 // ---------------------------------------------------------------------------
 
-fn run_table1(ctx: &RunContext) -> ScenarioRun {
+fn run_table1(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     let mut run = ScenarioRun::new(&scenario("table1"), ctx);
     let c = CpuConfig::default();
     run.digest("default", &c);
@@ -225,14 +241,14 @@ fn run_table1(ctx: &RunContext) -> ScenarioRun {
         "{:<18} request-based contention model, {} cycle",
         "Memory", c.mem.dram.latency
     ));
-    run
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 7 — runahead IPC on the kernel suite.
 // ---------------------------------------------------------------------------
 
-fn run_fig7(ctx: &RunContext) -> ScenarioRun {
+fn run_fig7(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     let mut run = ScenarioRun::new(&scenario("fig7"), ctx);
     let iters = ctx.sized(specrun_workloads::DEFAULT_ITERS, 400);
     run.note("iters", iters.to_string());
@@ -240,7 +256,8 @@ fn run_fig7(ctx: &RunContext) -> ScenarioRun {
     run.digest("runahead", &CpuConfig::default());
 
     let suite = suite_with_iters(iters);
-    let results = specrun_workloads::ipc::compare_parallel(&suite, 50_000_000, ctx.threads);
+    let machines = [CpuConfig::default()];
+    let results = try_compare(&suite, &machines, 50_000_000, ctx.threads, ctx.cancel.as_ref())?;
 
     run.line("kernel,no_runahead,runahead,speedup,runahead_entries".to_string());
     let mut all_improve = true;
@@ -295,7 +312,7 @@ fn run_fig7(ctx: &RunContext) -> ScenarioRun {
             .collect::<Vec<_>>()
             .join(", "),
     );
-    run
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------------
@@ -315,14 +332,14 @@ fn emit_poc_lines(run: &mut ScenarioRun, outcome: &PocOutcome, threshold: u64) {
     ));
 }
 
-fn run_fig9(ctx: &RunContext) -> ScenarioRun {
+fn run_fig9(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     let mut run = ScenarioRun::new(&scenario("fig9"), ctx);
     let cfg = PocConfig::default(); // secret 86, as in the paper
     run.note("secret", cfg.secret.to_string());
     run.digest("runahead", &CpuConfig::default());
 
     let mut session = Session::builder().policy(Policy::Runahead).build();
-    let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
+    let outcome = governed(ctx, &mut session, "fig9 PoC", |s| run_poc(s, GadgetKind::Pht, &cfg))?;
 
     outcome.emit_metrics("poc", &mut run.metrics);
     let timings = outcome.timings.as_slice();
@@ -356,19 +373,19 @@ fn run_fig9(ctx: &RunContext) -> ScenarioRun {
         run.line(format!("{i},{t}"));
     }
     emit_poc_lines(&mut run, &outcome, cfg.threshold);
-    run
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 10 / §5.3 — transient windows.
 // ---------------------------------------------------------------------------
 
-fn run_fig10(ctx: &RunContext) -> ScenarioRun {
+fn run_fig10(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     let mut run = ScenarioRun::new(&scenario("fig10"), ctx);
     run.digest("runahead", &CpuConfig::default());
     run.digest("no_runahead", &CpuConfig::no_runahead());
 
-    let r = measure_windows();
+    let r = measure_windows(ctx.cancel.as_ref())?;
     r.emit_metrics("", &mut run.metrics);
 
     run.line(format!("Fig. 10 / §5.3: available transient window (ROB = {})", r.rob_entries));
@@ -402,7 +419,7 @@ fn run_fig10(ctx: &RunContext) -> ScenarioRun {
         r.episodes_n3 >= 2,
         r.episodes_n3,
     );
-    run
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------------
@@ -414,17 +431,18 @@ fn run_fig10(ctx: &RunContext) -> ScenarioRun {
 /// can rebuild its observers without metadata in the log.
 pub(crate) const FIG11_SLIDE: usize = 300;
 
-fn run_fig11(ctx: &RunContext) -> ScenarioRun {
+fn run_fig11(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     let mut run = ScenarioRun::new(&scenario("fig11"), ctx);
     run.note("nop_slide", FIG11_SLIDE.to_string());
     run.digest("no_runahead", &CpuConfig::no_runahead());
     run.digest("runahead", &CpuConfig::default());
 
     let policies = [Policy::NoRunahead, Policy::Runahead];
-    let outcomes = parallel_map(&policies, worker_threads(ctx), |_, &policy| {
+    let cfg = PocConfig::fig11(FIG11_SLIDE);
+    let outcomes = try_fan_out(ctx, &policies, |&policy| {
         let mut session = Session::builder().policy(policy).build();
-        run_poc(&mut session, GadgetKind::Pht, &PocConfig::fig11(FIG11_SLIDE))
-    });
+        governed(ctx, &mut session, "fig11 PoC", |s| run_poc(s, GadgetKind::Pht, &cfg))
+    })?;
     let (base, attacked) = (&outcomes[0], &outcomes[1]);
     base.emit_metrics("no_runahead", &mut run.metrics);
     attacked.emit_metrics("runahead", &mut run.metrics);
@@ -452,14 +470,14 @@ fn run_fig11(ctx: &RunContext) -> ScenarioRun {
         attacked.leaked == Some(127),
         format!("{:?}", attacked.leaked),
     );
-    run
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------------
 // §4.3/§4.4 — policies × Spectre variants.
 // ---------------------------------------------------------------------------
 
-fn run_variants(ctx: &RunContext) -> ScenarioRun {
+fn run_variants(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     let mut run = ScenarioRun::new(&scenario("variants"), ctx);
     run.note("nop_slide", FIG11_SLIDE.to_string());
 
@@ -480,17 +498,15 @@ fn run_variants(ctx: &RunContext) -> ScenarioRun {
         cfg.runahead.policy = policy;
         run.digest(format!("{policy:?}"), &cfg);
     }
-    let outcomes = parallel_map(&jobs, worker_threads(ctx), |_, job| match job {
-        Job::Policy(policy) => {
-            let mut session = Session::builder().policy(Policy::Variant(*policy)).build();
-            run_poc(&mut session, GadgetKind::Pht, &PocConfig::fig11(FIG11_SLIDE))
-        }
-        Job::Variant(gadget) => {
-            let cfg = PocConfig { nop_slide: FIG11_SLIDE, ..PocConfig::default() };
-            let mut session = Session::builder().policy(Policy::Runahead).build();
-            run_poc(&mut session, *gadget, &cfg)
-        }
-    });
+    let slid = PocConfig { nop_slide: FIG11_SLIDE, ..PocConfig::default() };
+    let outcomes = try_fan_out(ctx, &jobs, |job| {
+        let (policy, gadget, cfg) = match job {
+            Job::Policy(p) => (Policy::Variant(*p), GadgetKind::Pht, PocConfig::fig11(FIG11_SLIDE)),
+            Job::Variant(g) => (Policy::Runahead, *g, slid.clone()),
+        };
+        let mut session = Session::builder().policy(policy).build();
+        governed(ctx, &mut session, "variants PoC", |s| run_poc(s, gadget, &cfg))
+    })?;
 
     run.line("== SpectrePHT against runahead policies (nop slide 300) ==".to_string());
     run.line("policy,leaked,expected,runahead_entries,inv_branches".to_string());
@@ -536,14 +552,14 @@ fn run_variants(ctx: &RunContext) -> ScenarioRun {
         outcomes[3..].iter().all(PocOutcome::success),
         observed,
     );
-    run
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------------
 // §6 — the defense evaluation.
 // ---------------------------------------------------------------------------
 
-fn run_defense(ctx: &RunContext) -> ScenarioRun {
+fn run_defense(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     let mut run = ScenarioRun::new(&scenario("defense"), ctx);
     run.note("nop_slide", FIG11_SLIDE.to_string());
 
@@ -553,10 +569,11 @@ fn run_defense(ctx: &RunContext) -> ScenarioRun {
         ("secure_sl_cache", Policy::Secure),
         ("skip_inv_branch", Policy::SkipInv),
     ];
-    let reports = parallel_map(&machines, worker_threads(ctx), |_, (_, policy)| {
+    let reports = try_fan_out(ctx, &machines, |(_, policy)| {
         let mut session = Session::builder().policy(*policy).build();
-        verify_pht_blocked(&mut session, &PocConfig::fig11(FIG11_SLIDE))
-    });
+        let cfg = PocConfig::fig11(FIG11_SLIDE);
+        governed(ctx, &mut session, "defense PoC", |s| verify_pht_blocked(s, &cfg))
+    })?;
     run.line("machine,leaked,blocked,sl_promotions,sl_deletions,skipped_inv".to_string());
     for ((name, _), report) in machines.iter().zip(&reports) {
         report.emit_metrics(name, &mut run.metrics);
@@ -599,24 +616,15 @@ fn run_defense(ctx: &RunContext) -> ScenarioRun {
     for (label, cfg) in ["no_runahead", "runahead", "secure", "skip_inv"].iter().zip(&configs) {
         run.digest(*label, cfg);
     }
-    let jobs: Vec<(usize, usize)> =
-        (0..suite.len()).flat_map(|w| (0..configs.len()).map(move |c| (w, c))).collect();
-    let results = parallel_map(&jobs, worker_threads(ctx), |_, &(w, c)| {
-        run_workload(&suite[w], configs[c].clone(), 50_000_000)
-    });
-    let compared = |w: usize, c: usize| IpcComparison {
-        name: suite[w].name,
-        baseline: results[w * configs.len()],
-        runahead: results[w * configs.len() + c],
-    };
+    // configs[0] is the no-runahead baseline every comparison is against.
+    let compared =
+        try_compare(&suite, &configs[1..], 50_000_000, ctx.threads, ctx.cancel.as_ref())?;
     run.line(
         "kernel,runahead,secure_runahead,skip_inv,secure_overhead_vs_runahead_pct".to_string(),
     );
     let (mut plain, mut secure, mut skip) = (Vec::new(), Vec::new(), Vec::new());
-    for (w, workload) in suite.iter().enumerate() {
-        let p = compared(w, 1);
-        let s = compared(w, 2);
-        let k = compared(w, 3);
+    for (workload, row) in suite.iter().zip(compared.chunks(configs.len() - 1)) {
+        let (p, s, k) = (row[0].clone(), row[1].clone(), row[2].clone());
         let overhead = (1.0 - s.runahead.ipc / p.runahead.ipc) * 100.0;
         run.line(format!(
             "{},{:.3},{:.3},{:.3},{:.1}%",
@@ -654,7 +662,7 @@ fn run_defense(ctx: &RunContext) -> ScenarioRun {
         gs > 1.0,
         format!("{gs:.3}"),
     );
-    run
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------------
@@ -666,7 +674,7 @@ fn run_defense(ctx: &RunContext) -> ScenarioRun {
 // invariant — a scenario class the timing-only API could not express.
 // ---------------------------------------------------------------------------
 
-fn run_leak_trace(ctx: &RunContext) -> ScenarioRun {
+fn run_leak_trace(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     let mut run = ScenarioRun::new(&scenario("leak_trace"), ctx);
     // The Fig. 11 shape (slide > ROB): with the gadget beyond the reorder
     // window, ordinary speculation cannot reach it, so *every* probe-line
@@ -682,17 +690,18 @@ fn run_leak_trace(ctx: &RunContext) -> ScenarioRun {
     run.digest("secure", &CpuConfig::secure_runahead());
 
     let jobs = [("runahead", Policy::Runahead), ("secure_sl_cache", Policy::Secure)];
-    let results = parallel_map(&jobs, worker_threads(ctx), |_, (_, policy)| {
+    let results = try_fan_out(ctx, &jobs, |(_, policy)| {
         let tracer = leak_trace_for(&cfg.layout, &CpuConfig::default());
         let mut session = Session::builder()
             .policy(*policy)
             .observer((CountingObserver::default(), tracer))
             .build();
-        let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
+        let outcome =
+            governed(ctx, &mut session, "leak_trace PoC", |s| run_poc(s, GadgetKind::Pht, &cfg))?;
         let stats = *session.stats();
         let (counts, trace) = session.observer().clone();
-        (outcome, stats, counts, trace)
-    });
+        Ok((outcome, stats, counts, trace))
+    })?;
 
     run.line("machine,timing_leaked,ground_truth,transient_secret_fills,secret_reads".to_string());
     for ((name, _), (outcome, _stats, counts, trace)) in jobs.iter().zip(&results) {
@@ -781,7 +790,7 @@ fn run_leak_trace(ctx: &RunContext) -> ScenarioRun {
             attacked_stats.committed
         ),
     );
-    run
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------------
@@ -793,7 +802,7 @@ fn run_leak_trace(ctx: &RunContext) -> ScenarioRun {
 // aligner must name the exact suppressed transient secret fill.
 // ---------------------------------------------------------------------------
 
-fn run_trace_repro(ctx: &RunContext) -> ScenarioRun {
+fn run_trace_repro(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     use specrun_trace::{decode_events, encode_events, first_divergence, RecordingObserver};
 
     let mut run = ScenarioRun::new(&scenario("trace_repro"), ctx);
@@ -805,16 +814,17 @@ fn run_trace_repro(ctx: &RunContext) -> ScenarioRun {
     run.digest("secure", &CpuConfig::secure_runahead());
 
     let jobs = [("runahead", Policy::Runahead), ("secure_sl_cache", Policy::Secure)];
-    let results = parallel_map(&jobs, worker_threads(ctx), |_, (_, policy)| {
+    let results = try_fan_out(ctx, &jobs, |(_, policy)| {
         let tracer = leak_trace_for(&cfg.layout, &CpuConfig::default());
         let mut session = Session::builder()
             .policy(*policy)
             .observer(((CountingObserver::default(), tracer), RecordingObserver::new()))
             .build();
-        let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
+        let outcome =
+            governed(ctx, &mut session, "trace_repro PoC", |s| run_poc(s, GadgetKind::Pht, &cfg))?;
         let ((counts, trace), recorder) = session.observer().clone();
-        (outcome, counts, trace, recorder.into_events())
-    });
+        Ok((outcome, counts, trace, recorder.into_events()))
+    })?;
 
     run.line("machine,events,trace_bytes,lossless,replay_identical".to_string());
     let mut replays = Vec::new();
@@ -895,7 +905,7 @@ fn run_trace_repro(ctx: &RunContext) -> ScenarioRun {
         pinpoints,
         divergence.map_or("<no divergence>".to_string(), |d| d.describe()),
     );
-    run
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------------
@@ -905,8 +915,7 @@ fn run_trace_repro(ctx: &RunContext) -> ScenarioRun {
 // accuracy.
 // ---------------------------------------------------------------------------
 
-fn run_bench_step(ctx: &RunContext) -> ScenarioRun {
-    use specrun_workloads::ipc::run_workload as run_w;
+fn run_bench_step(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     use specrun_workloads::kernels;
 
     let mut run = ScenarioRun::new(&scenario("bench_step"), ctx);
@@ -929,8 +938,11 @@ fn run_bench_step(ctx: &RunContext) -> ScenarioRun {
         naive_cfg.fast_forward = false;
         let mut ff_cfg = cfg;
         ff_cfg.fast_forward = true;
-        let naive = run_w(w, naive_cfg, 500_000_000);
-        let ff = run_w(w, ff_cfg, 500_000_000);
+        let run_w = |cfg| {
+            try_run_workload_governed(w, cfg, 500_000_000, NoopObserver, ctx.cancel.as_ref())
+                .map(|(result, _, _)| result)
+        };
+        let (naive, ff) = (run_w(naive_cfg)?, run_w(ff_cfg)?);
         let invisible = naive.cycles == ff.cycles && naive.committed == ff.committed;
         all_invisible &= invisible;
         run.metrics.push(format!("{label}_cycles"), ff.cycles as f64);
@@ -951,7 +963,7 @@ fn run_bench_step(ctx: &RunContext) -> ScenarioRun {
         ..SweepConfig::default()
     };
     run.note("sweep_trials", sweep_cfg.trials.to_string());
-    let sweep = run_pht_sweep(&sweep_cfg);
+    let sweep = run_pht_sweep(&sweep_cfg, ctx.cancel.as_ref())?;
     sweep.emit_metrics("sweep", &mut run.metrics);
     run.line(format!(
         "sweep: {}/{} secrets recovered (accuracy {:.2})",
@@ -965,7 +977,7 @@ fn run_bench_step(ctx: &RunContext) -> ScenarioRun {
         sweep.accuracy() == 1.0,
         format!("{}/{}", sweep.successes(), sweep.trials.len()),
     );
-    run
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------------
@@ -978,7 +990,7 @@ fn run_bench_step(ctx: &RunContext) -> ScenarioRun {
 // thread-count invariance the CI pool-repro byte compare depends on.
 // ---------------------------------------------------------------------------
 
-fn run_pool_matrix(ctx: &RunContext) -> ScenarioRun {
+fn run_pool_matrix(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     use specrun_workloads::plan::PlanPolicy;
     use specrun_workloads::pool::CampaignSpec;
 
@@ -995,7 +1007,7 @@ fn run_pool_matrix(ctx: &RunContext) -> ScenarioRun {
         run.digest(shard.label(), &specrun::pool::shard_config(&spec, shard));
     }
 
-    let report = specrun::run_campaign(&spec, worker_threads(ctx));
+    let report = specrun::run_campaign(&spec, ctx.threads, ctx.cancel.as_ref())?;
     run.metrics = report.metrics();
 
     run.line("shard,units,leaks,leak_rate,runahead_entries,inv_branches,status".to_string());
@@ -1069,7 +1081,7 @@ fn run_pool_matrix(ctx: &RunContext) -> ScenarioRun {
     // The in-process half of the CI pool-repro byte compare: a serial
     // re-run of the same spec must reproduce the parallel report exactly,
     // shard fingerprints included.
-    let serial = specrun::run_campaign(&spec, 1);
+    let serial = specrun::run_campaign(&spec, 1, ctx.cancel.as_ref())?;
     run.check(
         "thread_count_invariant",
         "a serial re-run reproduces the pooled report bit for bit (fingerprints included)",
@@ -1079,7 +1091,7 @@ fn run_pool_matrix(ctx: &RunContext) -> ScenarioRun {
             report.shards.iter().map(|s| s.stats.fingerprint).collect::<Vec<_>>()
         ),
     );
-    run
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -1108,18 +1120,35 @@ mod tests {
 
     #[test]
     fn table1_passes_quickly() {
-        let run = run_table1(&RunContext::quick());
+        let run = run_table1(&RunContext::quick()).unwrap();
         assert!(run.passed(), "failures: {:?}", run.failures());
         assert_eq!(run.metrics.get("rob_entries"), Some(256.0));
     }
 
     #[test]
     fn pool_matrix_passes_quickly() {
-        let run = run_pool_matrix(&RunContext::quick());
+        let run = run_pool_matrix(&RunContext::quick()).unwrap();
         assert!(run.passed(), "failures: {:?}", run.failures());
         // Quick mode: 8 shards × 2 secrets, every session forked from its
         // shard's snapshot.
         assert_eq!(run.metrics.get("total_units"), Some(16.0));
         assert_eq!(run.metrics.get("total_leaks"), Some(10.0), "5 leaking shards × 2 secrets");
+    }
+
+    #[test]
+    fn a_tripped_token_stops_every_simulating_scenario() {
+        // The token reaches every simulation: with it tripped before the
+        // scenario starts, the body itself fails with `Cancelled` (no
+        // executor involved). table1 simulates nothing and still passes.
+        let token = specrun_cpu::CancelToken::new();
+        token.cancel(specrun_cpu::CancelReason::Deadline);
+        let ctx = RunContext { cancel: Some(token), ..RunContext::quick() };
+        for scenario in registry() {
+            match (scenario.run)(&ctx) {
+                Ok(run) => assert_eq!(scenario.name, "table1", "{} ran to completion", run.name),
+                Err(RunError::Cancelled { .. }) => assert_ne!(scenario.name, "table1"),
+                Err(other) => panic!("{}: expected Cancelled, got {other}", scenario.name),
+            }
+        }
     }
 }

@@ -338,7 +338,7 @@ mod tests {
     fn lab_report_writes_merged_and_per_scenario_files() {
         use crate::scenario::{RunContext, Scenario, ScenarioRun};
         fn noop(ctx: &RunContext) -> ScenarioRun {
-            let s = Scenario { name: "noop", title: "t", paper_ref: "r", run: noop };
+            let s = Scenario { name: "noop", title: "t", paper_ref: "r", run: |ctx| Ok(noop(ctx)) };
             let mut run = ScenarioRun::new(&s, ctx);
             run.check("ok", "always holds", true, "yes");
             run
@@ -364,7 +364,7 @@ mod tests {
     fn write_artifacts_clears_stale_scenario_files() {
         use crate::scenario::{RunContext, Scenario, ScenarioRun};
         fn noop(ctx: &RunContext) -> ScenarioRun {
-            let s = Scenario { name: "noop", title: "t", paper_ref: "r", run: noop };
+            let s = Scenario { name: "noop", title: "t", paper_ref: "r", run: |ctx| Ok(noop(ctx)) };
             ScenarioRun::new(&s, ctx)
         }
         let dir = std::env::temp_dir().join(format!("lab_stale_{}", std::process::id()));
@@ -385,7 +385,8 @@ mod tests {
     fn failures_name_scenario_and_invariant() {
         use crate::scenario::{RunContext, Scenario, ScenarioRun};
         fn failing(ctx: &RunContext) -> ScenarioRun {
-            let s = Scenario { name: "bad", title: "t", paper_ref: "r", run: failing };
+            let s =
+                Scenario { name: "bad", title: "t", paper_ref: "r", run: |ctx| Ok(failing(ctx)) };
             let mut run = ScenarioRun::new(&s, ctx);
             run.check("broken", "never holds", false, "no");
             run
@@ -399,7 +400,7 @@ mod tests {
     fn errored_scenario_marks_results_partial() {
         use crate::scenario::{RunContext, Scenario, ScenarioRun};
         fn dead(ctx: &RunContext) -> ScenarioRun {
-            let s = Scenario { name: "dead", title: "t", paper_ref: "r", run: dead };
+            let s = Scenario { name: "dead", title: "t", paper_ref: "r", run: |ctx| Ok(dead(ctx)) };
             let mut run = ScenarioRun::new(&s, ctx);
             run.error = Some("cycle budget exceeded: mcf".to_string());
             run
@@ -417,7 +418,7 @@ mod tests {
     fn journaled_entry_splices_byte_identically() {
         use crate::scenario::{RunContext, Scenario, ScenarioRun};
         fn noop(ctx: &RunContext) -> ScenarioRun {
-            let s = Scenario { name: "noop", title: "t", paper_ref: "r", run: noop };
+            let s = Scenario { name: "noop", title: "t", paper_ref: "r", run: |ctx| Ok(noop(ctx)) };
             let mut run = ScenarioRun::new(&s, ctx);
             run.check("ok", "always holds", true, "yes");
             run

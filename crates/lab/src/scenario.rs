@@ -2,16 +2,19 @@
 //! matrix and defense experiment is a [`Scenario`] value in the registry
 //! instead of a standalone binary.
 //!
-//! A scenario bundles a name, the paper reference it reproduces, and a run
-//! function that — given a [`RunContext`] — produces a [`ScenarioRun`]:
+//! A scenario bundles a name, the paper reference it reproduces, and a
+//! fallible run function that — given a [`RunContext`] — produces a
+//! [`ScenarioRun`]:
 //! named metrics (via the [`MetricSource`] extraction traits), the
 //! configuration digests and seeds that make the run auditable, the
 //! human-readable report `specrun-lab run` prints, and a list of
 //! **paper-claim invariants** ("secure runahead leakage = 0", "runahead
 //! speedup > 1 on mcf") whose pass/fail the CI reproduction gate enforces.
 
-use specrun_cpu::CpuConfig;
+use specrun_cpu::{CancelToken, CpuConfig};
+use specrun_workloads::harness::RunError;
 use specrun_workloads::metrics::MetricSet;
+use specrun_workloads::supervisor::UnitOutcome;
 
 pub use specrun_workloads::metrics::MetricSource;
 
@@ -29,12 +32,16 @@ pub struct RunContext {
     pub threads: usize,
     /// Base seed for randomized trials (sweeps).
     pub seed: u64,
+    /// The supervising unit's cancel token, which the body attaches to
+    /// every simulation it starts, so a tripped token surfaces as
+    /// [`RunError::Cancelled`]. `None` outside the executor.
+    pub cancel: Option<CancelToken>,
 }
 
 impl RunContext {
     /// Full-fidelity context (the paper's scale).
     pub fn full() -> RunContext {
-        RunContext { quick: false, threads: 0, seed: DEFAULT_SEED }
+        RunContext { quick: false, threads: 0, seed: DEFAULT_SEED, cancel: None }
     }
 
     /// Quick context (the CI reproduction gate's scale).
@@ -105,8 +112,9 @@ pub struct ScenarioRun {
     /// The human-readable report `specrun-lab run` prints.
     pub lines: Vec<String>,
     /// Structured execution failure, when the scenario did not complete:
-    /// the panic (or budget-exhaustion) message captured by
-    /// [`Scenario::try_execute`]. A run with an error never passes.
+    /// the rendered [`RunError`] of its final attempt (a panic, a run that
+    /// did not halt, a deadline), set by [`Scenario::settle`]. A run with
+    /// an error never passes.
     pub error: Option<String>,
 }
 
@@ -224,36 +232,27 @@ pub struct Scenario {
     pub title: &'static str,
     /// Paper reference.
     pub paper_ref: &'static str,
-    /// Executes the experiment.
-    pub run: fn(&RunContext) -> ScenarioRun,
+    /// Executes the experiment. A simulation that does not halt cleanly
+    /// (budget, wedge, cancellation) is the body's error; failed
+    /// paper-claim invariants are results, recorded in the run.
+    pub run: fn(&RunContext) -> Result<ScenarioRun, RunError>,
 }
 
 impl Scenario {
-    /// Runs the scenario under `ctx`. Panics propagate; campaign code
-    /// uses [`Scenario::try_execute`] instead.
-    pub fn execute(&self, ctx: &RunContext) -> ScenarioRun {
-        (self.run)(ctx)
-    }
-
-    /// Runs the scenario, containing failure: a panicking scenario (a
-    /// budget-exhaustion `run_workload` deep inside a sweep, an assert in
-    /// the simulator) comes back as a [`ScenarioRun`] with
-    /// [`ScenarioRun::error`] set — a reported failed entry in the merged
-    /// report instead of a dead campaign.
-    pub fn try_execute(&self, ctx: &RunContext) -> ScenarioRun {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.run)(ctx))) {
-            Ok(run) => run,
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                let mut run = ScenarioRun::new(self, ctx);
-                run.error = Some(message);
-                run
+    /// The run a supervised unit leaves in the report: its result, or —
+    /// when every attempt failed — an empty run carrying the final error,
+    /// which never passes.
+    pub fn settle(&self, ctx: &RunContext, outcome: UnitOutcome<ScenarioRun>) -> ScenarioRun {
+        let error = match outcome {
+            UnitOutcome::Done { result, .. } => return result,
+            UnitOutcome::Failed { error, .. } | UnitOutcome::Quarantined { error, .. } => {
+                error.to_string()
             }
-        }
+            UnitOutcome::Skipped => "skipped: the campaign circuit breaker tripped".to_string(),
+        };
+        let mut run = ScenarioRun::new(self, ctx);
+        run.error = Some(error);
+        run
     }
 }
 
@@ -286,10 +285,15 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specrun_workloads::harness::TrialError;
 
     fn dummy(ctx: &RunContext) -> ScenarioRun {
-        let scenario =
-            Scenario { name: "dummy", title: "A dummy scenario", paper_ref: "Fig. 0", run: dummy };
+        let scenario = Scenario {
+            name: "dummy",
+            title: "A dummy scenario",
+            paper_ref: "Fig. 0",
+            run: |ctx| Ok(dummy(ctx)),
+        };
         let mut run = ScenarioRun::new(&scenario, ctx);
         run.metrics.push("x", 1.0);
         run.check("holds", "x equals one", true, "1");
@@ -327,16 +331,19 @@ mod tests {
 
     #[test]
     fn a_panicking_scenario_becomes_a_failed_run() {
-        fn explode(_: &RunContext) -> ScenarioRun {
-            panic!("cycle budget exceeded: deep inside a sweep");
-        }
-        let s = Scenario { name: "boom", title: "t", paper_ref: "r", run: explode };
-        let run = s.try_execute(&RunContext::quick());
+        // What the campaign pool hands back for a scenario whose body
+        // panicked on every attempt.
+        let message = "cycle budget exceeded: deep inside a sweep".to_string();
+        let error = RunError::Panic(TrialError { index: 0, message });
+        let outcome = UnitOutcome::Failed { error, history: Vec::new() };
+        let s = Scenario { name: "boom", title: "t", paper_ref: "r", run: |ctx| Ok(dummy(ctx)) };
+        let run = s.settle(&RunContext::quick(), outcome);
         assert!(!run.passed(), "a run with an error never passes");
-        assert_eq!(run.error.as_deref(), Some("cycle budget exceeded: deep inside a sweep"));
+        let expected = "trial 0 panicked: cycle budget exceeded: deep inside a sweep";
+        assert_eq!(run.error.as_deref(), Some(expected));
         let json = run.to_json().render();
         assert!(json.contains("\"passed\": false"));
-        assert!(json.contains("\"error\": \"cycle budget exceeded: deep inside a sweep\""));
+        assert!(json.contains(&format!("\"error\": \"{expected}\"")));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Binary-level crash-safety tests: a SIGKILLed campaign resumes from its
-//! journal to a byte-identical report, foreign journals are refused, and
-//! artifact-write failures exit non-zero without corrupting prior output.
+//! journal to a byte-identical report, foreign journals are refused,
+//! artifact-write failures exit non-zero without corrupting prior output,
+//! and a `run` deadline cancels a scenario instead of waiting for it.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -283,4 +284,18 @@ fn unwritable_report_path_exits_2_and_keeps_the_journal() {
     assert!(dir.join("FUZZ_report.json.journal").exists(), "journal survives the write failure");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_deadline_cancels_the_scenario_and_reports_the_overrun() {
+    // Full-scale fig7 takes far longer than 1 ms; the monitor trips the
+    // scenario's token and every kernel run stops at its next checkpoint.
+    let output = Command::new(lab_bin())
+        .args(["run", "fig7", "--threads", "1", "--deadline-ms", "1", "--retries", "1"])
+        .arg("--no-artifacts")
+        .output()
+        .expect("spawn run with a 1 ms deadline");
+    assert_eq!(output.status.code(), Some(1), "an overrun is a failed scenario, not a usage error");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("deadline exceeded"), "stdout names the overrun:\n{stdout}");
 }

@@ -22,8 +22,8 @@ fn every_scenario_quick_mode_is_byte_identical_across_runs() {
     let ctx = RunContext::quick();
     let mut runs = Vec::new();
     for scenario in registry() {
-        let first = scenario.execute(&ctx).to_json().render();
-        let second = scenario.execute(&ctx).to_json().render();
+        let first = (scenario.run)(&ctx).unwrap().to_json().render();
+        let second = (scenario.run)(&ctx).unwrap().to_json().render();
         assert_eq!(
             first, second,
             "scenario {} must serialize byte-identically across runs",
@@ -44,7 +44,7 @@ fn quick_campaign_passes_every_paper_claim() {
     let ctx = RunContext::quick();
     let mut report = LabReport::default();
     for scenario in registry() {
-        report.runs.push(scenario.execute(&ctx).into());
+        report.runs.push((scenario.run)(&ctx).unwrap().into());
     }
     assert_eq!(report.runs.len(), LEGACY_EXPERIMENTS.len() + OBSERVER_SCENARIOS.len());
     assert!(report.passed(), "quick-mode paper-claim invariants failed: {:?}", report.failures());
@@ -66,8 +66,8 @@ fn thread_count_does_not_change_artifacts() {
     // supervised pool fan-out (pool_matrix).
     for name in ["fig11", "bench_step", "leak_trace", "pool_matrix", "trace_repro"] {
         let scenario = specrun_lab::registry::find(name).unwrap();
-        let one = scenario.execute(&RunContext { threads: 1, ..RunContext::quick() });
-        let four = scenario.execute(&RunContext { threads: 4, ..RunContext::quick() });
+        let one = (scenario.run)(&RunContext { threads: 1, ..RunContext::quick() }).unwrap();
+        let four = (scenario.run)(&RunContext { threads: 4, ..RunContext::quick() }).unwrap();
         assert_eq!(
             one.to_json().render(),
             four.to_json().render(),
@@ -79,8 +79,8 @@ fn thread_count_does_not_change_artifacts() {
 #[test]
 fn seed_changes_are_recorded_in_artifacts() {
     let scenario = specrun_lab::registry::find("bench_step").unwrap();
-    let a = scenario.execute(&RunContext { seed: 1, ..RunContext::quick() });
-    let b = scenario.execute(&RunContext { seed: 2, ..RunContext::quick() });
+    let a = (scenario.run)(&RunContext { seed: 1, ..RunContext::quick() }).unwrap();
+    let b = (scenario.run)(&RunContext { seed: 2, ..RunContext::quick() }).unwrap();
     assert_eq!(a.seed, 1);
     assert_eq!(b.seed, 2);
     assert_ne!(

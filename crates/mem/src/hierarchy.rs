@@ -28,13 +28,6 @@ pub enum HitLevel {
     Mem,
 }
 
-impl HitLevel {
-    /// Whether the access had to leave the cache hierarchy.
-    pub fn is_memory(self) -> bool {
-        self == HitLevel::Mem
-    }
-}
-
 /// Kind of access, selecting the L1 port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -514,20 +507,6 @@ impl MemHierarchy {
     /// settle horizon for end-of-run draining (no fill lands later).
     pub fn latest_inflight_completion(&self) -> Option<u64> {
         self.inflight.iter().map(|f| f.complete_at).max()
-    }
-
-    /// Drops all cached lines and in-flight fills; keeps data memory.
-    pub fn clear_caches(&mut self) {
-        self.touched_l1(true);
-        self.touched_l1(false);
-        self.l1i.clear();
-        self.l1d.clear();
-        self.l2.clear();
-        self.l3.clear();
-        self.inflight.clear();
-        self.inflight_lines.clear();
-        self.next_complete = u64::MAX;
-        self.dram.reset_timing();
     }
 }
 

@@ -67,15 +67,15 @@ impl std::fmt::Display for TrialError {
 
 impl std::error::Error for TrialError {}
 
-/// A structured execution failure: what [`run_workload`](crate::ipc::run_workload)
-/// expresses as a panic, as data.
+/// A structured execution failure: why a simulation, plan, shard or
+/// scenario did not produce its result.
 ///
-/// Campaign layers thread this through `try_*` entry points so one
-/// pathological workload or plan degrades to a reported `failed` entry in
-/// the campaign artifact instead of unwinding through the whole run. The
-/// panicking `run_workload` delegates to the `try_*` form and panics with
-/// this error's `Display` rendering, so `catch_unwind` call sites recover
-/// the same message.
+/// Every runner returns it instead of panicking
+/// ([`try_run_workload_governed`](crate::ipc::try_run_workload_governed),
+/// `specrun::try_run_plan`, a scenario body), so one pathological workload
+/// or plan degrades to a reported `failed` entry in the campaign artifact
+/// instead of unwinding through the whole run. The campaign pool
+/// ([`crate::supervisor`]) retries, quarantines and reports it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The cycle budget elapsed before the program committed a halt.
@@ -174,9 +174,9 @@ impl std::error::Error for RunError {}
 ///
 /// Work is distributed dynamically (an atomic cursor), so uneven trial
 /// durations — a no-runahead machine simulates far more slowly than a
-/// fast-forwarding one — still load all cores. With `threads <= 1` the map
-/// runs on the calling thread, which keeps call sites free of special
-/// cases.
+/// fast-forwarding one — still load all cores. `threads == 0` means every
+/// host core; with one worker the map runs on the calling thread, which
+/// keeps call sites free of special cases.
 ///
 /// # Panics
 ///
@@ -378,7 +378,8 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ipc::run_workload, kernels};
+    use crate::{ipc::try_run_workload_observed, kernels};
+    use specrun_cpu::probe::NoopObserver;
 
     #[test]
     fn parallel_map_preserves_order_and_covers_all() {
@@ -575,10 +576,13 @@ mod tests {
     fn parallel_simulation_matches_serial() {
         let w = kernels::lbm(60);
         let specs = ConfigMatrix::new(CpuConfig::default()).trials(4).build();
-        let serial =
-            parallel_map(&specs, 1, |_, s| run_workload(&w, s.config.clone(), 5_000_000).cycles);
-        let parallel =
-            parallel_map(&specs, 4, |_, s| run_workload(&w, s.config.clone(), 5_000_000).cycles);
+        let cycles = |threads| {
+            parallel_map(&specs, threads, |_, s: &TrialSpec| {
+                let run = try_run_workload_observed(&w, s.config.clone(), 5_000_000, NoopObserver);
+                run.unwrap().0.cycles
+            })
+        };
+        let (serial, parallel) = (cycles(1), cycles(4));
         assert_eq!(serial, parallel, "simulation must be thread-invariant");
     }
 }

@@ -2,7 +2,7 @@
 //! machines and compare.
 
 use specrun_cpu::probe::{NoopObserver, PipelineObserver};
-use specrun_cpu::{Core, CpuConfig, RunExit};
+use specrun_cpu::{CancelToken, Core, CpuConfig, RunExit};
 
 use crate::harness::RunError;
 use crate::kernels::Workload;
@@ -23,74 +23,34 @@ pub struct IpcResult {
     pub runahead_entries: u64,
 }
 
-/// Runs a workload to completion on a fresh core with `config`.
-///
-/// # Panics
-///
-/// Panics if the kernel does not halt within the cycle budget. Campaign
-/// paths that must survive a pathological kernel use [`try_run_workload`].
-pub fn run_workload(workload: &Workload, config: CpuConfig, max_cycles: u64) -> IpcResult {
-    run_workload_timed(workload, config, max_cycles).0
-}
-
-/// Fallible [`run_workload`]: a kernel that exhausts its cycle budget (or
-/// wedges) comes back as a structured [`RunError`] instead of a panic.
-pub fn try_run_workload(
-    workload: &Workload,
-    config: CpuConfig,
-    max_cycles: u64,
-) -> Result<IpcResult, RunError> {
-    try_run_workload_observed(workload, config, max_cycles, NoopObserver).map(|(r, _, _)| r)
-}
-
-/// [`run_workload`], additionally returning the wall-clock seconds spent in
-/// the simulation loop alone — setup (core construction, cache allocation,
-/// program load) is excluded, so derived cycles-per-second rates are
-/// iteration-count-independent. Used by the `bench_step` throughput anchor.
-///
-/// # Panics
-///
-/// Panics if the kernel does not halt within the cycle budget.
-pub fn run_workload_timed(
-    workload: &Workload,
-    config: CpuConfig,
-    max_cycles: u64,
-) -> (IpcResult, f64) {
-    let (result, secs, _) = run_workload_observed(workload, config, max_cycles, NoopObserver);
-    (result, secs)
-}
-
-/// The observer-carrying kernel runner every other entry point reduces to:
-/// runs `workload` to completion on a fresh [`Core`] with `observer`
-/// attached, returning the IPC result, the wall-clock seconds spent in the
-/// simulation loop alone, and the observer with whatever it saw. With
-/// [`NoopObserver`] this is exactly [`run_workload_timed`] — the observer
-/// is statically inert.
-///
-/// # Panics
-///
-/// Panics if the kernel does not halt within the cycle budget. Campaign
-/// paths use [`try_run_workload_observed`] and degrade gracefully.
-pub fn run_workload_observed<O: PipelineObserver>(
-    workload: &Workload,
-    config: CpuConfig,
-    max_cycles: u64,
-    observer: O,
-) -> (IpcResult, f64, O) {
-    try_run_workload_observed(workload, config, max_cycles, observer)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_workload_observed`]: the root runner every other entry
-/// point reduces to. A kernel that exhausts its cycle budget or wedges is
-/// returned as a [`RunError`] carrying the kernel name and the stats at
-/// the point the core gave up — a campaign records it as a failed entry
-/// and moves on.
+/// [`try_run_workload_governed`] without a cancel token.
 pub fn try_run_workload_observed<O: PipelineObserver>(
     workload: &Workload,
     config: CpuConfig,
     max_cycles: u64,
     observer: O,
+) -> Result<(IpcResult, f64, O), RunError> {
+    try_run_workload_governed(workload, config, max_cycles, observer, None)
+}
+
+/// The kernel runner every other entry point reduces to: runs `workload`
+/// to completion on a fresh [`Core`] with `observer` attached, returning
+/// the IPC result, the wall-clock seconds spent in the simulation loop
+/// alone (setup excluded, so derived cycles-per-second rates are
+/// iteration-count-independent) and the observer with whatever it saw.
+///
+/// A kernel that exhausts its cycle budget or wedges is returned as a
+/// [`RunError`] carrying the kernel name and the stats at the point the
+/// core gave up — a campaign records it as a failed entry and moves on.
+/// With a `token` the run is governed: it publishes heartbeats through the
+/// token and stops with [`RunError::Cancelled`] when the token trips (at
+/// once if it already has). `None` runs the zero-cost ungoverned loop.
+pub fn try_run_workload_governed<O: PipelineObserver>(
+    workload: &Workload,
+    config: CpuConfig,
+    max_cycles: u64,
+    observer: O,
+    token: Option<&CancelToken>,
 ) -> Result<(IpcResult, f64, O), RunError> {
     let mut core = Core::with_observer(config, observer);
     for (addr, bytes) in &workload.setup {
@@ -98,7 +58,11 @@ pub fn try_run_workload_observed<O: PipelineObserver>(
     }
     core.load_program(&workload.program);
     let start = std::time::Instant::now();
-    let exit = core.run(max_cycles);
+    let exit = match token {
+        Some(token) if token.is_cancelled() => RunExit::Cancelled,
+        Some(token) => core.run_governed(max_cycles, token),
+        None => core.run(max_cycles),
+    };
     let secs = start.elapsed().as_secs_f64();
     match exit {
         RunExit::Halted => {}
@@ -155,68 +119,49 @@ impl IpcComparison {
     }
 }
 
-/// Runs one kernel on both machines.
-pub fn compare(workload: &Workload, max_cycles: u64) -> IpcComparison {
-    IpcComparison {
-        name: workload.name,
-        baseline: run_workload(workload, CpuConfig::no_runahead(), max_cycles),
-        runahead: run_workload(workload, CpuConfig::default(), max_cycles),
-    }
-}
-
-/// Runs one kernel on both machines with a custom "runahead" configuration
-/// (used by the defense-overhead and policy-ablation experiments).
-pub fn compare_with(
-    workload: &Workload,
-    runahead_cfg: CpuConfig,
-    max_cycles: u64,
-) -> IpcComparison {
-    IpcComparison {
-        name: workload.name,
-        baseline: run_workload(workload, CpuConfig::no_runahead(), max_cycles),
-        runahead: run_workload(workload, runahead_cfg, max_cycles),
-    }
-}
-
-/// Runs every workload on both machines with all runs fanned out over
-/// `threads` workers (`0` = all host cores) — the parallel Fig. 7 harness.
-/// Results are identical to calling [`compare`] per workload, in order.
-pub fn compare_parallel(
+/// The Fig. 7 comparison fan-out: runs every workload on the no-runahead
+/// baseline and on each of `machines`, all runs fanned out over `threads`
+/// workers of the campaign pool (`0` = all host cores) and governed by
+/// `token` (see [`try_run_workload_governed`]). Returns
+/// `workloads.len() * machines.len()` comparisons, workload-major: the
+/// comparisons of workload 0 against each machine first. Results are
+/// thread-count-invariant; the first failing run in that order is the
+/// error.
+pub fn try_compare(
     workloads: &[Workload],
+    machines: &[CpuConfig],
     max_cycles: u64,
     threads: usize,
-) -> Vec<IpcComparison> {
-    compare_matrix_parallel(workloads, CpuConfig::default(), max_cycles, threads)
-}
-
-/// [`compare_parallel`] with a custom "runahead" machine configuration
-/// (defense-overhead and policy-ablation sweeps).
-pub fn compare_matrix_parallel(
-    workloads: &[Workload],
-    runahead_cfg: CpuConfig,
-    max_cycles: u64,
-    threads: usize,
-) -> Vec<IpcComparison> {
-    let threads = if threads == 0 { crate::harness::default_threads() } else { threads };
+    token: Option<&CancelToken>,
+) -> Result<Vec<IpcComparison>, RunError> {
+    let configs: Vec<CpuConfig> =
+        std::iter::once(CpuConfig::no_runahead()).chain(machines.iter().cloned()).collect();
     // Flatten to one job per (workload, machine) so uneven kernels still
     // fill every worker.
-    let jobs: Vec<(usize, CpuConfig)> = workloads
-        .iter()
-        .enumerate()
-        .flat_map(|(i, _)| [(i, CpuConfig::no_runahead()), (i, runahead_cfg.clone())])
-        .collect();
-    let mut results = crate::harness::parallel_map(&jobs, threads, |_, (wi, cfg)| {
-        run_workload(&workloads[*wi], cfg.clone(), max_cycles)
-    })
-    .into_iter();
-    workloads
-        .iter()
-        .map(|w| {
-            let baseline = results.next().expect("two results per workload");
-            let runahead = results.next().expect("two results per workload");
-            IpcComparison { name: w.name, baseline, runahead }
+    let jobs: Vec<(usize, usize)> =
+        (0..workloads.len()).flat_map(|w| (0..configs.len()).map(move |c| (w, c))).collect();
+    let runs = crate::harness::parallel_map(&jobs, threads, |_, &(w, c)| {
+        try_run_workload_governed(
+            &workloads[w],
+            configs[c].clone(),
+            max_cycles,
+            NoopObserver,
+            token,
+        )
+        .map(|(result, _, _)| result)
+    });
+    let runs = runs.into_iter().collect::<Result<Vec<IpcResult>, RunError>>()?;
+    Ok(runs
+        .chunks(configs.len())
+        .zip(workloads)
+        .flat_map(|(row, w)| {
+            row[1..].iter().map(|&runahead| IpcComparison {
+                name: w.name,
+                baseline: row[0],
+                runahead,
+            })
         })
-        .collect()
+        .collect())
 }
 
 /// Geometric-mean speedup across comparisons (the paper's "average
@@ -234,10 +179,14 @@ mod tests {
     use super::*;
     use crate::kernels;
 
+    fn run(w: &Workload, config: CpuConfig, max_cycles: u64) -> IpcResult {
+        try_run_workload_observed(w, config, max_cycles, NoopObserver).expect("kernel halts").0
+    }
+
     #[test]
     fn lbm_halts_and_reports_ipc() {
         let w = kernels::lbm(200);
-        let r = run_workload(&w, CpuConfig::no_runahead(), 2_000_000);
+        let r = run(&w, CpuConfig::no_runahead(), 2_000_000);
         assert!(r.ipc > 0.0);
         assert!(r.committed > 1000);
     }
@@ -245,7 +194,7 @@ mod tests {
     #[test]
     fn runahead_helps_a_stream() {
         let w = kernels::lbm(400);
-        let c = compare(&w, 4_000_000);
+        let c = &try_compare(&[w], &[CpuConfig::default()], 4_000_000, 1, None).unwrap()[0];
         assert!(c.runahead.runahead_entries > 0, "stream must trigger runahead");
         assert!(
             c.speedup() > 1.0,
@@ -264,7 +213,7 @@ mod tests {
     fn exhausted_budget_is_a_structured_error_not_a_panic() {
         use crate::harness::RunError;
         let w = kernels::lbm(200);
-        let err = try_run_workload(&w, CpuConfig::no_runahead(), 50)
+        let err = try_run_workload_observed(&w, CpuConfig::no_runahead(), 50, NoopObserver)
             .expect_err("50 cycles cannot finish lbm");
         match err {
             RunError::CycleBudgetExceeded { what, budget, .. } => {
@@ -273,23 +222,21 @@ mod tests {
             }
             other => panic!("expected CycleBudgetExceeded, got {other:?}"),
         }
-        // The panicking wrapper raises the same rendering, so catch_unwind
-        // call sites see an identical message.
-        let caught = std::panic::catch_unwind(|| run_workload(&w, CpuConfig::no_runahead(), 50))
-            .expect_err("wrapper must panic");
-        let message = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(message.contains("cycle budget exceeded"), "{message}");
     }
 
     #[test]
     fn parallel_compare_matches_serial() {
         let ws = vec![kernels::lbm(80), kernels::wrf(80)];
-        let par = compare_parallel(&ws, 5_000_000, 4);
-        for (p, w) in par.iter().zip(&ws) {
-            let s = compare(w, 5_000_000);
+        let machines = [CpuConfig::default(), CpuConfig::secure_runahead()];
+        let serial = try_compare(&ws, &machines, 5_000_000, 1, None).unwrap();
+        let par = try_compare(&ws, &machines, 5_000_000, 4, None).unwrap();
+        assert_eq!(par.len(), ws.len() * machines.len());
+        for (p, s) in par.iter().zip(&serial) {
             assert_eq!(p.name, s.name);
             assert_eq!(p.baseline.cycles, s.baseline.cycles);
             assert_eq!(p.runahead.cycles, s.runahead.cycles);
         }
+        assert_eq!(par[1].name, ws[0].name, "workload-major order");
+        assert_eq!(par[2].name, ws[1].name);
     }
 }

@@ -9,8 +9,9 @@
 //! ```
 //! use specrun_workloads::{kernels, ipc};
 //! let workload = kernels::lbm(100);
-//! let result = ipc::run_workload(&workload, specrun_cpu::CpuConfig::default(), 2_000_000);
-//! assert!(result.ipc > 0.0);
+//! let c = ipc::try_compare(&[workload], &[specrun_cpu::CpuConfig::default()], 2_000_000, 1, None)
+//!     .expect("lbm halts within its budget");
+//! assert!(c[0].speedup() > 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,8 +34,8 @@ pub use harness::{
     parallel_map, ConfigMatrix, RunError, Summary, TrialError, TrialSpec, MAX_THREADS,
 };
 pub use ipc::{
-    compare, compare_with, geomean_speedup, run_workload_observed, try_run_workload,
-    try_run_workload_observed, IpcComparison, IpcResult, DEFAULT_ITERS,
+    geomean_speedup, try_compare, try_run_workload_governed, try_run_workload_observed,
+    IpcComparison, IpcResult, DEFAULT_ITERS,
 };
 pub use kernels::Workload;
 pub use metrics::{MetricSet, MetricSource};
@@ -67,7 +68,7 @@ pub fn suite_with_iters(iters: u32) -> Vec<Workload> {
 /// Commonly used items for examples and tests.
 pub mod prelude {
     pub use crate::harness::{parallel_map, ConfigMatrix, Summary};
-    pub use crate::ipc::{compare, geomean_speedup, IpcComparison};
+    pub use crate::ipc::{geomean_speedup, try_compare, IpcComparison};
     pub use crate::kernels::Workload;
     pub use crate::metrics::{MetricSet, MetricSource};
     pub use crate::{fig7_suite, suite_with_iters};

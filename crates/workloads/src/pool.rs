@@ -463,11 +463,9 @@ impl SessionPool {
     {
         assert!(spec.is_valid(), "invalid campaign spec: {spec:?}");
         let cfg = SupervisorConfig { seed: spec.seed, ..self.supervisor.clone() };
-        let threads =
-            if self.threads == 0 { crate::harness::default_threads() } else { self.threads };
         let report = supervised_map_with(
             &spec.shards,
-            threads,
+            self.threads,
             &cfg,
             clock,
             |_, shard, ctx| runner(spec, shard, ctx),

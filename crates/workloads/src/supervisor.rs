@@ -60,7 +60,7 @@ use std::sync::Mutex;
 pub use specrun_cpu::cancel::{CancelReason, CancelToken};
 
 use crate::clock::Clock;
-use crate::harness::{RunError, TrialError};
+use crate::harness::{default_threads, RunError, TrialError};
 use crate::rng::SplitMix64;
 
 /// Supervision policy for one campaign. The default is fully passive
@@ -321,7 +321,8 @@ where
 }
 
 /// The supervised parallel map: runs `f` over `items` on up to `threads`
-/// workers (work-stealing via an atomic cursor) and returns per-unit
+/// workers (`0` = [`default_threads`], the one place a thread count is
+/// resolved; work-stealing via an atomic cursor) and returns per-unit
 /// outcomes in input order, each unit under the supervision policy in
 /// `cfg` (see the module docs). `on_done` fires exactly once per unit,
 /// from the worker thread, with its **final** outcome after all retries
@@ -345,7 +346,7 @@ where
     if n == 0 {
         return SupervisedReport { outcomes: Vec::new(), breaker_tripped: false };
     }
-    let threads = threads.clamp(1, n);
+    let threads = if threads == 0 { default_threads() } else { threads }.min(n);
     let shared = Shared {
         cfg,
         clock,

@@ -9,7 +9,7 @@
 use specrun::window::measure_windows;
 
 fn main() {
-    let report = measure_windows();
+    let report = measure_windows(None).expect("window programs halt");
     println!("ROB capacity:                        {}", report.rob_entries);
     println!("N1 (normal machine, flush once):     {}  (paper: 255)", report.n1);
     println!("N2 (runahead, flush once):           {}  (paper: 480)", report.n2);

@@ -5,13 +5,14 @@
 //! cargo run --release --example runahead_speedup
 //! ```
 
-use specrun_workloads::{compare, geomean_speedup, suite_with_iters};
+use specrun_cpu::CpuConfig;
+use specrun_workloads::{geomean_speedup, suite_with_iters, try_compare};
 
 fn main() {
     println!("{:<10} {:>12} {:>12} {:>9}", "kernel", "no-runahead", "runahead", "speedup");
-    let mut results = Vec::new();
-    for workload in suite_with_iters(800) {
-        let c = compare(&workload, 50_000_000);
+    let results = try_compare(&suite_with_iters(800), &[CpuConfig::default()], 50_000_000, 0, None)
+        .expect("every kernel halts within its budget");
+    for c in &results {
         println!(
             "{:<10} {:>12.3} {:>12.3} {:>8.1}%",
             c.name,
@@ -19,7 +20,6 @@ fn main() {
             c.runahead.ipc,
             (c.speedup() - 1.0) * 100.0
         );
-        results.push(c);
     }
     let mean = geomean_speedup(&results);
     println!("{:<10} {:>12} {:>12} {:>8.1}%", "geomean", "", "", (mean - 1.0) * 100.0);

@@ -5,7 +5,8 @@ use specrun::attack::{run_poc, GadgetKind, PocConfig};
 use specrun::defense::verify_pht_blocked;
 use specrun::session::{Policy, Session};
 use specrun::window::measure_windows;
-use specrun_workloads::{compare, geomean_speedup, suite_with_iters};
+use specrun_cpu::CpuConfig;
+use specrun_workloads::{geomean_speedup, suite_with_iters, try_compare};
 
 /// Fig. 9: SPECRUN leaks a secret from the victim on the runahead machine.
 #[test]
@@ -20,7 +21,7 @@ fn claim_fig9_leak() {
 /// §5.3: runahead eliminates the ROB-size limit on transient instructions.
 #[test]
 fn claim_window_shape() {
-    let report = measure_windows();
+    let report = measure_windows(None).expect("window programs halt");
     assert_eq!(report.n1, 255, "N1 must be ROB - 1");
     assert!(report.n2 > 256, "N2 = {} must exceed the ROB", report.n2);
     assert!(report.n3 > report.n2, "N3 = {} must exceed N2 = {}", report.n3, report.n2);
@@ -41,16 +42,15 @@ fn claim_fig11_separation() {
 /// paper's 11%.
 #[test]
 fn claim_fig7_speedup() {
-    let mut results = Vec::new();
-    for w in suite_with_iters(400) {
-        let c = compare(&w, 50_000_000);
+    let results = try_compare(&suite_with_iters(400), &[CpuConfig::default()], 50_000_000, 0, None)
+        .expect("every kernel halts");
+    for c in &results {
         assert!(
             c.speedup() > 0.99,
             "{} must not regress under runahead: {:.3}",
             c.name,
             c.speedup()
         );
-        results.push(c);
     }
     let mean = geomean_speedup(&results);
     assert!(
