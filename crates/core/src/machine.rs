@@ -20,7 +20,7 @@ use specrun_cpu::probe::{NoopObserver, PipelineObserver};
 use specrun_cpu::{CancelToken, Core, CpuConfig, RunExit};
 use specrun_isa::{DecodedProgram, IntReg, Program};
 use specrun_mem::HitLevel;
-use specrun_workloads::harness::RunError;
+use specrun_workloads::harness::{check_exit, RunError};
 
 /// A simulated machine (core + memory + predictors), generic over an
 /// attached [`PipelineObserver`] (detached by default).
@@ -69,7 +69,6 @@ impl<O: PipelineObserver> Machine<O> {
         // One branch per run call, not per cycle: the governed loop is a
         // separate monomorphization, so the default path stays zero-cost.
         let exit = match &self.cancel {
-            Some(token) if token.is_cancelled() => RunExit::Cancelled,
             Some(token) => self.core.run_governed(max_cycles, token),
             None => self.core.run(max_cycles),
         };
@@ -99,18 +98,8 @@ impl<O: PipelineObserver> Machine<O> {
     /// naming `what` was running (a campaign records it as a failed unit
     /// instead of panicking).
     pub fn check_halted(&self, what: impl FnOnce() -> String) -> Result<(), RunError> {
-        let committed = self.stats().committed;
-        match self.first_non_halt {
-            None => Ok(()),
-            Some((RunExit::CycleLimit, budget)) => {
-                Err(RunError::CycleBudgetExceeded { what: what(), budget, committed })
-            }
-            Some((RunExit::Cancelled, _)) => Err(RunError::Cancelled { what: what(), committed }),
-            Some((exit, _)) => Err(RunError::NoHalt {
-                what: what(),
-                detail: format!("a program exited with {exit:?}"),
-            }),
-        }
+        let Some((exit, budget)) = self.first_non_halt else { return Ok(()) };
+        check_exit(exit, what, budget, self.stats().committed)
     }
 
     /// Discharges the sticky non-halt record, returning it. For programs
@@ -214,11 +203,6 @@ impl<O: PipelineObserver> Machine<O> {
         self.core.observer()
     }
 
-    /// Mutable access to the attached pipeline observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        self.core.observer_mut()
-    }
-
     /// Core statistics.
     pub fn stats(&self) -> &specrun_cpu::CpuStats {
         self.core.stats()
@@ -271,12 +255,20 @@ mod tests {
         use specrun_cpu::{CancelReason, CancelToken};
         let mut m = Machine::new(CpuConfig::no_runahead());
         let token = CancelToken::new();
-        token.cancel(CancelReason::Deadline);
         m.set_cancel_token(Some(token.clone()));
         let mut b = ProgramBuilder::new(0x100);
         b.label("spin");
         b.jump("spin");
         let spin = b.build().unwrap();
+        assert_eq!(
+            m.run_program(&spin, 10_000),
+            RunExit::CycleLimit,
+            "a live token does not cancel"
+        );
+        assert!(token.beat_cycle() > 0, "the governed run published a heartbeat");
+        let mut m = Machine::new(CpuConfig::no_runahead());
+        m.set_cancel_token(Some(token.clone()));
+        token.cancel(CancelReason::Deadline);
         assert_eq!(m.run_program(&spin, 1_000_000), RunExit::Cancelled);
         assert_eq!(m.stats().cycles, 0, "a tripped token stops the run before its first cycle");
         assert_eq!(m.first_non_halt(), Some((RunExit::Cancelled, 1_000_000)));

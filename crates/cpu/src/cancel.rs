@@ -38,6 +38,12 @@ pub trait RunGovernor {
     /// current cycle and committed-instruction counts. Returning `true`
     /// stops the run with [`RunExit::Cancelled`](crate::RunExit::Cancelled).
     fn checkpoint(&self, cycle: u64, committed: u64) -> bool;
+
+    /// Polled once when a run starts, without publishing a heartbeat:
+    /// `true` stops the run before its first cycle.
+    fn tripped(&self) -> bool {
+        false
+    }
 }
 
 /// The detached governor: checkpoints are statically compiled out, so
@@ -149,6 +155,11 @@ impl RunGovernor for CancelToken {
     #[inline]
     fn checkpoint(&self, cycle: u64, committed: u64) -> bool {
         self.beat(cycle, committed);
+        self.is_cancelled()
+    }
+
+    #[inline]
+    fn tripped(&self) -> bool {
         self.is_cancelled()
     }
 }

@@ -228,12 +228,6 @@ impl<O: PipelineObserver> Core<O> {
         &self.obs
     }
 
-    /// Mutable access to the attached pipeline observer (e.g. to reset its
-    /// counters between phases of an experiment).
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
-    }
-
     /// Consumes the core, returning the observer with everything it saw.
     pub fn into_observer(self) -> O {
         self.obs
@@ -391,12 +385,16 @@ impl<O: PipelineObserver> Core<O> {
     /// may stop the run with [`RunExit::Cancelled`]. With a statically
     /// inactive governor (`G::ACTIVE == false` — the [`Core::run`] default)
     /// the checkpoint site compiles away entirely, so the ungoverned loop
-    /// pays nothing; the perf gate enforces that.
+    /// pays nothing; the perf gate enforces that. A run started under an
+    /// already-tripped governor stops before its first cycle.
     pub fn run_governed<G: crate::cancel::RunGovernor>(
         &mut self,
         max_cycles: u64,
         governor: &G,
     ) -> RunExit {
+        if G::ACTIVE && governor.tripped() {
+            return RunExit::Cancelled;
+        }
         let limit = self.cycle.saturating_add(max_cycles);
         let mut exit = RunExit::CycleLimit;
         let mut next_check = self.cycle.saturating_add(crate::cancel::CHECK_INTERVAL_CYCLES);

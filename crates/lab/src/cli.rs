@@ -26,6 +26,7 @@ use crate::report::{LabEntry, LabReport};
 use crate::scenario::RunContext;
 use crate::sink::{ArtifactSink as _, FsSink};
 use specrun_workloads::clock::WallClock;
+use specrun_workloads::harness::RunError;
 use specrun_workloads::pool::CampaignSpec;
 use specrun_workloads::supervisor::{supervised_map_with, SupervisorConfig, UnitOutcome};
 
@@ -68,9 +69,10 @@ COMMANDS:
             and pool use. --deadline-ms cancels a scenario cooperatively
             once it outlives its wall-clock budget (every simulation it
             starts checkpoints every few thousand cycles) and reports a
-            deadline overrun; --retries re-runs a scenario that panicked,
-            hit a run error or overran its deadline, with a deterministic
-            seeded backoff, quarantining it after two identical failures.
+            deadline overrun, as it does for a scenario that finishes
+            late; --retries re-runs a scenario that panicked, hit a run
+            error or overran its deadline, with a deterministic seeded
+            backoff, quarantining it after two identical failures.
             Failed invariants are deterministic results and are not
             retried. Only final attempts are journaled, and no wall-clock
             value enters the artifacts.
@@ -652,14 +654,31 @@ fn run_command(args: &[String]) -> Result<i32, String> {
         &supervisor,
         &WallClock::new(),
         |_, scenario, unit| {
+            let cancelled =
+                |committed| Err(RunError::Cancelled { what: scenario.name.to_string(), committed });
+            // A failed journal append ends the campaign with exit 2 below,
+            // so later scenarios are not simulated.
+            if journal_error.lock().unwrap().is_some() {
+                return cancelled(0);
+            }
             if unit.attempt == 0 {
                 println!("== {} ({}) — {} ==", scenario.name, scenario.paper_ref, scenario.title);
             } else {
                 println!("  retry {} of {retries}", unit.attempt);
             }
-            (scenario.run)(&RunContext { cancel: Some(unit.token.clone()), ..ctx.clone() })
+            let run =
+                (scenario.run)(&RunContext { cancel: Some(unit.token.clone()), ..ctx.clone() })?;
+            // The deadline covers the whole body, including work after its
+            // last simulation: a token tripped by then is an overrun.
+            if unit.token.is_cancelled() {
+                return cancelled(unit.token.beat_committed());
+            }
+            Ok(run)
         },
         |i, outcome| {
+            if journal_error.lock().unwrap().is_some() {
+                return;
+            }
             let run = pending[i].settle(&ctx, outcome.clone());
             for line in &run.lines {
                 println!("{line}");
@@ -683,10 +702,8 @@ fn run_command(args: &[String]) -> Result<i32, String> {
             text.pop(); // journal entries are single-line; drop the newline
             let payload = format!("{} {}", run.invariants.len(), json::escape(&text));
             if let Err(e) = j.append(&format!("scenario:{}", run.name), &payload) {
-                let mut slot = journal_error.lock().unwrap();
-                slot.get_or_insert_with(|| {
-                    format!("cannot append to journal {}: {e}", j.path().display())
-                });
+                let error = format!("cannot append to journal {}: {e}", j.path().display());
+                *journal_error.lock().unwrap() = Some(error);
             }
         },
     )

@@ -61,13 +61,6 @@ impl Dram {
     pub fn requests(&self) -> u64 {
         self.requests
     }
-
-    /// Resets channel occupancy and counters (used between program runs on a
-    /// machine that keeps its caches warm).
-    pub fn reset_timing(&mut self) {
-        self.next_free = 0;
-        self.requests = 0;
-    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! assert_eq!(s.max, 16.0);
 //! ```
 
-use specrun_cpu::{CpuConfig, RunaheadPolicy, SecureConfig};
+use specrun_cpu::{CpuConfig, RunExit, RunaheadPolicy, SecureConfig};
 
 use crate::clock::WallClock;
 use crate::rng::SplitMix64;
@@ -167,6 +167,28 @@ impl std::fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
+
+/// The one mapping from how a core run ended to a campaign failure: `Ok`
+/// for a halt, otherwise the [`RunError`] naming `what` was running, the
+/// cycle `budget` it had and the instructions it `committed`.
+pub fn check_exit(
+    exit: RunExit,
+    what: impl FnOnce() -> String,
+    budget: u64,
+    committed: u64,
+) -> Result<(), RunError> {
+    match exit {
+        RunExit::Halted => Ok(()),
+        RunExit::CycleLimit => {
+            Err(RunError::CycleBudgetExceeded { what: what(), budget, committed })
+        }
+        RunExit::Cancelled => Err(RunError::Cancelled { what: what(), committed }),
+        RunExit::Wedged => Err(RunError::NoHalt {
+            what: what(),
+            detail: format!("a program exited with {exit:?}"),
+        }),
+    }
+}
 
 /// Runs `f` over `items` on up to `threads` workers of the campaign pool
 /// ([`supervised_map_with`] under a passive [`SupervisorConfig`]) and

@@ -2,9 +2,9 @@
 //! machines and compare.
 
 use specrun_cpu::probe::{NoopObserver, PipelineObserver};
-use specrun_cpu::{CancelToken, Core, CpuConfig, RunExit};
+use specrun_cpu::{CancelToken, Core, CpuConfig};
 
-use crate::harness::RunError;
+use crate::harness::{check_exit, RunError};
 use crate::kernels::Workload;
 
 /// Default iteration count giving runs of roughly 10⁵ cycles per kernel.
@@ -40,8 +40,9 @@ pub fn try_run_workload_observed<O: PipelineObserver>(
 /// iteration-count-independent) and the observer with whatever it saw.
 ///
 /// A kernel that exhausts its cycle budget or wedges is returned as a
-/// [`RunError`] carrying the kernel name and the stats at the point the
-/// core gave up — a campaign records it as a failed entry and moves on.
+/// [`RunError`] ([`check_exit`]) carrying the kernel name and the
+/// instructions committed when the core gave up — a campaign records it as
+/// a failed entry and moves on.
 /// With a `token` the run is governed: it publishes heartbeats through the
 /// token and stops with [`RunError::Cancelled`] when the token trips (at
 /// once if it already has). `None` runs the zero-cost ungoverned loop.
@@ -59,33 +60,11 @@ pub fn try_run_workload_governed<O: PipelineObserver>(
     core.load_program(&workload.program);
     let start = std::time::Instant::now();
     let exit = match token {
-        Some(token) if token.is_cancelled() => RunExit::Cancelled,
         Some(token) => core.run_governed(max_cycles, token),
         None => core.run(max_cycles),
     };
     let secs = start.elapsed().as_secs_f64();
-    match exit {
-        RunExit::Halted => {}
-        RunExit::CycleLimit => {
-            return Err(RunError::CycleBudgetExceeded {
-                what: workload.name.to_string(),
-                budget: max_cycles,
-                committed: core.stats().committed,
-            });
-        }
-        RunExit::Wedged => {
-            return Err(RunError::NoHalt {
-                what: workload.name.to_string(),
-                detail: format!("core wedged (stats: {})", core.stats()),
-            });
-        }
-        RunExit::Cancelled => {
-            return Err(RunError::Cancelled {
-                what: workload.name.to_string(),
-                committed: core.stats().committed,
-            });
-        }
-    }
+    check_exit(exit, || workload.name.to_string(), max_cycles, core.stats().committed)?;
     let stats = core.stats();
     let result = IpcResult {
         committed: stats.committed,

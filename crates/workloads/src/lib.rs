@@ -48,11 +48,6 @@ pub use supervisor::{
     backoff_ms, supervised_map_with, SupervisedReport, SupervisorConfig, UnitCtx, UnitOutcome,
 };
 
-/// The full Fig. 7 suite in the paper's order, at the default scale.
-pub fn fig7_suite() -> Vec<Workload> {
-    suite_with_iters(DEFAULT_ITERS)
-}
-
 /// The Fig. 7 suite at a custom iteration count (smaller = faster tests).
 pub fn suite_with_iters(iters: u32) -> Vec<Workload> {
     vec![
@@ -71,5 +66,5 @@ pub mod prelude {
     pub use crate::ipc::{geomean_speedup, try_compare, IpcComparison};
     pub use crate::kernels::Workload;
     pub use crate::metrics::{MetricSet, MetricSource};
-    pub use crate::{fig7_suite, suite_with_iters};
+    pub use crate::suite_with_iters;
 }
