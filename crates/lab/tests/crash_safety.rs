@@ -1,5 +1,6 @@
 //! Binary-level crash-safety tests: a SIGKILLed campaign resumes from its
-//! journal to a byte-identical report, foreign journals are refused,
+//! journal to a byte-identical report, journals written by an earlier
+//! build (the committed fixtures) still resume, foreign journals are refused,
 //! artifact-write failures exit non-zero without corrupting prior output,
 //! and a `run` deadline cancels a scenario instead of waiting for it.
 
@@ -223,6 +224,56 @@ fn sigkilled_run_campaign_resumes_byte_identically() {
         assert_eq!(resumed, reference, "{name} must be byte-identical after resume");
     }
     assert!(!journal.exists(), "the journal retires once artifacts are durable");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs the binary in `dir` and returns its stdout, asserting exit 0.
+fn lab_ok(dir: &Path, args: &[&str]) -> String {
+    let output =
+        Command::new(lab_bin()).current_dir(dir).args(args).output().expect("spawn specrun-lab");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "specrun-lab {args:?} failed:\n{stderr}");
+    String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+#[test]
+fn committed_journal_fixtures_resume_to_fresh_report_bytes() {
+    // The fixtures are journals an earlier build left behind: the `run`
+    // one holds the `table1` entry, the fuzz one the first two plans. A
+    // build that still reads them recovers those units and reproduces a
+    // fresh run's report byte for byte, pinning the journal header and
+    // entry formats across commits.
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let dir = scratch("fixtures");
+
+    let run = ["run", "table1", "fig9", "--quick", "--artifacts-dir"];
+    lab_ok(&dir, &[&run[..], &["fresh"]].concat());
+    std::fs::create_dir_all(dir.join("resumed")).expect("create resumed dir");
+    std::fs::copy(
+        fixtures.join("run_table1_fig9_quick.journal"),
+        dir.join("resumed/LAB_report.journal"),
+    )
+    .expect("install run fixture");
+    let stdout = lab_ok(&dir, &[&run[..], &["resumed", "--resume"]].concat());
+    assert!(stdout.contains("resumed: 1 scenario(s)"), "table1 is recovered:\n{stdout}");
+    for name in ["LAB_report.json", "table1.json", "fig9.json"] {
+        let fresh = std::fs::read(dir.join("fresh").join(name)).expect(name);
+        let resumed = std::fs::read(dir.join("resumed").join(name)).expect(name);
+        assert_eq!(resumed, fresh, "{name} from the run fixture differs from a fresh run");
+    }
+    assert!(!dir.join("resumed/LAB_report.journal").exists(), "the journal retires");
+
+    let fuzz = ["fuzz", "--plans", "4", "--quick", "--fail-dir", "fail", "--report"];
+    lab_ok(&dir, &[&fuzz[..], &["fresh.json"]].concat());
+    std::fs::copy(fixtures.join("fuzz_4_quick.journal"), dir.join("resumed.json.journal"))
+        .expect("install fuzz fixture");
+    let stdout = lab_ok(&dir, &[&fuzz[..], &["resumed.json", "--resume"]].concat());
+    assert!(stdout.contains("resumed: 2 plan(s)"), "plans 0 and 1 are recovered:\n{stdout}");
+    let fresh = std::fs::read(dir.join("fresh.json")).expect("fresh fuzz report");
+    let resumed = std::fs::read(dir.join("resumed.json")).expect("resumed fuzz report");
+    assert_eq!(resumed, fresh, "the fuzz fixture's report differs from a fresh run");
+    assert!(!dir.join("resumed.json.journal").exists(), "the journal retires");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
