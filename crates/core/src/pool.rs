@@ -30,7 +30,8 @@
 use specrun_cpu::{CancelToken, CpuConfig};
 use specrun_workloads::clock::WallClock;
 use specrun_workloads::harness::RunError;
-use specrun_workloads::pool::{CampaignSpec, PoolReport, SessionPool, ShardSpec, ShardStats};
+use specrun_workloads::pool::{CampaignSpec, PoolReport, ShardSpec, ShardStats};
+use specrun_workloads::supervisor::{supervised_map_with, SupervisorConfig};
 
 use crate::attack::{Attack, AttackLayout, PocConfig, DEFAULT_THRESHOLD};
 use crate::session::{Policy, Session};
@@ -184,15 +185,27 @@ pub fn run_shard(
 /// [`ShardStatus`](specrun_workloads::pool::ShardStatus). The campaign
 /// itself fails only with [`RunError::Cancelled`], when the caller's
 /// token tripped and the report would be partial.
+///
+/// # Panics
+///
+/// Panics if `spec` fails [`CampaignSpec::is_valid`] — a malformed spec
+/// is a caller bug, not a per-shard failure.
 pub fn run_campaign(
     spec: &CampaignSpec,
     threads: usize,
     token: Option<&CancelToken>,
 ) -> Result<PoolReport, RunError> {
-    let report =
-        SessionPool::new(threads).run_with(spec, &WallClock::new(), |spec, shard, unit| {
-            run_shard(spec, shard, token.unwrap_or(&unit.token))
-        });
+    assert!(spec.is_valid(), "invalid campaign spec: {spec:?}");
+    let cfg = SupervisorConfig { seed: spec.seed, ..SupervisorConfig::default() };
+    let outcomes = supervised_map_with(
+        &spec.shards,
+        threads,
+        &cfg,
+        &WallClock::new(),
+        |_, shard, unit| run_shard(spec, shard, token.unwrap_or(&unit.token)),
+        |_, _| {},
+    );
+    let report = PoolReport::new(&spec.shards, outcomes);
     match token {
         Some(token) if token.is_cancelled() => Err(RunError::Cancelled {
             what: "pool campaign".to_string(),

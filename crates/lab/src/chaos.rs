@@ -14,8 +14,8 @@
 //!
 //! * [`ChaosSink`] — numbered IO operations fail
 //!   (optionally leaving a torn temp file) at the artifact boundary;
-//! * [`FuzzOptions::chaos_panic_plans`] (and its flaky/sick siblings) —
-//!   named plan evaluations fail at the trial boundary;
+//! * [`Chaos`] — named units of any [`Campaign`] panic, fail every
+//!   attempt, or fail their first attempt only, at the unit boundary;
 //! * [`ChaosClock`] — virtual time at the supervision boundary, so the
 //!   hung-unit, slow-unit, retry and circuit-breaker drills march wall
 //!   clocks forward deterministically instead of sleeping.
@@ -25,14 +25,124 @@
 //! reproducible run to run.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use specrun_workloads::clock::ChaosClock;
+use specrun_workloads::clock::{ChaosClock, WallClock};
 use specrun_workloads::harness::RunError;
 use specrun_workloads::plan::Plan;
-use specrun_workloads::supervisor::{supervised_map_with, SupervisorConfig, UnitOutcome};
+use specrun_workloads::supervisor::{
+    supervised_map_with, SupervisedReport, SupervisorConfig, UnitCtx, UnitOutcome,
+};
 
-use crate::fuzz::{self, FuzzOptions, RUN_ERROR_VIOLATION};
+use crate::campaign::{self, Campaign, Rendered};
+use crate::fuzz::{self, CampaignResult, FuzzCampaign, FuzzOptions, RUN_ERROR_VIOLATION};
 use crate::sink::{tmp_path, ArtifactSink, ChaosSink, FsSink};
+
+/// A fault-injecting wrapper around any [`Campaign`]: the units at the
+/// given indices panic, fail every attempt with an IO error (`sick`), or
+/// fail their first attempt only (`flaky`), and every attempt started is
+/// counted. Everything else — keys, journal payloads, rendering — is the
+/// wrapped campaign's, so a drill exercises the real executor path.
+/// Indices past the campaign's end are ignored.
+pub struct Chaos<C: Campaign> {
+    inner: C,
+    panic: Vec<String>,
+    sick: Vec<String>,
+    flaky: Vec<String>,
+    started: AtomicUsize,
+}
+
+impl<C: Campaign> Chaos<C> {
+    /// Wraps `inner` with no faults armed.
+    pub fn new(inner: C) -> Chaos<C> {
+        let none = Vec::new;
+        Chaos { inner, panic: none(), sick: none(), flaky: none(), started: AtomicUsize::new(0) }
+    }
+
+    /// Units whose every attempt panics.
+    pub fn panic(mut self, units: &[usize]) -> Chaos<C> {
+        self.panic = self.keys(units);
+        self
+    }
+
+    /// Units whose every attempt fails identically with an IO error.
+    pub fn sick(mut self, units: &[usize]) -> Chaos<C> {
+        self.sick = self.keys(units);
+        self
+    }
+
+    /// Units whose first attempt fails with a transient IO error.
+    pub fn flaky(mut self, units: &[usize]) -> Chaos<C> {
+        self.flaky = self.keys(units);
+        self
+    }
+
+    /// The wrapped campaign.
+    pub fn inner(&self) -> &C {
+        &self.inner
+    }
+
+    /// Attempts started so far, injected faults included.
+    pub fn started(&self) -> usize {
+        self.started.load(Ordering::Relaxed)
+    }
+
+    fn keys(&self, units: &[usize]) -> Vec<String> {
+        let all = self.inner.units();
+        units.iter().filter_map(|&i| all.get(i)).map(|unit| self.inner.key(unit)).collect()
+    }
+}
+
+impl<C: Campaign> Campaign for Chaos<C> {
+    type Unit = C::Unit;
+    type Payload = C::Payload;
+
+    fn units(&self) -> &[C::Unit] {
+        self.inner.units()
+    }
+
+    fn header(&self) -> String {
+        self.inner.header()
+    }
+
+    fn noun(&self) -> &'static str {
+        self.inner.noun()
+    }
+
+    fn key(&self, unit: &C::Unit) -> String {
+        self.inner.key(unit)
+    }
+
+    fn run(&self, unit: &C::Unit, ctx: &UnitCtx) -> Result<C::Payload, RunError> {
+        self.started.fetch_add(1, Ordering::Relaxed);
+        let key = self.inner.key(unit);
+        assert!(!self.panic.contains(&key), "chaos: injected panic running {key}");
+        let injected = |detail: &str| RunError::Io { what: key.clone(), detail: detail.into() };
+        if self.sick.contains(&key) {
+            return Err(injected("chaos: injected persistent artifact-sink failure"));
+        }
+        if self.flaky.contains(&key) && ctx.attempt == 0 {
+            return Err(injected("chaos: injected transient artifact-sink flake"));
+        }
+        self.inner.run(unit, ctx)
+    }
+
+    fn encode(&self, outcome: &UnitOutcome<C::Payload>) -> Option<String> {
+        self.inner.encode(outcome)
+    }
+
+    fn decode(&self, unit: &C::Unit, payload: &str) -> Result<Option<C::Payload>, String> {
+        self.inner.decode(unit, payload)
+    }
+
+    fn progress(&self, unit: &C::Unit, outcome: &UnitOutcome<C::Payload>) {
+        self.inner.progress(unit, outcome);
+    }
+
+    fn render(&self, report: SupervisedReport<C::Payload>) -> Rendered {
+        self.inner.render(report)
+    }
+}
 
 /// Every drill, in execution order. `--drill NAME` validates against this
 /// list; the supervision self-test in CI runs a subset of it.
@@ -103,6 +213,47 @@ fn drill_opts(opts: &ChaosOptions, dir: &Path) -> FuzzOptions {
     }
 }
 
+/// The I/O-free result of the drill campaign `fo` with `faults` armed,
+/// plus how many attempts it started.
+fn chaos_result(
+    fo: &FuzzOptions,
+    cfg: &SupervisorConfig,
+    faults: impl FnOnce(Chaos<FuzzCampaign<'_>>) -> Chaos<FuzzCampaign<'_>>,
+) -> (CampaignResult, usize) {
+    let chaos = faults(Chaos::new(FuzzCampaign::new(fo)));
+    let report = campaign::supervise(&chaos, fo.threads, cfg, &WallClock::new());
+    (chaos.inner().result(report), chaos.started())
+}
+
+/// Runs the drill campaign `fo` with `faults` armed through the shared
+/// executor, under `cfg`, journaling beside the report.
+fn chaos_execute(
+    fo: &FuzzOptions,
+    cfg: &SupervisorConfig,
+    faults: impl FnOnce(Chaos<FuzzCampaign<'_>>) -> Chaos<FuzzCampaign<'_>>,
+) -> i32 {
+    let chaos = faults(Chaos::new(FuzzCampaign::new(fo)));
+    let journal = fo.journal_path();
+    campaign::execute(
+        &chaos,
+        fo.threads,
+        cfg,
+        &WallClock::new(),
+        &FsSink,
+        Some((&journal, fo.resume)),
+    )
+}
+
+/// Leaves the journal a crash would: the campaign runs to the end, then
+/// its report write fails (exit 2), which keeps the journal.
+fn leave_journal(fo: &FuzzOptions) -> Result<(), String> {
+    let chaos = ChaosSink::new(&FsSink, &[report_write_op(fo.plans)]);
+    match fuzz::run_with(fo, &chaos) {
+        2 => Ok(()),
+        code => Err(format!("setup campaign exited {code}, expected 2")),
+    }
+}
+
 /// On a clean single-threaded campaign the counted sink operations are:
 /// one journal header append, one append per plan, then the report
 /// write — so the report write's operation number is `plans + 1`.
@@ -116,26 +267,40 @@ fn read(path: &Path) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
+/// A drill check: `Err(failure)` unless `ok`.
+fn ensure(ok: bool, failure: impl Into<String>) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(failure.into())
+    }
+}
+
+/// Resumes the drill campaign `fo` with a healthy sink: it must exit 0
+/// and reproduce the uninterrupted reference report byte for byte.
+fn resume_to_reference(fo: &FuzzOptions, reference: &str, after: &str) -> Result<(), String> {
+    let code = fuzz::run_with(&FuzzOptions { resume: true, ..fo.clone() }, &FsSink);
+    ensure(code == 0, format!("resume after {after} exited {code}, expected 0"))?;
+    let report = read(&fo.report_path)?;
+    ensure(report == reference, "resumed report differs from the uninterrupted reference")
+}
+
 /// A panicking trial must become a reported failing plan, not a dead
 /// campaign: the other plans still evaluate and the report says so.
 fn drill_panic_isolation(opts: &ChaosOptions, dir: &Path) -> DrillResult {
-    let mut fo = drill_opts(opts, dir);
-    fo.chaos_panic_plans = vec![1];
-    let result = fuzz::campaign(&fo);
-    if result.panics != 1 {
-        return Err(format!("expected exactly 1 panic, saw {}", result.panics));
-    }
+    let fo = drill_opts(opts, dir);
+    let (result, _) = chaos_result(&fo, &fo.supervisor_config(), |c| c.panic(&[1]));
+    ensure(result.panics == 1, format!("expected exactly 1 panic, saw {}", result.panics))?;
     let case = result
         .failures
         .iter()
         .find(|f| f.plan_index == 1)
         .ok_or("the panicking plan is missing from the failures")?;
-    if !case.violated.iter().any(|v| v == "panic") {
-        return Err(format!("plan 1 violated {:?}, expected a panic signature", case.violated));
-    }
-    if !result.report.contains("\"panics\": 1") {
-        return Err("report does not record the panic tally".to_string());
-    }
+    let violated = &case.violated;
+    let panicked = violated.iter().any(|v| v == "panic");
+    ensure(panicked, format!("plan 1 violated {violated:?}, expected a panic signature"))?;
+    let tallied = result.report.contains("\"panics\": 1");
+    ensure(tallied, "report does not record the panic tally")?;
     Ok(format!(
         "injected panic on plan 1 became a reported failure; {} sibling plan(s) unharmed",
         fo.plans - 1
@@ -174,27 +339,11 @@ fn drill_report_write_failure(opts: &ChaosOptions, dir: &Path, reference: &str) 
     let fo = drill_opts(opts, dir);
     let chaos = ChaosSink::new(&FsSink, &[report_write_op(fo.plans)]);
     let code = fuzz::run_with(&fo, &chaos);
-    if code != 2 {
-        return Err(format!("injected report-write failure exited {code}, expected 2"));
-    }
-    if fo.report_path.exists() {
-        return Err("the report exists despite the failed write".to_string());
-    }
-    if !fo.journal_path().exists() {
-        return Err("the journal was discarded on failure".to_string());
-    }
-    let mut resumed = fo.clone();
-    resumed.resume = true;
-    let code = fuzz::run_with(&resumed, &FsSink);
-    if code != 0 {
-        return Err(format!("resume after the failure exited {code}, expected 0"));
-    }
-    if read(&fo.report_path)? != reference {
-        return Err("resumed report differs from the uninterrupted reference".to_string());
-    }
-    if fo.journal_path().exists() {
-        return Err("the journal survived a completed resume".to_string());
-    }
+    ensure(code == 2, format!("injected report-write failure exited {code}, expected 2"))?;
+    ensure(!fo.report_path.exists(), "the report exists despite the failed write")?;
+    ensure(fo.journal_path().exists(), "the journal was discarded on failure")?;
+    resume_to_reference(&fo, reference, "the failure")?;
+    ensure(!fo.journal_path().exists(), "the journal survived a completed resume")?;
     Ok("exit 2 on write failure; resume reproduced the reference report byte for byte".to_string())
 }
 
@@ -206,72 +355,38 @@ fn drill_torn_temp_write(opts: &ChaosOptions, dir: &Path, reference: &str) -> Dr
     std::fs::write(&fo.report_path, stale).map_err(|e| format!("cannot seed stale report: {e}"))?;
     let chaos = ChaosSink::new(&FsSink, &[report_write_op(fo.plans)]).torn();
     let code = fuzz::run_with(&fo, &chaos);
-    if code != 2 {
-        return Err(format!("torn report write exited {code}, expected 2"));
-    }
-    if read(&fo.report_path)? != stale {
-        return Err("the torn write mutated the previous artifact".to_string());
-    }
-    if !tmp_path(&fo.report_path).exists() {
-        return Err("torn mode left no orphan temp file to recover over".to_string());
-    }
-    let mut resumed = fo.clone();
-    resumed.resume = true;
-    let code = fuzz::run_with(&resumed, &FsSink);
-    if code != 0 {
-        return Err(format!("resume after the torn write exited {code}, expected 0"));
-    }
-    if read(&fo.report_path)? != reference {
-        return Err("resumed report differs from the uninterrupted reference".to_string());
-    }
-    if tmp_path(&fo.report_path).exists() {
-        return Err("the orphan temp file survived the resumed rename".to_string());
-    }
+    ensure(code == 2, format!("torn report write exited {code}, expected 2"))?;
+    ensure(read(&fo.report_path)? == stale, "the torn write mutated the previous artifact")?;
+    let orphan = tmp_path(&fo.report_path);
+    ensure(orphan.exists(), "torn mode left no orphan temp file to recover over")?;
+    resume_to_reference(&fo, reference, "the torn write")?;
+    ensure(!orphan.exists(), "the orphan temp file survived the resumed rename")?;
     Ok("old artifact survived the torn write; resume atomically installed the new one".to_string())
 }
 
 /// A torn final journal line (the crash mode `append_line` documents) is
 /// dropped on resume; the lost plan re-runs and the report is unchanged.
 fn drill_torn_journal_tail(opts: &ChaosOptions, dir: &Path, reference: &str) -> DrillResult {
-    let mut fo = drill_opts(opts, dir);
-    fo.keep_journal = true;
-    let code = fuzz::run_with(&fo, &FsSink);
-    if code != 0 {
-        return Err(format!("setup campaign exited {code}, expected 0"));
-    }
+    let fo = drill_opts(opts, dir);
+    leave_journal(&fo)?;
     let journal = fo.journal_path();
     let body = read(&journal)?;
     let torn = &body[..body.len() - 4]; // clip mid-digest, losing the newline
     std::fs::write(&journal, torn).map_err(|e| format!("cannot tear journal: {e}"))?;
     FsSink.remove(&fo.report_path).map_err(|e| format!("cannot drop report before resume: {e}"))?;
-    let mut resumed = fo.clone();
-    resumed.keep_journal = false;
-    resumed.resume = true;
-    let code = fuzz::run_with(&resumed, &FsSink);
-    if code != 0 {
-        return Err(format!("resume over the torn tail exited {code}, expected 0"));
-    }
-    if read(&fo.report_path)? != reference {
-        return Err("resumed report differs from the uninterrupted reference".to_string());
-    }
+    resume_to_reference(&fo, reference, "the torn tail")?;
     Ok("torn final journal line tolerated; the clipped plan re-ran".to_string())
 }
 
 /// A complete journal entry whose digest does not match is corruption —
 /// resume must refuse (exit 2) rather than trust it.
 fn drill_digest_corruption(opts: &ChaosOptions, dir: &Path) -> DrillResult {
-    let mut fo = drill_opts(opts, dir);
-    fo.keep_journal = true;
-    let code = fuzz::run_with(&fo, &FsSink);
-    if code != 0 {
-        return Err(format!("setup campaign exited {code}, expected 0"));
-    }
+    let fo = drill_opts(opts, dir);
+    leave_journal(&fo)?;
     let journal = fo.journal_path();
     let body = read(&journal)?;
     let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
-    if lines.len() < 2 {
-        return Err("setup journal has no entries to corrupt".to_string());
-    }
+    ensure(lines.len() >= 2, "setup journal has no entries to corrupt")?;
     // Flip the last digest character of the first *entry* (line 1; line 0
     // is the header) — the line stays well-formed, the digest lies.
     let entry = &mut lines[1];
@@ -280,13 +395,9 @@ fn drill_digest_corruption(opts: &ChaosOptions, dir: &Path) -> DrillResult {
     entry.push(flipped);
     std::fs::write(&journal, format!("{}\n", lines.join("\n")))
         .map_err(|e| format!("cannot corrupt journal: {e}"))?;
-    let mut resumed = fo.clone();
-    resumed.resume = true;
-    let code = fuzz::run_with(&resumed, &FsSink);
+    let code = fuzz::run_with(&FuzzOptions { resume: true, ..fo.clone() }, &FsSink);
     let _ = FsSink.remove(&journal);
-    if code != 2 {
-        return Err(format!("resume over a lying digest exited {code}, expected 2"));
-    }
+    ensure(code == 2, format!("resume over a lying digest exited {code}, expected 2"))?;
     Ok("digest mismatch on a complete entry refused with exit 2".to_string())
 }
 
@@ -365,24 +476,23 @@ fn drill_deadline_overrun() -> DrillResult {
 /// deterministic failure.
 fn drill_quarantine_identical_failure(opts: &ChaosOptions, dir: &Path) -> DrillResult {
     let mut fo = drill_opts(opts, dir);
-    fo.chaos_sick_plans = vec![1];
     fo.retries = 5;
-    let result = fuzz::campaign(&fo);
-    if result.quarantined != 1 {
-        return Err(format!("expected 1 quarantined plan, saw {}", result.quarantined));
-    }
+    let (result, started) = chaos_result(&fo, &fo.supervisor_config(), |c| c.sick(&[1]));
+    let quarantined = result.quarantined;
+    ensure(quarantined == 1, format!("expected 1 quarantined plan, saw {quarantined}"))?;
+    // One attempt per healthy plan, two for the quarantined one.
+    let expected = fo.plans as usize + 1;
+    ensure(started == expected, format!("{started} attempts started, expected {expected}"))?;
     let case = result
         .failures
         .iter()
         .find(|f| f.plan_index == 1)
         .ok_or("the quarantined plan is missing from the failures")?;
     let detail = case.details.first().map(|v| v.detail.as_str()).unwrap_or_default();
-    if !detail.contains("quarantined after 2 attempt(s)") {
-        return Err(format!("expected quarantine after exactly 2 attempts, got: {detail}"));
-    }
-    if !result.report.contains("\"quarantined\": 1") {
-        return Err("report does not record the quarantine tally".to_string());
-    }
+    let after_two = detail.contains("quarantined after 2 attempt(s)");
+    ensure(after_two, format!("expected quarantine after exactly 2 attempts, got: {detail}"))?;
+    let tallied = result.report.contains("\"quarantined\": 1");
+    ensure(tallied, "report does not record the quarantine tally")?;
     Ok("identically failing plan quarantined after 2 of 6 allowed attempts".to_string())
 }
 
@@ -391,15 +501,11 @@ fn drill_quarantine_identical_failure(opts: &ChaosOptions, dir: &Path) -> DrillR
 /// artifacts — retries may cost wall-clock time but never change results.
 fn drill_transient_flake_retry(opts: &ChaosOptions, dir: &Path, reference: &str) -> DrillResult {
     let mut fo = drill_opts(opts, dir);
-    fo.chaos_flaky_plans = vec![1];
     fo.retries = 2;
-    let code = fuzz::run_with(&fo, &FsSink);
-    if code != 0 {
-        return Err(format!("flaky campaign exited {code}, expected a healed 0"));
-    }
-    if read(&fo.report_path)? != reference {
-        return Err("healed report differs from the uninterrupted reference".to_string());
-    }
+    let code = chaos_execute(&fo, &fo.supervisor_config(), |c| c.flaky(&[1]));
+    ensure(code == 0, format!("flaky campaign exited {code}, expected a healed 0"))?;
+    let healed = read(&fo.report_path)? == reference;
+    ensure(healed, "healed report differs from the uninterrupted reference")?;
     Ok("transient flake healed on retry; report byte-identical to the reference".to_string())
 }
 
@@ -409,40 +515,28 @@ fn drill_transient_flake_retry(opts: &ChaosOptions, dir: &Path, reference: &str)
 /// fixed completes the campaign byte-identically to the reference.
 fn drill_breaker_trip_resume(opts: &ChaosOptions, dir: &Path, reference: &str) -> DrillResult {
     let mut fo = drill_opts(opts, dir);
-    fo.chaos_sick_plans = vec![0, 1];
     fo.max_failure_rate = 0.3;
-    fo.breaker_min_units = 2;
-    let code = fuzz::run_with(&fo, &FsSink);
-    if code != 1 {
-        return Err(format!("tripped campaign exited {code}, expected 1"));
-    }
+    let cfg = SupervisorConfig { breaker_min_units: 2, ..fo.supervisor_config() };
+    let code = chaos_execute(&fo, &cfg, |c| c.sick(&[0, 1]));
+    ensure(code == 1, format!("tripped campaign exited {code}, expected 1"))?;
     let skipped = fo.plans - 2;
     let body = read(&fo.report_path)?;
-    if !body.contains("\"breaker_tripped\": true") {
-        return Err("partial report does not record the breaker trip".to_string());
-    }
-    if !body.contains(&format!("\"skipped_plans\": {skipped}")) {
-        return Err(format!("partial report does not count {skipped} skipped plan(s)"));
-    }
-    if !fo.journal_path().exists() {
-        return Err("the journal was discarded after a breaker trip".to_string());
-    }
-    let journal = read(&fo.journal_path())?;
+    let tripped = body.contains("\"breaker_tripped\": true");
+    ensure(tripped, "partial report does not record the breaker trip")?;
+    let counted = body.contains(&format!("\"skipped_plans\": {skipped}"));
+    ensure(counted, format!("partial report does not count {skipped} skipped plan(s)"))?;
+    let journal = fo.journal_path();
+    ensure(journal.exists(), "the journal was discarded after a breaker trip")?;
+    let journal = read(&journal)?;
     for i in 2..fo.plans {
-        if journal.contains(&format!("plan:{i} ")) {
-            return Err(format!("skipped plan {i} was journaled; a resume would not re-run it"));
-        }
+        let journaled = journal.contains(&format!("plan:{i} "));
+        ensure(
+            !journaled,
+            format!("skipped plan {i} was journaled; a resume would not re-run it"),
+        )?;
     }
     // The cause fixed (no sick plans), --resume completes the campaign.
-    let mut resumed = drill_opts(opts, dir);
-    resumed.resume = true;
-    let code = fuzz::run_with(&resumed, &FsSink);
-    if code != 0 {
-        return Err(format!("resume after the trip exited {code}, expected 0"));
-    }
-    if read(&fo.report_path)? != reference {
-        return Err("resumed report differs from the uninterrupted reference".to_string());
-    }
+    resume_to_reference(&drill_opts(opts, dir), reference, "the trip")?;
     Ok(format!(
         "breaker tripped after 2 failures, {skipped} plan(s) drained to skipped; \
          resume completed the campaign byte for byte"

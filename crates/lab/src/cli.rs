@@ -12,23 +12,22 @@
 //! `artifacts/<scenario>.json` plus the merged `LAB_report.json`, and
 //! exits non-zero if any paper-claim invariant failed.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
-use crate::chaos::{self, ChaosOptions};
-use crate::fuzz::{self, FuzzOptions};
-use crate::journal::{Journal, OpenError};
+use crate::campaign::{self, Artifacts, Campaign, Rendered};
+use crate::chaos::{self, Chaos, ChaosOptions};
+use crate::fuzz::{self, FuzzCampaign, FuzzOptions};
 use crate::json;
 use crate::perf::{self, PerfOptions};
+use crate::pool::PoolCampaign;
 use crate::registry::{find, registry};
 use crate::report::{LabEntry, LabReport};
-use crate::scenario::RunContext;
-use crate::sink::{ArtifactSink as _, FsSink};
+use crate::scenario::{RunContext, Scenario};
+use crate::sink::FsSink;
 use specrun_workloads::clock::WallClock;
 use specrun_workloads::harness::RunError;
 use specrun_workloads::pool::CampaignSpec;
-use specrun_workloads::supervisor::{supervised_map_with, SupervisorConfig, UnitOutcome};
+use specrun_workloads::supervisor::{SupervisedReport, SupervisorConfig, UnitCtx, UnitOutcome};
 
 const USAGE: &str = "\
 specrun-lab — declarative campaign runner for the SPECRUN paper artifacts
@@ -57,25 +56,27 @@ COMMANDS:
     list    Print every registered scenario.
     run     Execute scenarios; write <scenario>.json per scenario plus the
             merged LAB_report.json into --artifacts-dir (default:
-            artifacts/); exit 1 if any paper-claim invariant fails or any
-            scenario dies with a structured run error (the merged report
-            then carries \"partial_results\": true). --quick runs the
-            reduced CI scale (same invariants, byte-stable artifacts).
-            Completed scenarios are journaled to
-            <artifacts-dir>/LAB_report.journal as the campaign goes;
-            after a crash, --resume skips the journaled passes and
-            produces the same report bytes an uninterrupted run would.
-            Scenarios run one at a time on the supervised executor fuzz
-            and pool use. --deadline-ms cancels a scenario cooperatively
-            once it outlives its wall-clock budget (every simulation it
-            starts checkpoints every few thousand cycles) and reports a
-            deadline overrun, as it does for a scenario that finishes
-            late; --retries re-runs a scenario that panicked, hit a run
-            error or overran its deadline, with a deterministic seeded
-            backoff, quarantining it after two identical failures.
-            Failed invariants are deterministic results and are not
-            retried. Only final attempts are journaled, and no wall-clock
-            value enters the artifacts.
+            artifacts/). --quick runs the reduced CI scale (same
+            invariants, byte-stable artifacts). Passed scenarios are
+            journaled to <artifacts-dir>/LAB_report.journal as the
+            campaign goes; after a crash, --resume skips the journaled
+            passes and produces the same report bytes an uninterrupted
+            run would. Scenarios run one at a time on the campaign
+            executor fuzz and pool use. --deadline-ms cancels a scenario
+            cooperatively once it outlives its wall-clock budget (every
+            simulation it starts checkpoints every few thousand cycles)
+            and reports a deadline overrun, as it does for a scenario
+            that finishes late; --retries re-runs a scenario that
+            panicked, hit a run error or overran its deadline, with a
+            deterministic seeded backoff, quarantining it after two
+            identical failures. Failed invariants are deterministic
+            results and are not retried. Only final attempts are
+            journaled, and no wall-clock value enters the artifacts.
+            Exit 0 when every invariant holds; 1 when one fails or a
+            scenario dies with a run error (the merged report then
+            carries \"partial_results\": true); 2 on usage errors, a
+            foreign or corrupt journal, a failed journal append, or a
+            failed artifact write (the journal is kept for --resume).
     perf    Wall-clock throughput benchmark (writes BENCH_step.json) with
             an optional perf-regression gate. The baseline is read before
             the new report is written; --baseline-from-git reads the
@@ -85,12 +86,14 @@ COMMANDS:
     pool    Copy-on-write fork campaigns. `pool spec` prints the paper's
             full PHT/BTB/RSB × policy matrix as a spec file; `pool run`
             executes a spec — one warmed snapshot per shard, one forked
-            session per planted secret — over the supervised executor and
+            session per planted secret — on the campaign executor and
             writes POOL_report.json (--out overrides the path). The
             artifact is a pure function of the spec: byte-identical across
             runs and thread counts, which the CI pool-repro job enforces
-            with a byte compare. Exit 0 when every shard completed, 1
-            otherwise, 2 on usage/IO errors.
+            with a byte compare. `pool run` keeps no journal (no
+            --resume). Exit 0 when every shard completed, 1 otherwise, 2
+            on usage errors, an unreadable or undecodable spec, or a
+            failed artifact write (one error line, no usage text).
     fuzz    Generative attack-plan soak: derive N whole attack plans from
             --seed (hex accepted), run each twice through the simulator
             with the ground-truth observers attached, and enforce the
@@ -185,7 +188,12 @@ pub fn main() -> i32 {
                 list_invariants();
                 0
             }
-            Ok(FuzzCommand::Run(opts)) => fuzz::run(&opts),
+            Ok(FuzzCommand::Run { opts, flaky }) if opts.replay.is_none() && !flaky.is_empty() => {
+                // The retry self-test: the named plans' first attempts fail.
+                let campaign = Chaos::new(FuzzCampaign::new(&opts)).flaky(&flaky);
+                fuzz::execute(&campaign, &opts, &FsSink)
+            }
+            Ok(FuzzCommand::Run { opts, .. }) => fuzz::run_with(&opts, &FsSink),
             Err(e) => {
                 eprintln!("error: {e}");
                 eprintln!();
@@ -275,18 +283,28 @@ fn parse_rate(v: &str) -> Result<f64, String> {
 }
 
 /// Parses a comma-separated list of plan indices (`3,17,40`).
-fn parse_index_list(v: &str) -> Result<Vec<u64>, String> {
-    v.split(',').map(|s| parse_u64(s.trim())).collect()
+fn parse_index_list(v: &str) -> Result<Vec<usize>, String> {
+    v.split(',')
+        .map(|s| {
+            let index = parse_u64(s.trim())?;
+            usize::try_from(index).map_err(|_| format!("plan index {index} is out of range"))
+        })
+        .collect()
 }
 
 #[derive(Debug)]
 enum FuzzCommand {
     ListInvariants,
-    Run(Box<FuzzOptions>),
+    Run {
+        opts: Box<FuzzOptions>,
+        /// `--chaos-flaky-plans`: plans whose first attempt fails.
+        flaky: Vec<usize>,
+    },
 }
 
 fn parse_fuzz_args(args: &[String]) -> Result<FuzzCommand, String> {
     let mut opts = FuzzOptions::default();
+    let mut flaky = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -352,7 +370,7 @@ fn parse_fuzz_args(args: &[String]) -> Result<FuzzCommand, String> {
             }
             "--chaos-flaky-plans" => {
                 let v = it.next().ok_or("--chaos-flaky-plans needs plan indices")?;
-                opts.chaos_flaky_plans = parse_index_list(v)?;
+                flaky = parse_index_list(v)?;
             }
             other => return Err(format!("unknown fuzz option {other}")),
         }
@@ -360,7 +378,7 @@ fn parse_fuzz_args(args: &[String]) -> Result<FuzzCommand, String> {
     if opts.trace.is_some() && opts.replay.is_none() {
         return Err("--trace only applies to --replay (it traces the replayed plan)".into());
     }
-    Ok(FuzzCommand::Run(Box::new(opts)))
+    Ok(FuzzCommand::Run { opts: Box::new(opts), flaky })
 }
 
 fn parse_chaos_args(args: &[String]) -> Result<ChaosOptions, String> {
@@ -455,40 +473,27 @@ fn pool_command(args: &[String]) -> Result<i32, String> {
             Ok(0)
         }
         PoolCommand::Run { spec_path, threads, out } => {
-            let text = std::fs::read_to_string(&spec_path)
-                .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))?;
-            let spec = crate::pool::parse_spec(&text)?;
+            // A spec that cannot be read or decoded is an input error, not
+            // a usage error: one line on stderr, exit 2.
+            let spec = std::fs::read_to_string(&spec_path)
+                .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))
+                .and_then(|text| crate::pool::parse_spec(&text));
+            let spec = match spec {
+                Ok(spec) => spec,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return Ok(2);
+                }
+            };
             println!(
                 "pool: {} shard(s) × {} secret(s) = {} forked session(s)",
                 spec.shards.len(),
                 spec.secrets.len(),
                 spec.unit_count()
             );
-            let report = specrun::run_campaign(&spec, threads, None).map_err(|e| e.to_string())?;
-            println!(
-                "{:<22} {:>6} {:>6} {:>10} {:>9}  status",
-                "shard", "units", "leaks", "leak_rate", "runahead"
-            );
-            for shard in &report.shards {
-                println!(
-                    "{:<22} {:>6} {:>6} {:>10.3} {:>9}  {}",
-                    shard.spec.label(),
-                    shard.stats.units,
-                    shard.stats.leaks,
-                    shard.stats.leak_rate(),
-                    shard.stats.runahead_entries,
-                    shard.status.label()
-                );
-            }
-            let artifact = crate::pool::report_json(&spec, &report).render();
-            FsSink
-                .write_atomic(&out, &artifact)
-                .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-            println!("wrote {}", out.display());
-            if report.breaker_tripped {
-                eprintln!("campaign circuit breaker tripped; some shards were skipped");
-            }
-            Ok(if report.all_done() { 0 } else { 1 })
+            let cfg = SupervisorConfig { seed: spec.seed, ..SupervisorConfig::default() };
+            let campaign = PoolCampaign::new(spec, out);
+            Ok(campaign::execute(&campaign, threads, &cfg, &WallClock::new(), &FsSink, None))
         }
     }
 }
@@ -558,13 +563,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     Ok(RunArgs { names, ctx, artifacts_dir, resume, deadline_ms, retries })
 }
 
-/// The `run` journal's header: everything that determines the campaign's
-/// bytes. Thread count is deliberately absent — results are
-/// thread-invariant, so a resume may use a different fan-out.
-fn run_journal_header(names: &[String], ctx: &RunContext) -> String {
-    format!("run seed={} mode={} scenarios={}", ctx.seed, ctx.mode(), names.join(","))
-}
-
 /// Decodes one journaled scenario payload (`<invariant_count>
 /// <escaped-artifact-json>`). `None` means the payload is malformed —
 /// callers treat that as journal corruption.
@@ -578,197 +576,151 @@ fn parse_scenario_payload(payload: &str) -> Option<(usize, String)> {
     Some((count, text))
 }
 
+/// The requested scenarios as a [`Campaign`]: one unit per scenario,
+/// keyed `scenario:<name>`. Only passed scenarios are journaled, as their
+/// artifact text, which `--resume` splices back verbatim; anything else
+/// re-runs.
+struct RunCampaign {
+    scenarios: Vec<Scenario>,
+    ctx: RunContext,
+    retries: u32,
+    artifacts_dir: Option<PathBuf>,
+}
+
+impl Campaign for RunCampaign {
+    type Unit = Scenario;
+    type Payload = LabEntry;
+
+    fn units(&self) -> &[Scenario] {
+        &self.scenarios
+    }
+
+    /// Thread count is deliberately absent: results are thread-invariant,
+    /// so a resume may use a different fan-out.
+    fn header(&self) -> String {
+        let names: Vec<&str> = self.scenarios.iter().map(|s| s.name).collect();
+        format!("run seed={} mode={} scenarios={}", self.ctx.seed, self.ctx.mode(), names.join(","))
+    }
+
+    fn noun(&self) -> &'static str {
+        "scenario"
+    }
+
+    fn key(&self, scenario: &Scenario) -> String {
+        format!("scenario:{}", scenario.name)
+    }
+
+    fn run(&self, scenario: &Scenario, unit: &UnitCtx) -> Result<LabEntry, RunError> {
+        if unit.attempt == 0 {
+            println!("== {} ({}) — {} ==", scenario.name, scenario.paper_ref, scenario.title);
+        } else {
+            println!("  retry {} of {}", unit.attempt, self.retries);
+        }
+        let ctx = RunContext { cancel: Some(unit.token.clone()), ..self.ctx.clone() };
+        let run = (scenario.run)(&ctx)?;
+        // The deadline covers the whole body, including work after its
+        // last simulation: a token tripped by then is an overrun.
+        if unit.token.is_cancelled() {
+            let committed = unit.token.beat_committed();
+            return Err(RunError::Cancelled { what: scenario.name.to_string(), committed });
+        }
+        Ok(run.into())
+    }
+
+    fn encode(&self, outcome: &UnitOutcome<LabEntry>) -> Option<String> {
+        let UnitOutcome::Done { result: LabEntry::Run(run), .. } = outcome else { return None };
+        if !run.passed() {
+            return None;
+        }
+        let mut text = run.to_json().render();
+        text.pop(); // journal entries are single-line; drop the newline
+        Some(format!("{} {}", run.invariants.len(), json::escape(&text)))
+    }
+
+    fn decode(&self, scenario: &Scenario, payload: &str) -> Result<Option<LabEntry>, String> {
+        let (invariant_count, json) = parse_scenario_payload(payload).ok_or_else(|| {
+            format!("journaled scenario {} has a malformed payload", scenario.name)
+        })?;
+        Ok(Some(LabEntry::Journaled { name: scenario.name.to_string(), invariant_count, json }))
+    }
+
+    fn progress(&self, scenario: &Scenario, outcome: &UnitOutcome<LabEntry>) {
+        let run = match scenario.settle(&self.ctx, outcome.clone()) {
+            LabEntry::Run(run) => run,
+            LabEntry::Journaled { .. } => {
+                let (name, paper_ref) = (scenario.name, scenario.paper_ref);
+                println!("== {name} ({paper_ref}) — journaled as passed, skipped ==");
+                println!();
+                return;
+            }
+        };
+        for line in &run.lines {
+            println!("{line}");
+        }
+        for inv in &run.invariants {
+            let verdict = if inv.passed { "ok" } else { "FAILED" };
+            println!("  [{verdict}] {}: {} (observed: {})", inv.name, inv.claim, inv.observed);
+        }
+        if let Some(error) = &run.error {
+            println!("  [FAILED] run_error: scenario did not complete ({error})");
+        }
+        if let UnitOutcome::Quarantined { .. } = outcome {
+            let name = &run.name;
+            println!("  [FAILED] quarantined: {name} failed identically twice; retries stopped");
+        }
+        println!();
+    }
+
+    fn render(&self, report: SupervisedReport<LabEntry>) -> Rendered {
+        let runs = self.scenarios.iter().zip(report.outcomes);
+        let report = LabReport { runs: runs.map(|(s, o)| s.settle(&self.ctx, o)).collect() };
+        let artifacts: Artifacts =
+            self.artifacts_dir.as_deref().map(|dir| report.artifacts(dir)).unwrap_or_default();
+        let failures = report.failures();
+        let verdict = if failures.is_empty() {
+            format!(
+                "all {} invariants passed across {} scenario(s) [{} mode]",
+                report.invariant_count(),
+                report.runs.len(),
+                self.ctx.mode()
+            )
+        } else {
+            let mut lines = Vec::new();
+            if report.partial_results() {
+                lines.push("results are PARTIAL: at least one scenario died with a run error");
+            }
+            lines.push("paper-claim invariants FAILED:");
+            let mut verdict = lines.join("\n");
+            for (scenario, invariant) in &failures {
+                verdict.push_str(&format!("\n  {scenario}: {invariant}"));
+            }
+            verdict
+        };
+        Rendered { artifacts, passed: failures.is_empty(), verdict }
+    }
+}
+
 fn run_command(args: &[String]) -> Result<i32, String> {
     let RunArgs { names, ctx, artifacts_dir, resume, deadline_ms, retries } = parse_run_args(args)?;
-    let scenarios: Vec<_> = names
+    let scenarios = names
         .iter()
         .map(|name| {
             find(name).ok_or_else(|| format!("unknown scenario {name} (see `specrun-lab list`)"))
         })
         .collect::<Result<_, _>>()?;
-
-    // The campaign journal lives beside the artifacts. Passed scenarios
-    // are appended as they complete; --resume splices them back without
-    // re-running, byte-identical to an uninterrupted campaign.
-    let header = run_journal_header(&names, &ctx);
+    // The campaign journal lives beside the artifacts.
     let journal = artifacts_dir.as_ref().map(|dir| {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("warning: cannot create {}: {e}", dir.display());
         }
-        Journal::new(&FsSink, dir.join("LAB_report.journal"))
+        dir.join("LAB_report.journal")
     });
-    let mut recovered: BTreeMap<String, (usize, String)> = BTreeMap::new();
-    if let Some(j) = &journal {
-        let entries = match j.open(&header, resume) {
-            Ok(entries) => entries,
-            Err(OpenError::Resume(e)) => {
-                eprintln!("error: cannot resume from {}: {e}", j.path().display());
-                eprintln!("hint: delete the journal (or drop --resume) to start fresh");
-                return Ok(2);
-            }
-            Err(OpenError::Begin(e)) => {
-                eprintln!("error: cannot start journal {}: {e}", j.path().display());
-                return Ok(2);
-            }
-        };
-        for (key, payload) in &entries {
-            let Some(name) = key.strip_prefix("scenario:") else { continue };
-            if !names.iter().any(|n| n == name) {
-                continue;
-            }
-            let Some(entry) = parse_scenario_payload(payload) else {
-                eprintln!(
-                    "error: cannot resume from {}: journaled scenario {name} has a malformed \
-                     payload",
-                    j.path().display()
-                );
-                return Ok(2);
-            };
-            recovered.insert(name.to_string(), entry);
-        }
-    }
-
-    let mut report = LabReport::default();
-    let mut pending = Vec::new();
-    for scenario in scenarios {
-        let Some((invariant_count, json)) = recovered.remove(scenario.name) else {
-            pending.push(scenario);
-            continue;
-        };
-        println!("== {} ({}) — journaled as passed, skipped ==", scenario.name, scenario.paper_ref);
-        println!();
-        let name = scenario.name.to_string();
-        report.runs.push(LabEntry::Journaled { name, invariant_count, json });
-    }
-    let skipped = report.runs.len();
-
-    // The scenarios run one at a time on the campaign pool, each attempt
-    // under its own cancel token (tripped by the monitor at the deadline);
-    // the completion hook prints each final outcome and journals passes.
-    let supervisor =
-        SupervisorConfig { deadline_ms, retries, seed: ctx.seed, ..Default::default() };
-    let journal_error: Mutex<Option<String>> = Mutex::new(None);
-    let outcomes = supervised_map_with(
-        &pending,
-        1,
-        &supervisor,
-        &WallClock::new(),
-        |_, scenario, unit| {
-            let cancelled =
-                |committed| Err(RunError::Cancelled { what: scenario.name.to_string(), committed });
-            // A failed journal append ends the campaign with exit 2 below,
-            // so later scenarios are not simulated.
-            if journal_error.lock().unwrap().is_some() {
-                return cancelled(0);
-            }
-            if unit.attempt == 0 {
-                println!("== {} ({}) — {} ==", scenario.name, scenario.paper_ref, scenario.title);
-            } else {
-                println!("  retry {} of {retries}", unit.attempt);
-            }
-            let run =
-                (scenario.run)(&RunContext { cancel: Some(unit.token.clone()), ..ctx.clone() })?;
-            // The deadline covers the whole body, including work after its
-            // last simulation: a token tripped by then is an overrun.
-            if unit.token.is_cancelled() {
-                return cancelled(unit.token.beat_committed());
-            }
-            Ok(run)
-        },
-        |i, outcome| {
-            if journal_error.lock().unwrap().is_some() {
-                return;
-            }
-            let run = pending[i].settle(&ctx, outcome.clone());
-            for line in &run.lines {
-                println!("{line}");
-            }
-            for inv in &run.invariants {
-                let verdict = if inv.passed { "ok" } else { "FAILED" };
-                println!("  [{verdict}] {}: {} (observed: {})", inv.name, inv.claim, inv.observed);
-            }
-            if let Some(error) = &run.error {
-                println!("  [FAILED] run_error: scenario did not complete ({error})");
-            }
-            if let UnitOutcome::Quarantined { .. } = outcome {
-                let name = &run.name;
-                println!(
-                    "  [FAILED] quarantined: {name} failed identically twice; retries stopped"
-                );
-            }
-            println!();
-            let Some(j) = journal.as_ref().filter(|_| run.passed()) else { return };
-            let mut text = run.to_json().render();
-            text.pop(); // journal entries are single-line; drop the newline
-            let payload = format!("{} {}", run.invariants.len(), json::escape(&text));
-            if let Err(e) = j.append(&format!("scenario:{}", run.name), &payload) {
-                let error = format!("cannot append to journal {}: {e}", j.path().display());
-                *journal_error.lock().unwrap() = Some(error);
-            }
-        },
-    )
-    .outcomes;
-    if let Some(e) = journal_error.into_inner().unwrap() {
-        eprintln!("error: {e}");
-        return Ok(2);
-    }
-    for (scenario, outcome) in pending.iter().zip(outcomes) {
-        report.runs.push(scenario.settle(&ctx, outcome).into());
-    }
-    // Report entries follow the requested scenario order.
-    report.runs.sort_by_key(|entry| names.iter().position(|n| n == entry.name()));
-    if skipped > 0 {
-        // Progress note only — the report bytes never depend on resume.
-        println!(
-            "resumed: {skipped} scenario(s) recovered from the journal; {} re-run",
-            pending.len()
-        );
-    }
-
-    if let Some(dir) = &artifacts_dir {
-        let paths = match report.write_artifacts(dir) {
-            Ok(paths) => paths,
-            Err(e) => {
-                eprintln!("error: cannot write artifacts under {}: {e}", dir.display());
-                if let Some(j) = &journal {
-                    eprintln!("note: the campaign journal is kept at {}", j.path().display());
-                }
-                return Ok(2);
-            }
-        };
-        for p in &paths {
-            println!("wrote {}", p.display());
-        }
-    }
-    // Artifacts are durable; retire the journal so a later run without
-    // --resume starts clean.
-    if let Some(j) = &journal {
-        if let Err(e) = j.finish() {
-            eprintln!("error: cannot remove journal {}: {e}", j.path().display());
-            return Ok(2);
-        }
-    }
-
-    let failures = report.failures();
-    println!();
-    if failures.is_empty() {
-        println!(
-            "all {} invariants passed across {} scenario(s) [{} mode]",
-            report.invariant_count(),
-            report.runs.len(),
-            ctx.mode()
-        );
-        Ok(0)
-    } else {
-        if report.partial_results() {
-            eprintln!("results are PARTIAL: at least one scenario died with a run error");
-        }
-        eprintln!("paper-claim invariants FAILED:");
-        for (scenario, invariant) in &failures {
-            eprintln!("  {scenario}: {invariant}");
-        }
-        Ok(1)
-    }
+    let cfg = SupervisorConfig { deadline_ms, retries, seed: ctx.seed, ..Default::default() };
+    let campaign = RunCampaign { scenarios, ctx, retries, artifacts_dir };
+    // One scenario at a time: each fans its own trials out over
+    // `--threads`.
+    let journal = journal.as_deref().map(|path| (path, resume));
+    Ok(campaign::execute(&campaign, 1, &cfg, &WallClock::new(), &FsSink, journal))
 }
 
 #[cfg(test)]
@@ -855,7 +807,7 @@ mod tests {
             "makes_progress",
         ]))
         .unwrap();
-        let FuzzCommand::Run(opts) = cmd else { panic!("expected a run command") };
+        let FuzzCommand::Run { opts, .. } = cmd else { panic!("expected a run command") };
         assert_eq!(opts.plans, 50);
         assert_eq!(opts.seed, 0xC0FFEE);
         assert_eq!(opts.threads, 4);
@@ -873,7 +825,7 @@ mod tests {
         assert!(err.contains("--resume"), "{err}");
 
         let cmd = parse_fuzz_args(&strings(&["--resume", "--journal", "/tmp/j.journal"])).unwrap();
-        let FuzzCommand::Run(opts) = cmd else { panic!("expected a run command") };
+        let FuzzCommand::Run { opts, .. } = cmd else { panic!("expected a run command") };
         assert!(opts.resume);
         assert_eq!(opts.journal, Some(PathBuf::from("/tmp/j.journal")));
     }
@@ -925,12 +877,12 @@ mod tests {
             "3,17",
         ]))
         .unwrap();
-        let FuzzCommand::Run(opts) = cmd else { panic!("expected a run command") };
+        let FuzzCommand::Run { opts, flaky } = cmd else { panic!("expected a run command") };
         assert_eq!(opts.deadline_ms, 5000);
         assert_eq!(opts.stall_ms, 5000, "a deadline arms stall detection");
         assert_eq!(opts.retries, 2);
         assert_eq!(opts.max_failure_rate, 0.25);
-        assert_eq!(opts.chaos_flaky_plans, vec![3, 17]);
+        assert_eq!(flaky, vec![3, 17]);
         assert!(parse_fuzz_args(&strings(&["--max-failure-rate", "1.5"])).is_err());
         assert!(parse_fuzz_args(&strings(&["--max-failure-rate", "-0.1"])).is_err());
         assert!(parse_fuzz_args(&strings(&["--chaos-flaky-plans", "1,x"])).is_err());
@@ -991,8 +943,8 @@ mod tests {
         assert!(parse_pool_args(&strings(&["run", "a.json", "b.json"])).is_err(), "one spec only");
         assert!(parse_pool_args(&strings(&["run", "a.json", "--bogus"])).is_err(), "unknown flag");
         assert!(parse_pool_args(&strings(&["run", "a.json", "--threads", "0"])).is_err());
-        let err = pool_command(&strings(&["run", "/nonexistent/spec.json"])).unwrap_err();
-        assert!(err.contains("cannot read"), "{err}");
+        // An unreadable spec is an input error (exit 2), not a usage error.
+        assert_eq!(pool_command(&strings(&["run", "/nonexistent/spec.json"])), Ok(2));
     }
 
     #[test]
@@ -1007,7 +959,7 @@ mod tests {
     fn parses_replay_trace() {
         let cmd = parse_fuzz_args(&strings(&["--replay", "fail_3.json", "--trace", "/tmp/t.bin"]))
             .unwrap();
-        let FuzzCommand::Run(opts) = cmd else { panic!("expected a run command") };
+        let FuzzCommand::Run { opts, .. } = cmd else { panic!("expected a run command") };
         assert_eq!(opts.replay, Some(PathBuf::from("fail_3.json")));
         assert_eq!(opts.trace, Some(PathBuf::from("/tmp/t.bin")));
         let err = parse_fuzz_args(&strings(&["--trace", "/tmp/t.bin"])).unwrap_err();

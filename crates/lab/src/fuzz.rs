@@ -6,8 +6,8 @@
 //! determinism oracle), and checks the [`INVARIANTS`] registry — the
 //! cross-cutting claims that must hold for *every* victim shape the
 //! grammar can produce, not just the paper's hand-written PoCs. Trials fan
-//! out over the campaign pool, [`supervised_map_with`], so a panicking plan
-//! becomes a reportable failing case rather than killing the campaign;
+//! out over the campaign executor ([`campaign::execute`]), so a panicking
+//! plan becomes a reportable failing case rather than killing the campaign;
 //! every failing plan is then minimized by [`shrink_plan`] while preserving
 //! at least one of its originally-violated invariants, and serialized
 //! (original + shrunk) to a replayable `fail_<index>.json`.
@@ -17,11 +17,13 @@
 //! job double-runs to verify. `--invert-invariant NAME` flips one
 //! predicate so CI can also prove the failure path (shrink + artifact +
 //! nonzero exit) works without needing a real simulator bug on hand.
+//!
+//! [`FuzzCampaign`] is the campaign as a [`Campaign`]: one unit per plan,
+//! journaled and resumed by the shared executor.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use specrun::plan::{try_run_plan_governed, PlanOutcome};
 use specrun_workloads::clock::WallClock;
@@ -29,13 +31,13 @@ use specrun_workloads::fuzz::shrink_plan;
 use specrun_workloads::harness::RunError;
 use specrun_workloads::plan::{GadgetKind, Plan, PlanPolicy};
 use specrun_workloads::supervisor::{
-    supervised_map_with, CancelToken, SupervisorConfig, UnitCtx, UnitOutcome,
+    CancelToken, SupervisedReport, SupervisorConfig, UnitCtx, UnitOutcome,
 };
 
-use crate::journal::{Journal, JournalError, OpenError};
+use crate::campaign::{self, Artifacts, Campaign, Rendered};
 use crate::json::Json;
 use crate::scenario::fnv1a;
-use crate::sink::{ArtifactSink, FsSink};
+use crate::sink::ArtifactSink;
 
 /// Default campaign seed (the CI soak seed).
 pub const DEFAULT_FUZZ_SEED: u64 = 0xC0FFEE;
@@ -343,12 +345,6 @@ pub struct FuzzOptions {
     pub resume: bool,
     /// Journal path override (default: `<report path>.journal`).
     pub journal: Option<PathBuf>,
-    /// Keep the journal after a completed campaign instead of deleting it
-    /// (chaos-harness and test hook; not exposed on the CLI).
-    pub keep_journal: bool,
-    /// Chaos hook (not a CLI flag): plan indices whose evaluation panics,
-    /// driving the panic-isolation recovery path deterministically.
-    pub chaos_panic_plans: Vec<u64>,
     /// Per-plan wall-clock deadline in ms (`0` = no deadline). A plan
     /// still progressing past it is cancelled cooperatively and reported
     /// as a deadline overrun.
@@ -362,16 +358,6 @@ pub struct FuzzOptions {
     /// Failure-rate threshold of the campaign circuit breaker
     /// (`1.0` = disabled).
     pub max_failure_rate: f64,
-    /// Chaos hook (`--chaos-flaky-plans`, a self-test flag): plan indices
-    /// whose first attempt fails with a transient IO error, proving the
-    /// retry path heals byte-identically.
-    pub chaos_flaky_plans: Vec<u64>,
-    /// Chaos hook (not a CLI flag): plan indices failing identically on
-    /// every attempt, driving the quarantine and circuit-breaker paths.
-    pub chaos_sick_plans: Vec<u64>,
-    /// Completed plans required before the breaker may trip (chaos/test
-    /// hook; not a CLI flag).
-    pub breaker_min_units: u64,
 }
 
 impl Default for FuzzOptions {
@@ -388,15 +374,10 @@ impl Default for FuzzOptions {
             trace: None,
             resume: false,
             journal: None,
-            keep_journal: false,
-            chaos_panic_plans: Vec::new(),
             deadline_ms: 0,
             stall_ms: 0,
             retries: 0,
             max_failure_rate: 1.0,
-            chaos_flaky_plans: Vec::new(),
-            chaos_sick_plans: Vec::new(),
-            breaker_min_units: SupervisorConfig::default().breaker_min_units,
         }
     }
 }
@@ -417,7 +398,6 @@ impl FuzzOptions {
             retries: self.retries,
             seed: self.seed,
             max_failure_rate: self.max_failure_rate,
-            breaker_min_units: self.breaker_min_units,
             ..SupervisorConfig::default()
         }
     }
@@ -459,8 +439,8 @@ pub struct FailCase {
 }
 
 /// Everything a campaign produced, I/O-free: the summary artifact and the
-/// fail files as `(name, body)` pairs. [`run`] writes them to disk; tests
-/// compare them byte for byte.
+/// fail files as `(name, body)` pairs. [`run_with`] writes them to disk;
+/// tests compare them byte for byte.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
     /// Rendered `FUZZ_report.json` contents.
@@ -530,52 +510,24 @@ fn render_fail_file(opts: &FuzzOptions, case_plan: &Plan, case: &FailCase) -> St
     s
 }
 
-/// Why a journaled campaign could not run at all (distinct from plans
-/// failing *inside* a campaign, which are reported results).
-enum CampaignAbort {
-    /// The resume journal is corrupt or belongs to another campaign.
-    Journal(JournalError),
-    /// The journal could not be written.
-    Io(String),
-}
-
-/// Runs a fuzz campaign without touching the filesystem.
+/// Runs a fuzz campaign without touching the filesystem: the executor's
+/// I/O-free path, with no journal.
 pub fn campaign(opts: &FuzzOptions) -> CampaignResult {
-    let (result, _) = campaign_with(opts, None)
-        .unwrap_or_else(|_| unreachable!("journal-free runs cannot abort"));
-    result
+    let fuzz = FuzzCampaign::new(opts);
+    let cfg = opts.supervisor_config();
+    fuzz.result(campaign::supervise(&fuzz, opts.threads, &cfg, &WallClock::new()))
 }
 
 /// One plan's worker-side outcome: its violations, plus the evaluation
 /// digest journaled with a pass (0 when the plan never completed).
-/// Plan-level failures (budget exhaustion, wedged core) stay **in-band** —
-/// they are deterministic results, reported as violations and never
-/// retried. Only supervision-layer failures (cooperative cancellation,
-/// injected IO flakes) return `Err`, handing the supervisor something a
-/// retry could plausibly heal.
-fn plan_outcome(
-    plan: &Plan,
-    invert: Option<&str>,
-    opts: &FuzzOptions,
-    ctx: &UnitCtx,
-) -> Result<(Vec<Violation>, u64), RunError> {
-    assert!(
-        !opts.chaos_panic_plans.contains(&plan.index),
-        "chaos: injected panic evaluating plan {}",
-        plan.index
-    );
-    if opts.chaos_sick_plans.contains(&plan.index) {
-        return Err(RunError::Io {
-            what: format!("plan {}", plan.index),
-            detail: "chaos: injected persistent artifact-sink failure".to_string(),
-        });
-    }
-    if opts.chaos_flaky_plans.contains(&plan.index) && ctx.attempt == 0 {
-        return Err(RunError::Io {
-            what: format!("plan {}", plan.index),
-            detail: "chaos: injected transient artifact-sink flake".to_string(),
-        });
-    }
+pub type PlanResult = (Vec<Violation>, u64);
+
+/// Evaluates one plan under its unit's token. Plan-level failures (budget
+/// exhaustion, wedged core) stay **in-band** — they are deterministic
+/// results, reported as violations and never retried. Only cooperative
+/// cancellation returns `Err`, handing the supervisor something a retry
+/// could plausibly heal.
+fn plan_outcome(plan: &Plan, invert: Option<&str>, ctx: &UnitCtx) -> Result<PlanResult, RunError> {
     match try_evaluate(plan, Some(&ctx.token)) {
         Ok(eval) => {
             let digest = eval_digest(&eval);
@@ -609,201 +561,224 @@ fn failure_violation(error: &RunError, history: &[String], quarantined: bool) ->
     Violation { invariant: invariant.to_string(), detail }
 }
 
-/// The campaign core. With a journal, every completed plan is durably
-/// recorded as it finishes (`plan:<i> ok <digest>` / `plan:<i> fail …`);
-/// on `--resume` the journaled passes are skipped and everything else —
-/// failing plans included, they are rare and deterministic — re-runs, so
-/// the merged result (and hence the report bytes) is identical to an
-/// uninterrupted campaign. Returns the result plus how many plans were
-/// skipped.
-fn campaign_with(
-    opts: &FuzzOptions,
-    journal: Option<(&dyn ArtifactSink, PathBuf)>,
-) -> Result<(CampaignResult, u64), CampaignAbort> {
-    let invert = opts.invert.as_deref();
-    let plans: Vec<Plan> =
-        (0..opts.plans).map(|i| Plan::generate(opts.seed, i, opts.quick)).collect();
-    let header = opts.journal_header();
+/// A fuzz campaign as a [`Campaign`]: one unit per generated plan, keyed
+/// `plan:<index>`. Every plan that ran is journaled as it finishes (`ok
+/// <digest>` or `fail <invariants>`); on `--resume` the journaled passes
+/// are skipped and everything else — failing plans included, they are
+/// rare and deterministic — re-runs, so the report bytes equal an
+/// uninterrupted campaign's.
+pub struct FuzzCampaign<'a> {
+    opts: &'a FuzzOptions,
+    plans: Vec<Plan>,
+}
 
-    let journal = journal.map(|(sink, path)| Journal::new(sink, path));
-    let mut skip: BTreeSet<u64> = BTreeSet::new();
-    if let Some(j) = &journal {
-        let entries = j.open(&header, opts.resume).map_err(|e| match e {
-            OpenError::Resume(e) => CampaignAbort::Journal(e),
-            OpenError::Begin(e) => CampaignAbort::Io(e.to_string()),
-        })?;
-        for (key, payload) in &entries {
-            let index = key.strip_prefix("plan:").and_then(|s| s.parse::<u64>().ok());
-            if let Some(index) = index {
-                if index < opts.plans && payload.starts_with("ok") {
-                    skip.insert(index);
-                }
-            }
-        }
+impl<'a> FuzzCampaign<'a> {
+    /// Generates the campaign's plans.
+    pub fn new(opts: &'a FuzzOptions) -> FuzzCampaign<'a> {
+        let plans = (0..opts.plans).map(|i| Plan::generate(opts.seed, i, opts.quick)).collect();
+        FuzzCampaign { opts, plans }
     }
 
-    // Fan out over the plans the journal does not cover; a panicking plan
-    // surfaces as a failed unit, not a dead run. The completion hook
-    // journals each plan the moment it finishes, from the worker thread —
-    // final attempts only, since the hook fires once per unit after its
-    // retry loop resolves.
-    let pending: Vec<&Plan> = plans.iter().filter(|p| !skip.contains(&p.index)).collect();
-    let journal_error: Mutex<Option<String>> = Mutex::new(None);
-    let report = supervised_map_with(
-        &pending,
-        opts.threads,
-        &opts.supervisor_config(),
-        &WallClock::new(),
-        |_, plan, ctx| plan_outcome(plan, invert, opts, ctx),
-        |i, outcome| {
-            let Some(j) = &journal else { return };
-            let payload = match outcome {
-                UnitOutcome::Done { result: (violations, digest), .. } => {
-                    if violations.is_empty() {
-                        format!("ok {digest:016x}")
-                    } else {
-                        let names: BTreeSet<&str> =
-                            violations.iter().map(|v| v.invariant.as_str()).collect();
-                        format!("fail {}", names.into_iter().collect::<Vec<_>>().join(","))
-                    }
+    /// Folds the settled plans (index-aligned with the campaign's) into
+    /// the campaign result: per-invariant tallies, every failing plan
+    /// shrunk and serialized, and the rendered report.
+    pub fn result(&self, report: SupervisedReport<PlanResult>) -> CampaignResult {
+        let opts = self.opts;
+        let invert = opts.invert.as_deref();
+        let mut tallies: Vec<(String, u64, u64)> = INVARIANTS
+            .iter()
+            .map(|inv| {
+                let applicable = self.plans.iter().filter(|p| (inv.applies)(p)).count() as u64;
+                (inv.name.to_string(), applicable, 0)
+            })
+            .collect();
+        let (mut panics, mut run_errors, mut quarantined, mut skipped) = (0u64, 0u64, 0u64, 0u64);
+        let mut failures = Vec::new();
+        for (plan, outcome) in self.plans.iter().zip(report.outcomes) {
+            let violations = match outcome {
+                UnitOutcome::Done { result: (violations, _), .. } => violations,
+                UnitOutcome::Failed { error, history } => {
+                    panics += u64::from(matches!(error, RunError::Panic(_)));
+                    vec![failure_violation(&error, &history, false)]
                 }
-                UnitOutcome::Failed { error: RunError::Panic(_), .. }
-                | UnitOutcome::Quarantined { error: RunError::Panic(_), .. } => {
-                    "fail panic".to_string()
+                UnitOutcome::Quarantined { error, history } => {
+                    quarantined += 1;
+                    panics += u64::from(matches!(error, RunError::Panic(_)));
+                    vec![failure_violation(&error, &history, true)]
                 }
-                UnitOutcome::Failed { .. } | UnitOutcome::Quarantined { .. } => {
-                    format!("fail {RUN_ERROR_VIOLATION}")
+                // A breaker-skipped plan never ran: it must not masquerade
+                // as a pass, so it surfaces only through `skipped_plans`.
+                UnitOutcome::Skipped => {
+                    skipped += 1;
+                    continue;
                 }
-                // Never journaled: a resume must re-run skipped plans.
-                UnitOutcome::Skipped => return,
             };
-            if let Err(e) = j.append(&format!("plan:{}", pending[i].index), &payload) {
-                let mut slot = journal_error.lock().unwrap();
-                slot.get_or_insert_with(|| format!("cannot append to journal: {e}"));
-            }
-        },
-    );
-
-    let breaker_tripped = report.breaker_tripped;
-    let mut by_index: BTreeMap<u64, Vec<Violation>> = BTreeMap::new();
-    let mut panics = 0u64;
-    let mut quarantined = 0u64;
-    let mut skipped_plans: BTreeSet<u64> = BTreeSet::new();
-    for (plan, outcome) in pending.iter().zip(report.outcomes) {
-        let violations = match outcome {
-            UnitOutcome::Done { result: (violations, _), .. } => violations,
-            UnitOutcome::Failed { error, history } => {
-                if matches!(error, RunError::Panic(_)) {
-                    panics += 1;
+            for v in &violations {
+                if let Some(slot) = tallies.iter_mut().find(|(name, _, _)| *name == v.invariant) {
+                    slot.2 += 1;
                 }
-                vec![failure_violation(&error, &history, false)]
             }
-            UnitOutcome::Quarantined { error, history } => {
-                quarantined += 1;
-                if matches!(error, RunError::Panic(_)) {
-                    panics += 1;
-                }
-                vec![failure_violation(&error, &history, true)]
+            if violations.iter().any(|v| v.invariant == RUN_ERROR_VIOLATION) {
+                run_errors += 1;
             }
-            UnitOutcome::Skipped => {
-                skipped_plans.insert(plan.index);
+            if violations.is_empty() {
                 continue;
             }
-        };
-        by_index.insert(plan.index, violations);
-    }
-    if let Some(e) = journal_error.into_inner().unwrap() {
-        return Err(CampaignAbort::Io(e));
-    }
+            let names: BTreeSet<String> = violations.iter().map(|v| v.invariant.clone()).collect();
+            // Minimize while preserving the failure signature: a candidate
+            // must still violate at least one of the original invariants
+            // (panics and run errors count as their own signatures).
+            let shrunk = shrink_plan(plan, |candidate| {
+                checked_violations(candidate, invert).iter().any(|v| names.contains(&v.invariant))
+            });
+            let digest = fnv1a(shrunk.to_json(0).as_bytes());
+            let mut case = FailCase {
+                plan_index: plan.index,
+                violated: names.into_iter().collect(),
+                details: violations,
+                shrunk,
+                digest,
+                file_name: format!("fail_{}.json", plan.index),
+                file_body: String::new(),
+            };
+            case.file_body = render_fail_file(opts, plan, &case);
+            failures.push(case);
+        }
 
-    let mut tallies: Vec<(String, u64, u64)> =
-        INVARIANTS.iter().map(|inv| (inv.name.to_string(), 0, 0)).collect();
-    for (slot, inv) in tallies.iter_mut().zip(INVARIANTS) {
-        slot.1 = plans.iter().filter(|p| (inv.applies)(p)).count() as u64;
-    }
-    let mut run_errors = 0u64;
-    let mut failures = Vec::new();
-    for plan in &plans {
-        // A breaker-skipped plan never ran: it must not masquerade as a
-        // journaled pass (empty violations), so it is excluded here and
-        // surfaces only through the report's `skipped_plans` count.
-        if skipped_plans.contains(&plan.index) {
-            continue;
-        }
-        let violations = by_index.remove(&plan.index).unwrap_or_default();
-        for v in &violations {
-            if let Some(slot) = tallies.iter_mut().find(|(name, _, _)| *name == v.invariant) {
-                slot.2 += 1;
-            }
-        }
-        if violations.iter().any(|v| v.invariant == RUN_ERROR_VIOLATION) {
-            run_errors += 1;
-        }
-        if violations.is_empty() {
-            continue;
-        }
-        let names: BTreeSet<String> = violations.iter().map(|v| v.invariant.clone()).collect();
-        // Minimize while preserving the failure signature: a candidate
-        // must still violate at least one of the original invariants
-        // (panics and run errors count as their own signatures).
-        let shrunk = shrink_plan(plan, |candidate| {
-            checked_violations(candidate, invert).iter().any(|v| names.contains(&v.invariant))
-        });
-        let digest = fnv1a(shrunk.to_json(0).as_bytes());
-        let mut case = FailCase {
-            plan_index: plan.index,
-            violated: names.into_iter().collect(),
-            details: violations,
-            shrunk,
-            digest,
-            file_name: format!("fail_{}.json", plan.index),
-            file_body: String::new(),
-        };
-        case.file_body = render_fail_file(opts, plan, &case);
-        failures.push(case);
-    }
-
-    let skipped = skipped_plans.len() as u64;
-    let report = render_report(
-        opts,
-        &tallies,
-        panics,
-        run_errors,
-        quarantined,
-        skipped,
-        breaker_tripped,
-        &failures,
-    );
-    Ok((
-        CampaignResult {
-            report,
+        let mut result = CampaignResult {
+            report: String::new(),
             tallies,
             panics,
             run_errors,
             quarantined,
             skipped_plans: skipped,
-            breaker_tripped,
+            breaker_tripped: report.breaker_tripped,
             failures,
-        },
-        skip.len() as u64,
-    ))
+        };
+        result.report = render_report(opts, &result);
+        result
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_report(
-    opts: &FuzzOptions,
-    tallies: &[(String, u64, u64)],
-    panics: u64,
-    run_errors: u64,
-    quarantined: u64,
-    skipped_plans: u64,
-    breaker_tripped: bool,
-    failures: &[FailCase],
-) -> String {
+impl Campaign for FuzzCampaign<'_> {
+    type Unit = Plan;
+    type Payload = PlanResult;
+
+    fn units(&self) -> &[Plan] {
+        &self.plans
+    }
+
+    fn header(&self) -> String {
+        self.opts.journal_header()
+    }
+
+    fn noun(&self) -> &'static str {
+        "plan"
+    }
+
+    fn key(&self, plan: &Plan) -> String {
+        format!("plan:{}", plan.index)
+    }
+
+    fn run(&self, plan: &Plan, ctx: &UnitCtx) -> Result<PlanResult, RunError> {
+        plan_outcome(plan, self.opts.invert.as_deref(), ctx)
+    }
+
+    fn encode(&self, outcome: &UnitOutcome<PlanResult>) -> Option<String> {
+        Some(match outcome {
+            UnitOutcome::Done { result: (violations, digest), .. } if violations.is_empty() => {
+                format!("ok {digest:016x}")
+            }
+            UnitOutcome::Done { result: (violations, _), .. } => {
+                let names: BTreeSet<&str> =
+                    violations.iter().map(|v| v.invariant.as_str()).collect();
+                format!("fail {}", names.into_iter().collect::<Vec<_>>().join(","))
+            }
+            UnitOutcome::Failed { error: RunError::Panic(_), .. }
+            | UnitOutcome::Quarantined { error: RunError::Panic(_), .. } => {
+                "fail panic".to_string()
+            }
+            UnitOutcome::Failed { .. } | UnitOutcome::Quarantined { .. } => {
+                format!("fail {RUN_ERROR_VIOLATION}")
+            }
+            // Never journaled: a resume must re-run skipped plans.
+            UnitOutcome::Skipped => return None,
+        })
+    }
+
+    fn decode(&self, _plan: &Plan, payload: &str) -> Result<Option<PlanResult>, String> {
+        // A journaled pass is recovered; a journaled failure re-runs. The
+        // digest is not read back: a recovered plan is never re-journaled.
+        Ok(payload.starts_with("ok").then(|| (Vec::new(), 0)))
+    }
+
+    fn render(&self, report: SupervisedReport<PlanResult>) -> Rendered {
+        let result = self.result(report);
+        for (name, applicable, violations) in &result.tallies {
+            let verdict = if *violations == 0 { "ok" } else { "FAILED" };
+            println!("  [{verdict}] {name}: {applicable} applicable, {violations} violation(s)");
+        }
+        if result.panics > 0 {
+            println!("  [FAILED] panic: {} plan(s) panicked", result.panics);
+        }
+        if result.run_errors > 0 {
+            println!(
+                "  [FAILED] {RUN_ERROR_VIOLATION}: {} plan(s) hit a structured run error",
+                result.run_errors
+            );
+        }
+        if result.quarantined > 0 {
+            println!(
+                "  [FAILED] quarantine: {} plan(s) failed identically twice, retries stopped",
+                result.quarantined
+            );
+        }
+        if result.breaker_tripped {
+            println!(
+                "  [FAILED] circuit breaker tripped: {} plan(s) skipped, partial results follow",
+                result.skipped_plans
+            );
+            println!("  hint: fix the failures, then `--resume` to complete the campaign");
+        }
+        for case in &result.failures {
+            println!(
+                "  {}: plan {}, violated: {}",
+                case.file_name,
+                case.plan_index,
+                case.violated.join(", ")
+            );
+        }
+
+        let fail_dir = &self.opts.fail_dir;
+        let mut files = vec![(self.opts.report_path.clone(), result.report.clone())];
+        files.extend(
+            result.failures.iter().map(|c| (fail_dir.join(&c.file_name), c.file_body.clone())),
+        );
+        let dirs = if result.failures.is_empty() { Vec::new() } else { vec![fail_dir.clone()] };
+        let verdict = if result.passed() {
+            "all invariants held on every plan".to_string()
+        } else if result.failures.is_empty() {
+            format!("campaign incomplete: {} plan(s) never ran", result.skipped_plans)
+        } else {
+            format!(
+                "{} failing plan(s); replay with: specrun-lab fuzz --replay <file>",
+                result.failures.len()
+            )
+        };
+        Rendered {
+            artifacts: Artifacts { dirs, stale: Vec::new(), files },
+            passed: result.passed(),
+            verdict,
+        }
+    }
+}
+
+/// Renders `FUZZ_report.json` from everything but its own text.
+fn render_report(opts: &FuzzOptions, result: &CampaignResult) -> String {
     let invariants = Json::Obj(
         INVARIANTS
             .iter()
-            .zip(tallies)
+            .zip(&result.tallies)
             .map(|(inv, (_, applicable, violations))| {
                 (
                     inv.name.to_string(),
@@ -817,7 +792,8 @@ fn render_report(
             .collect(),
     );
     let failing = Json::Arr(
-        failures
+        result
+            .failures
             .iter()
             .map(|f| {
                 Json::obj(vec![
@@ -837,33 +813,17 @@ fn render_report(
         ("plans".into(), Json::Num(opts.plans as f64)),
         ("inverted_invariant".into(), opts.invert.as_ref().map_or(Json::Null, Json::str)),
         ("invariants".into(), invariants),
-        ("panics".into(), Json::Num(panics as f64)),
-        ("run_errors".into(), Json::Num(run_errors as f64)),
+        ("panics".into(), Json::Num(result.panics as f64)),
+        ("run_errors".into(), Json::Num(result.run_errors as f64)),
         // Supervision outcomes are counts and flags only: wall-clock
         // values never enter the gated report.
-        ("quarantined".into(), Json::Num(quarantined as f64)),
-        ("skipped_plans".into(), Json::Num(skipped_plans as f64)),
-        ("breaker_tripped".into(), Json::Bool(breaker_tripped)),
+        ("quarantined".into(), Json::Num(result.quarantined as f64)),
+        ("skipped_plans".into(), Json::Num(result.skipped_plans as f64)),
+        ("breaker_tripped".into(), Json::Bool(result.breaker_tripped)),
         ("failing_plans".into(), failing),
-        ("passed".into(), Json::Bool(failures.is_empty() && skipped_plans == 0)),
+        ("passed".into(), Json::Bool(result.passed())),
     ])
     .render()
-}
-
-/// Extracts `"key": "value"` (string) from a fail file's text.
-fn extract_str(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": \"");
-    let start = body.find(&needle)? + needle.len();
-    let end = body[start..].find('"')?;
-    Some(body[start..start + end].to_string())
-}
-
-/// Extracts `"key": value` (number) from a fail file's text.
-fn extract_num(body: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let start = body.find(&needle)? + needle.len();
-    let digits: String = body[start..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 /// Replays a failing-plan file: regenerates the plan from its recorded
@@ -886,18 +846,19 @@ pub fn replay(
             return 2;
         }
     };
-    let (seed, index, mode) = match (
-        extract_str(&body, "campaign_seed").and_then(|s| s.parse::<u64>().ok()),
-        extract_num(&body, "plan_index"),
-        extract_str(&body, "mode"),
-    ) {
-        (Some(s), Some(i), Some(m)) => (s, i, m),
-        _ => {
-            eprintln!("error: {} is not a specrun fuzz fail file", path.display());
-            return 2;
-        }
+    // Strict parse: the coordinates must be the top-level keys, never the
+    // copies inside the nested plan objects.
+    let json = Json::parse(&body).ok();
+    let top = |key: &str| json.as_ref().and_then(|j| j.get(key));
+    let seed = top("campaign_seed").and_then(Json::as_str).and_then(|s| s.parse::<u64>().ok());
+    let index = top("plan_index").and_then(Json::as_num).filter(|n| n.fract() == 0.0 && *n >= 0.0);
+    let mode = top("mode").and_then(Json::as_str).filter(|m| matches!(*m, "quick" | "full"));
+    let (Some(seed), Some(index), Some(mode)) = (seed, index, mode) else {
+        eprintln!("error: {} is not a specrun fuzz fail file", path.display());
+        return 2;
     };
-    let invert = extract_str(&body, "inverted_invariant");
+    let index = index as u64;
+    let invert = top("inverted_invariant").and_then(Json::as_str).map(str::to_string);
     let plan = Plan::generate(seed, index, mode == "quick");
     println!(
         "replaying plan {index} of campaign seed {seed} ({mode} scale){}",
@@ -943,7 +904,7 @@ pub fn replay(
     let digest = fnv1a(shrunk.to_json(0).as_bytes());
     println!("shrunk plan (weight {}, digest {:016x}):", shrunk.weight(), digest);
     println!("{}", shrunk.to_json(0));
-    match extract_str(&body, "shrunk_digest") {
+    match top("shrunk_digest").and_then(Json::as_str) {
         Some(recorded) if recorded == format!("{digest:016x}") => {
             println!("shrunk digest matches the recorded failure");
         }
@@ -955,120 +916,35 @@ pub fn replay(
     1
 }
 
-/// Runs the fuzz subcommand end to end (campaign or replay), writing
-/// artifacts through the real filesystem sink, and returns the process
-/// exit code.
-pub fn run(opts: &FuzzOptions) -> i32 {
-    run_with(opts, &FsSink)
+/// Runs the fuzz subcommand end to end (campaign or replay) with every
+/// artifact going through `sink`, so the chaos harness can fail writes
+/// deterministically. Exit codes: 0 clean, 1 when any plan failed an
+/// invariant, 2 on IO or journal errors.
+pub fn run_with(opts: &FuzzOptions, sink: &dyn ArtifactSink) -> i32 {
+    match &opts.replay {
+        Some(path) => replay(path, opts.trace.as_deref(), sink),
+        None => execute(&FuzzCampaign::new(opts), opts, sink),
+    }
 }
 
-/// [`run`] with an injectable [`ArtifactSink`], so the chaos harness can
-/// fail artifact writes deterministically. Exit codes: 0 clean, 1 when
-/// any plan failed an invariant, 2 on IO or journal errors.
-pub fn run_with(opts: &FuzzOptions, sink: &dyn ArtifactSink) -> i32 {
-    if let Some(path) = &opts.replay {
-        return replay(path, opts.trace.as_deref(), sink);
-    }
-    let journal_path = opts.journal_path();
-    let (result, skipped) = match campaign_with(opts, Some((sink, journal_path.clone()))) {
-        Ok(ok) => ok,
-        Err(CampaignAbort::Journal(e)) => {
-            eprintln!("error: cannot resume from {}: {e}", journal_path.display());
-            eprintln!("hint: delete the journal (or drop --resume) to start fresh");
-            return 2;
-        }
-        Err(CampaignAbort::Io(e)) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+/// Executes `campaign` — the fuzz campaign of `opts`, or a fault-injecting
+/// wrapper of it — on the shared executor with the options' threads,
+/// supervision and journal.
+pub fn execute<C: Campaign>(campaign: &C, opts: &FuzzOptions, sink: &dyn ArtifactSink) -> i32 {
     println!(
         "fuzz campaign: {} plans, seed {:#x}, {} scale",
         opts.plans,
         opts.seed,
         if opts.quick { "quick" } else { "full" }
     );
-    if skipped > 0 {
-        // Progress note only — the report bytes never depend on resume.
-        println!(
-            "  resumed: {skipped} plan(s) already journaled as passing, skipped; {} re-run",
-            opts.plans.saturating_sub(skipped)
-        );
-    }
-    for (name, applicable, violations) in &result.tallies {
-        let verdict = if *violations == 0 { "ok" } else { "FAILED" };
-        println!("  [{verdict}] {name}: {applicable} applicable, {violations} violation(s)");
-    }
-    if result.panics > 0 {
-        println!("  [FAILED] panic: {} plan(s) panicked", result.panics);
-    }
-    if result.run_errors > 0 {
-        println!(
-            "  [FAILED] {RUN_ERROR_VIOLATION}: {} plan(s) hit a structured run error",
-            result.run_errors
-        );
-    }
-    if result.quarantined > 0 {
-        println!(
-            "  [FAILED] quarantine: {} plan(s) failed identically twice, retries stopped",
-            result.quarantined
-        );
-    }
-    if result.breaker_tripped {
-        println!(
-            "  [FAILED] circuit breaker tripped: {} plan(s) skipped, partial results follow",
-            result.skipped_plans
-        );
-        println!("  hint: fix the failures, then `--resume` to complete the campaign");
-    }
-
-    if let Err(e) = sink.write_atomic(&opts.report_path, &result.report) {
-        eprintln!("error: cannot write {}: {e}", opts.report_path.display());
-        eprintln!("note: the campaign journal is kept at {}", journal_path.display());
-        return 2;
-    }
-    println!("wrote {}", opts.report_path.display());
-
-    if !result.failures.is_empty() {
-        if let Err(e) = std::fs::create_dir_all(&opts.fail_dir) {
-            eprintln!("error: cannot create {}: {e}", opts.fail_dir.display());
-            return 2;
-        }
-        for case in &result.failures {
-            let path = opts.fail_dir.join(&case.file_name);
-            if let Err(e) = sink.write_atomic(&path, &case.file_body) {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                return 2;
-            }
-            println!(
-                "wrote {} (plan {}, violated: {})",
-                path.display(),
-                case.plan_index,
-                case.violated.join(", ")
-            );
-        }
-    }
-
-    // Artifacts are durable; retire the journal so a later run without
-    // --resume starts clean (kept for the chaos drills, and always kept
-    // after a breaker trip so `--resume` can finish the campaign).
-    if !opts.keep_journal && !result.breaker_tripped {
-        if let Err(e) = sink.remove(&journal_path) {
-            eprintln!("error: cannot remove journal {}: {e}", journal_path.display());
-            return 2;
-        }
-    }
-
-    if !result.passed() {
-        if result.failures.is_empty() {
-            eprintln!("campaign incomplete: {} plan(s) never ran", result.skipped_plans);
-        } else {
-            eprintln!("{} failing plan(s); replay with: specrun-lab fuzz --replay <file>", {
-                result.failures.len()
-            });
-        }
-        return 1;
-    }
-    println!("all invariants held on every plan");
-    0
+    let journal = opts.journal_path();
+    let cfg = opts.supervisor_config();
+    campaign::execute(
+        campaign,
+        opts.threads,
+        &cfg,
+        &WallClock::new(),
+        sink,
+        Some((&journal, opts.resume)),
+    )
 }

@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod chaos;
 pub mod cli;
 pub mod fuzz;
@@ -47,7 +48,8 @@ pub mod scenario;
 pub mod sink;
 pub mod trace;
 
-pub use fuzz::{FuzzInvariant, FuzzOptions, Violation, FUZZ_REPORT_NAME, INVARIANTS};
+pub use campaign::{Artifacts, Campaign, Rendered};
+pub use fuzz::{FuzzCampaign, FuzzInvariant, FuzzOptions, Violation, FUZZ_REPORT_NAME, INVARIANTS};
 pub use json::Json;
 pub use pool::{parse_spec, report_json, POOL_REPORT_NAME};
 pub use report::{parse_metrics, BenchReport, LabEntry, LabReport, LAB_REPORT_NAME};

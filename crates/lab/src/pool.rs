@@ -3,11 +3,12 @@
 //!
 //! The execution pipeline is split across three crates by dependency
 //! direction: `specrun_workloads::pool` owns the declarative
-//! [`CampaignSpec`] and the generic executor, `specrun::pool` owns the
+//! [`CampaignSpec`] and the per-shard aggregates, `specrun::pool` owns the
 //! session fork bridge, and this module owns the serialization boundary —
 //! decoding a JSON spec file into a [`CampaignSpec`] and rendering a
 //! [`PoolReport`] as the byte-stable `POOL_report.json` artifact that the
-//! CI `pool-repro` job compares across runs and thread counts.
+//! CI `pool-repro` job compares across runs and thread counts. A spec runs
+//! as a [`PoolCampaign`] on the shared executor, without a journal.
 //!
 //! Decoding is strict: unknown keys, out-of-range secrets and unlabelled
 //! gadgets are errors, not defaults — a hand-edited spec that drifts from
@@ -24,10 +25,16 @@
 //! assert_eq!(decoded, spec, "the emitted spec decodes back to itself");
 //! ```
 
-use specrun_workloads::plan::{AttackLayout, GadgetKind, KnobSpec, PlanPolicy, WarmStep};
-use specrun_workloads::pool::{CampaignSpec, PoolReport, ShardSpec, ShardStatus};
+use std::path::PathBuf;
 
+use specrun_workloads::harness::RunError;
+use specrun_workloads::plan::{AttackLayout, GadgetKind, KnobSpec, PlanPolicy, WarmStep};
+use specrun_workloads::pool::{CampaignSpec, PoolReport, ShardSpec, ShardStats, ShardStatus};
+use specrun_workloads::supervisor::{SupervisedReport, UnitCtx};
+
+use crate::campaign::{Artifacts, Campaign, Rendered};
 use crate::json::Json;
+use crate::scenario::fnv1a;
 
 /// File name of the campaign artifact `specrun-lab pool run` writes.
 pub const POOL_REPORT_NAME: &str = "POOL_report.json";
@@ -296,6 +303,80 @@ pub fn report_json(spec: &CampaignSpec, report: &PoolReport) -> Json {
         ),
         ("shards".into(), Json::Arr(shards)),
     ])
+}
+
+/// A fork campaign as a [`Campaign`]: one unit per shard, each warming
+/// one snapshot and forking a session per secret; the artifact goes to
+/// `out`. `pool run` executes it without a journal, so nothing is
+/// journaled or recovered.
+pub struct PoolCampaign {
+    spec: CampaignSpec,
+    out: PathBuf,
+}
+
+impl PoolCampaign {
+    /// The campaign of a decoded (hence valid) spec.
+    pub fn new(spec: CampaignSpec, out: PathBuf) -> PoolCampaign {
+        PoolCampaign { spec, out }
+    }
+}
+
+impl Campaign for PoolCampaign {
+    type Unit = ShardSpec;
+    type Payload = ShardStats;
+
+    fn units(&self) -> &[ShardSpec] {
+        &self.spec.shards
+    }
+
+    fn header(&self) -> String {
+        format!("pool spec={:016x}", fnv1a(self.spec.to_json(0).as_bytes()))
+    }
+
+    fn noun(&self) -> &'static str {
+        "shard"
+    }
+
+    fn key(&self, shard: &ShardSpec) -> String {
+        shard.label()
+    }
+
+    fn run(&self, shard: &ShardSpec, ctx: &UnitCtx) -> Result<ShardStats, RunError> {
+        specrun::pool::run_shard(&self.spec, shard, &ctx.token)
+    }
+
+    fn render(&self, report: SupervisedReport<ShardStats>) -> Rendered {
+        let report = PoolReport::new(&self.spec.shards, report);
+        println!(
+            "{:<22} {:>6} {:>6} {:>10} {:>9}  status",
+            "shard", "units", "leaks", "leak_rate", "runahead"
+        );
+        for shard in &report.shards {
+            println!(
+                "{:<22} {:>6} {:>6} {:>10.3} {:>9}  {}",
+                shard.spec.label(),
+                shard.stats.units,
+                shard.stats.leaks,
+                shard.stats.leak_rate(),
+                shard.stats.runahead_entries,
+                shard.status.label()
+            );
+        }
+        let (done, total) = (report.completed(), report.shards.len());
+        let mut verdict = format!("{done} of {total} shard(s) completed");
+        if report.breaker_tripped {
+            verdict.push_str("; campaign circuit breaker tripped, some shards were skipped");
+        }
+        let artifact = report_json(&self.spec, &report).render();
+        Rendered {
+            artifacts: Artifacts {
+                files: vec![(self.out.clone(), artifact)],
+                ..Artifacts::default()
+            },
+            passed: report.all_done(),
+            verdict,
+        }
+    }
 }
 
 #[cfg(test)]

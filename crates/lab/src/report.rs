@@ -5,6 +5,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::campaign::Artifacts;
 use crate::json::Json;
 use crate::scenario::ScenarioRun;
 use crate::sink::{ArtifactSink, FsSink};
@@ -147,51 +148,32 @@ impl LabReport {
         ])
     }
 
-    /// Writes `artifacts_dir/<scenario>.json` per run plus the merged
-    /// [`LAB_REPORT_NAME`] into the same directory, through the real
-    /// filesystem sink. See [`LabReport::write_artifacts_with`].
-    pub fn write_artifacts(&self, artifacts_dir: &Path) -> io::Result<Vec<PathBuf>> {
-        self.write_artifacts_with(artifacts_dir, &FsSink)
-    }
-
-    /// Writes every artifact through `sink` — everything lands inside the
-    /// directory the caller named, so concurrent campaigns with distinct
-    /// `--artifacts-dir`s never share an output path. Each file is
-    /// written atomically (temp + rename): a crash mid-campaign leaves
-    /// old-or-new files, never truncated hybrids. Any `.json` file
-    /// already in the directory that this campaign does not produce is
-    /// removed first: the merged report must describe exactly the
-    /// per-scenario files beside it, so a subset run cannot leave stale
-    /// artifacts from an earlier campaign mixed in. The merged report is
-    /// written *last*, after every per-scenario file it names. Returns
-    /// every path written, merged report first.
-    pub fn write_artifacts_with(
-        &self,
-        artifacts_dir: &Path,
-        sink: &dyn ArtifactSink,
-    ) -> io::Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(artifacts_dir)?;
-        let keep: Vec<PathBuf> = std::iter::once(artifacts_dir.join(LAB_REPORT_NAME))
-            .chain(self.runs.iter().map(|e| artifacts_dir.join(format!("{}.json", e.name()))))
+    /// The campaign's files: `artifacts_dir/<scenario>.json` per run, then
+    /// the merged [`LAB_REPORT_NAME`] *last*, after every per-scenario file
+    /// it names — everything inside the directory the caller named, so
+    /// concurrent campaigns with distinct `--artifacts-dir`s never share
+    /// an output path. Any `.json` file already in the directory that
+    /// this campaign does not produce is stale: the merged report must
+    /// describe exactly the per-scenario files beside it, so a subset run
+    /// cannot leave artifacts of an earlier campaign mixed in.
+    pub fn artifacts(&self, artifacts_dir: &Path) -> Artifacts {
+        let mut files: Vec<(PathBuf, String)> = self
+            .runs
+            .iter()
+            .map(|e| (artifacts_dir.join(format!("{}.json", e.name())), e.artifact_text()))
             .collect();
-        for entry in std::fs::read_dir(artifacts_dir)? {
-            let path = entry?.path();
-            if path.extension().is_some_and(|e| e == "json")
-                && path.is_file()
-                && !keep.contains(&path)
-            {
-                sink.remove(&path)?;
-            }
-        }
-        let report_path = artifacts_dir.join(LAB_REPORT_NAME);
-        let mut paths = vec![report_path.clone()];
-        for entry in &self.runs {
-            let path = artifacts_dir.join(format!("{}.json", entry.name()));
-            sink.write_atomic(&path, &entry.artifact_text())?;
-            paths.push(path);
-        }
-        sink.write_atomic(&report_path, &self.to_json().render())?;
-        Ok(paths)
+        files.push((artifacts_dir.join(LAB_REPORT_NAME), self.to_json().render()));
+        let stale = std::fs::read_dir(artifacts_dir)
+            .into_iter()
+            .flatten()
+            .filter_map(|entry| entry.ok().map(|e| e.path()))
+            .filter(|path| {
+                path.extension().is_some_and(|e| e == "json")
+                    && path.is_file()
+                    && !files.iter().any(|(p, _)| p == path)
+            })
+            .collect();
+        Artifacts { dirs: vec![artifacts_dir.to_path_buf()], stale, files }
     }
 }
 
@@ -348,16 +330,16 @@ mod tests {
         assert!(!report.partial_results());
         assert_eq!(report.invariant_count(), 1);
         let dir = std::env::temp_dir().join(format!("lab_artifacts_{}", std::process::id()));
-        let paths = report.write_artifacts(&dir).expect("writable temp dir");
+        let artifacts = report.artifacts(&dir);
+        artifacts.write(&FsSink).expect("writable temp dir");
+        let paths: Vec<&PathBuf> = artifacts.files.iter().map(|(p, _)| p).collect();
         assert_eq!(paths.len(), 2);
-        assert!(paths[0].ends_with(LAB_REPORT_NAME));
-        assert!(paths[1].ends_with("noop.json"));
-        let merged = std::fs::read_to_string(&paths[0]).unwrap();
+        assert!(paths[0].ends_with("noop.json"));
+        assert!(paths[1].ends_with(LAB_REPORT_NAME), "the merged report is written last");
+        let merged = std::fs::read_to_string(paths[1]).unwrap();
         assert!(merged.contains("\"scenario_count\": 1"));
         assert!(merged.contains("\"passed\": true"));
-        let _ = std::fs::remove_file(&paths[0]);
-        let _ = std::fs::remove_file(&paths[1]);
-        let _ = std::fs::remove_dir(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -373,7 +355,7 @@ mod tests {
         std::fs::write(dir.join("stale_scenario.json"), "{}").unwrap();
         std::fs::write(dir.join("keep.txt"), "not an artifact").unwrap();
         let report = LabReport { runs: vec![noop(&RunContext::quick()).into()] };
-        report.write_artifacts(&dir).unwrap();
+        report.artifacts(&dir).write(&FsSink).unwrap();
         assert!(!dir.join("stale_scenario.json").exists(), "stale artifact must be cleared");
         assert!(dir.join("keep.txt").exists(), "non-JSON files are left alone");
         assert!(dir.join(LAB_REPORT_NAME).exists());

@@ -242,7 +242,7 @@ impl Scenario {
     /// The run a supervised unit leaves in the report: its result, or —
     /// when every attempt failed — an empty run carrying the final error,
     /// which never passes.
-    pub fn settle(&self, ctx: &RunContext, outcome: UnitOutcome<ScenarioRun>) -> ScenarioRun {
+    pub fn settle<R: From<ScenarioRun>>(&self, ctx: &RunContext, outcome: UnitOutcome<R>) -> R {
         let error = match outcome {
             UnitOutcome::Done { result, .. } => return result,
             UnitOutcome::Failed { error, .. } | UnitOutcome::Quarantined { error, .. } => {
@@ -252,7 +252,7 @@ impl Scenario {
         };
         let mut run = ScenarioRun::new(self, ctx);
         run.error = Some(error);
-        run
+        run.into()
     }
 }
 
@@ -337,7 +337,7 @@ mod tests {
         let error = RunError::Panic(TrialError { index: 0, message });
         let outcome = UnitOutcome::Failed { error, history: Vec::new() };
         let s = Scenario { name: "boom", title: "t", paper_ref: "r", run: |ctx| Ok(dummy(ctx)) };
-        let run = s.settle(&RunContext::quick(), outcome);
+        let run: ScenarioRun = s.settle(&RunContext::quick(), outcome);
         assert!(!run.passed(), "a run with an error never passes");
         let expected = "trial 0 panicked: cycle budget exceeded: deep inside a sweep";
         assert_eq!(run.error.as_deref(), Some(expected));

@@ -26,13 +26,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// trial fan-out threads.
 pub trait ArtifactSink: Sync {
     /// Atomically replaces `path` with `contents` (temp file + rename).
-    fn write_atomic(&self, path: &Path, contents: &str) -> io::Result<()>;
+    fn write_atomic(&self, path: &Path, contents: &str) -> io::Result<()> {
+        self.write_atomic_bytes(path, contents.as_bytes())
+    }
 
-    /// Binary twin of [`write_atomic`](ArtifactSink::write_atomic): the
-    /// same temp-file + fsync + rename protocol for non-UTF-8 artifacts
-    /// (trace logs). Default implementation writes straight to the
-    /// filesystem; fault-injecting sinks override it so trace writes are
-    /// chaos-testable like every other artifact.
+    /// The atomic replace for any bytes (text artifacts and trace logs):
+    /// write a sibling temp file, fsync it, rename it over `path`. The
+    /// default writes straight to the filesystem; fault-injecting sinks
+    /// override it, so every artifact write is chaos-testable.
     fn write_atomic_bytes(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let tmp = tmp_path(path);
         {
@@ -70,16 +71,6 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 pub struct FsSink;
 
 impl ArtifactSink for FsSink {
-    fn write_atomic(&self, path: &Path, contents: &str) -> io::Result<()> {
-        let tmp = tmp_path(path);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(contents.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
-    }
-
     fn append_line(&self, path: &Path, line: &str) -> io::Result<()> {
         let mut buf = String::with_capacity(line.len() + 1);
         buf.push_str(line);
@@ -134,17 +125,6 @@ impl<'a> ChaosSink<'a> {
 }
 
 impl ArtifactSink for ChaosSink<'_> {
-    fn write_atomic(&self, path: &Path, contents: &str) -> io::Result<()> {
-        if self.next_op_fails() {
-            if self.torn {
-                // Simulate dying after the temp write, before the rename.
-                let _ = std::fs::write(tmp_path(path), contents);
-            }
-            return Err(Self::injected(path));
-        }
-        self.inner.write_atomic(path, contents)
-    }
-
     fn write_atomic_bytes(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         if self.next_op_fails() {
             if self.torn {

@@ -1,8 +1,9 @@
 //! Binary-level crash-safety tests: a SIGKILLed campaign resumes from its
 //! journal to a byte-identical report, journals written by an earlier
-//! build (the committed fixtures) still resume, foreign journals are refused,
-//! artifact-write failures exit non-zero without corrupting prior output,
-//! and a `run` deadline cancels a scenario instead of waiting for it.
+//! build (the committed fixtures) still resume, foreign journals are
+//! refused, artifact-write failures exit 2 and keep the journal for every
+//! journaled shape, `pool run` reports IO errors in one line, and a `run`
+//! deadline cancels a scenario instead of waiting for it.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -34,28 +35,21 @@ fn wait_for_lines(path: &Path, lines: usize, deadline: Duration) -> bool {
     false
 }
 
+/// A single-threaded 200-plan quick fuzz campaign, plus `extra`.
+fn fuzz_200_args(report: &Path, fail_dir: &Path, extra: &[&str]) -> Vec<String> {
+    let (report, fail_dir) = (report.display().to_string(), fail_dir.display().to_string());
+    let base = ["fuzz", "--plans", "200", "--quick", "--shard-threads", "1", "--report", &report];
+    let tail = ["--fail-dir", &fail_dir];
+    base.iter().chain(&tail).chain(extra).map(|a| a.to_string()).collect()
+}
+
 #[test]
 fn sigkilled_fuzz_campaign_resumes_byte_identically() {
     let dir = scratch("fuzz");
     let report = dir.join("FUZZ_report.json");
     let journal = dir.join("FUZZ_report.json.journal");
     let fail_dir = dir.join("fail");
-    let args = |extra: &[&str]| {
-        let mut v = vec![
-            "fuzz".to_string(),
-            "--plans".into(),
-            "200".into(),
-            "--quick".into(),
-            "--shard-threads".into(),
-            "1".into(),
-            "--report".into(),
-            report.display().to_string(),
-            "--fail-dir".into(),
-            fail_dir.display().to_string(),
-        ];
-        v.extend(extra.iter().map(|s| s.to_string()));
-        v
-    };
+    let args = |extra: &[&str]| fuzz_200_args(&report, &fail_dir, extra);
 
     // Reference: the same campaign, uninterrupted.
     let ref_report = dir.join("reference.json");
@@ -104,22 +98,7 @@ fn sigkilled_supervised_campaign_never_double_counts_retries() {
     let report = dir.join("FUZZ_report.json");
     let journal = dir.join("FUZZ_report.json.journal");
     let fail_dir = dir.join("fail");
-    let args = |extra: &[&str]| {
-        let mut v = vec![
-            "fuzz".to_string(),
-            "--plans".into(),
-            "200".into(),
-            "--quick".into(),
-            "--shard-threads".into(),
-            "1".into(),
-            "--report".into(),
-            report.display().to_string(),
-            "--fail-dir".into(),
-            fail_dir.display().to_string(),
-        ];
-        v.extend(extra.iter().map(|s| s.to_string()));
-        v
-    };
+    let args = |extra: &[&str]| fuzz_200_args(&report, &fail_dir, extra);
     // The injected flakes fail each plan's first attempt and heal on the
     // retry, so the supervised campaign exercises the full retry path but
     // must still converge on the unsupervised reference bytes.
@@ -278,32 +257,41 @@ fn committed_journal_fixtures_resume_to_fresh_report_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The two journaled shapes over one scratch dir: `(args, report path,
+/// journal path)` for a 2-plan quick `fuzz` and a quick `run table1`.
+fn journaled_shapes(dir: &Path) -> [(Vec<String>, PathBuf, PathBuf); 2] {
+    let s = |p: &Path| p.display().to_string();
+    let fuzz_report = dir.join("FUZZ_report.json");
+    let fuzz = ["fuzz", "--plans", "2", "--quick", "--report", &s(&fuzz_report), "--fail-dir"];
+    let mut fuzz: Vec<String> = fuzz.iter().map(|a| a.to_string()).collect();
+    fuzz.push(s(&dir.join("fail")));
+    let artifacts = dir.join("artifacts");
+    let run = ["run", "table1", "--quick", "--artifacts-dir", &s(&artifacts)];
+    let run: Vec<String> = run.iter().map(|a| a.to_string()).collect();
+    [
+        (fuzz, fuzz_report, dir.join("FUZZ_report.json.journal")),
+        (run, artifacts.join("LAB_report.json"), artifacts.join("LAB_report.journal")),
+    ]
+}
+
 #[test]
 fn foreign_journal_is_refused_with_exit_2() {
     let dir = scratch("foreign");
-    let report = dir.join("FUZZ_report.json");
-    let journal = dir.join("FUZZ_report.json.journal");
-    std::fs::write(&journal, "not a specrun journal\n").expect("seed foreign journal");
+    for (args, report, journal) in journaled_shapes(&dir) {
+        std::fs::create_dir_all(journal.parent().unwrap()).expect("create journal dir");
+        std::fs::write(&journal, "not a specrun journal\n").expect("seed foreign journal");
 
-    let output = Command::new(lab_bin())
-        .args([
-            "fuzz",
-            "--plans",
-            "2",
-            "--quick",
-            "--resume",
-            "--report",
-            &report.display().to_string(),
-            "--fail-dir",
-            &dir.join("fail").display().to_string(),
-        ])
-        .output()
-        .expect("spawn fuzz with foreign journal");
-    assert_eq!(output.status.code(), Some(2), "journal corruption is a hard error");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("cannot resume"), "stderr explains the refusal:\n{stderr}");
-    assert!(stderr.contains("delete the journal"), "stderr offers the way out:\n{stderr}");
-    assert!(!report.exists(), "no report is written from a refused resume");
+        let output = Command::new(lab_bin())
+            .args(&args)
+            .arg("--resume")
+            .output()
+            .expect("spawn with a foreign journal");
+        assert_eq!(output.status.code(), Some(2), "{args:?}: journal corruption is a hard error");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("cannot resume"), "stderr explains the refusal:\n{stderr}");
+        assert!(stderr.contains("delete the journal"), "stderr offers the way out:\n{stderr}");
+        assert!(!report.exists(), "{args:?}: no report is written from a refused resume");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -311,28 +299,44 @@ fn foreign_journal_is_refused_with_exit_2() {
 #[test]
 fn unwritable_report_path_exits_2_and_keeps_the_journal() {
     let dir = scratch("unwritable");
-    // A directory at the report path makes the final rename fail after a
-    // full, healthy campaign — the journal must survive for a retry.
-    let report = dir.join("FUZZ_report.json");
-    std::fs::create_dir_all(&report).expect("squat on the report path");
+    for (args, report, journal) in journaled_shapes(&dir) {
+        // A directory at the report path makes the final rename fail after
+        // a full, healthy campaign — the journal must survive for a retry.
+        std::fs::create_dir_all(&report).expect("squat on the report path");
 
-    let output = Command::new(lab_bin())
-        .args([
-            "fuzz",
-            "--plans",
-            "2",
-            "--quick",
-            "--report",
-            &report.display().to_string(),
-            "--fail-dir",
-            &dir.join("fail").display().to_string(),
-        ])
-        .output()
-        .expect("spawn fuzz with unwritable report");
-    assert_eq!(output.status.code(), Some(2), "artifact-write failure is a hard error");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("journal is kept"), "stderr points at the journal:\n{stderr}");
-    assert!(dir.join("FUZZ_report.json.journal").exists(), "journal survives the write failure");
+        let output =
+            Command::new(lab_bin()).args(&args).output().expect("spawn with unwritable report");
+        assert_eq!(output.status.code(), Some(2), "{args:?}: a failed write is a hard error");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("journal is kept"), "stderr points at the journal:\n{stderr}");
+        assert!(journal.exists(), "{args:?}: the journal survives the write failure");
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pool_run_io_errors_exit_2_with_one_stderr_line() {
+    let dir = scratch("pool_io");
+    let spec = dir.join("matrix.json");
+    let output = Command::new(lab_bin()).args(["pool", "spec"]).output().expect("spawn pool spec");
+    std::fs::write(&spec, &output.stdout).expect("write the spec");
+    let bad_spec = dir.join("bad.json");
+    std::fs::write(&bad_spec, "{\"pool_spec\": \"specrun\", \"bogus\": 1}\n").expect("bad spec");
+    let missing_dir = dir.join("missing/POOL_report.json");
+
+    for (spec, out) in [(&spec, &missing_dir), (&bad_spec, &dir.join("POOL_report.json"))] {
+        let output = Command::new(lab_bin())
+            .args(["pool", "run", &spec.display().to_string(), "--threads", "1", "--out"])
+            .arg(out)
+            .output()
+            .expect("spawn pool run");
+        assert_eq!(output.status.code(), Some(2), "{}: an IO error exits 2", spec.display());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(stderr.lines().count(), 1, "one stderr line, no usage text:\n{stderr}");
+        assert!(stderr.starts_with("error: "), "{stderr}");
+        assert!(!out.exists(), "no artifact is written");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

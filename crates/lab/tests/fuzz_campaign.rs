@@ -80,6 +80,17 @@ fn replay_reproduces_a_recorded_failure() {
     let bogus = dir.join("bogus.json");
     std::fs::write(&bogus, "{\"not\": \"a fail file\"}\n").unwrap();
     assert_eq!(fuzz::replay(&bogus, None, &FsSink), 2, "malformed file");
+    // Without its top-level coordinates a fail file does not replay, even
+    // though the nested plan objects carry copies of them.
+    let headless = dir.join("headless.json");
+    let body: Vec<&str> = case
+        .file_body
+        .lines()
+        .filter(|l| !l.starts_with("  \"mode\":") && !l.starts_with("  \"plan_index\":"))
+        .collect();
+    assert_eq!(body.len() + 2, case.file_body.lines().count(), "both top-level lines dropped");
+    std::fs::write(&headless, body.join("\n")).unwrap();
+    assert_eq!(fuzz::replay(&headless, None, &FsSink), 2, "top-level keys are required");
 
     // `--trace` on the same replay writes a decodable forensic log of the
     // shrunk plan's pipeline events alongside the reproduction.

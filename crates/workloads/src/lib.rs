@@ -40,9 +40,7 @@ pub use ipc::{
 pub use kernels::Workload;
 pub use metrics::{MetricSet, MetricSource};
 pub use plan::{AttackLayout, GadgetKind, KnobSpec, Plan, PlanPolicy, VictimSpec, WarmStep};
-pub use pool::{
-    CampaignSpec, PoolReport, SessionPool, ShardOutcome, ShardSpec, ShardStats, ShardStatus,
-};
+pub use pool::{CampaignSpec, PoolReport, ShardOutcome, ShardSpec, ShardStats, ShardStatus};
 pub use rng::SplitMix64;
 pub use supervisor::{
     backoff_ms, supervised_map_with, SupervisedReport, SupervisorConfig, UnitCtx, UnitOutcome,

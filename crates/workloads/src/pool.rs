@@ -6,45 +6,53 @@
 //! nop slide) and a per-unit axis (the planted secrets). The spec expands
 //! to `shards × secrets` sessions, but the executor never materializes
 //! them: each *shard* is one work unit of
-//! [`supervised_map_with`], and
+//! [`supervised_map_with`](crate::supervisor::supervised_map_with), and
 //! the shard runner is expected to warm **one** snapshot machine per
 //! shard, fork a session from it per secret (copy-on-write pages, shared
 //! predecoded programs — see `specrun_mem::BackingStore` and
 //! `specrun::pool`), and fold every outcome into a streaming
 //! [`ShardStats`] instead of collecting per-session results.
 //!
-//! This module is deliberately *data plus generic execution*: it knows
-//! nothing about sessions. The fork bridge that turns a [`ShardSpec`]
+//! This module is deliberately *data plus aggregation*: it knows nothing
+//! about sessions. [`PoolReport::new`] folds the supervised shard
+//! outcomes into the report. The fork bridge that turns a [`ShardSpec`]
 //! into warmed machines lives in `specrun::pool` (the crate that owns
 //! sessions), mirroring how the fuzz [`Plan`](crate::plan::Plan) grammar
 //! here pairs with `specrun::plan`.
 //!
 //! ```
 //! use specrun_workloads::clock::WallClock;
-//! use specrun_workloads::pool::{CampaignSpec, SessionPool, ShardStats};
+//! use specrun_workloads::harness::RunError;
+//! use specrun_workloads::pool::{CampaignSpec, PoolReport, ShardStats};
+//! use specrun_workloads::supervisor::{supervised_map_with, SupervisorConfig};
 //!
 //! let spec = CampaignSpec::paper_matrix();
 //! assert_eq!(spec.shards.len(), 8, "the paper's PHT/BTB/RSB × policy matrix");
-//! let pool = SessionPool::new(2);
 //! // A stand-in runner: real campaigns fork sessions per secret here.
-//! let report = pool.run_with(&spec, &WallClock::new(), |spec, _shard, _ctx| {
-//!     let mut stats = ShardStats::default();
-//!     for &secret in &spec.secrets {
-//!         stats.record(Some(secret), secret, 1, 0, u64::from(secret));
-//!     }
-//!     Ok(stats)
-//! });
+//! let outcomes = supervised_map_with(
+//!     &spec.shards,
+//!     2,
+//!     &SupervisorConfig::default(),
+//!     &WallClock::new(),
+//!     |_, _shard, _ctx| {
+//!         let mut stats = ShardStats::default();
+//!         for &secret in &spec.secrets {
+//!             stats.record(Some(secret), secret, 1, 0, u64::from(secret));
+//!         }
+//!         Ok::<_, RunError>(stats)
+//!     },
+//!     |_, _| {},
+//! );
+//! let report = PoolReport::new(&spec.shards, outcomes);
 //! assert_eq!(report.shards.len(), 8);
 //! let metrics = report.metrics();
 //! assert_eq!(metrics.get("pht_runahead_units"), Some(spec.secrets.len() as f64));
 //! assert_eq!(metrics.get("total_leaks"), Some(spec.unit_count() as f64));
 //! ```
 
-use crate::clock::Clock;
-use crate::harness::RunError;
 use crate::metrics::{metric_key, MetricSet, MetricSource};
 use crate::plan::{AttackLayout, GadgetKind, KnobSpec, PlanPolicy, WarmStep};
-use crate::supervisor::{supervised_map_with, SupervisorConfig, UnitCtx, UnitOutcome};
+use crate::supervisor::{SupervisedReport, UnitOutcome};
 
 /// One cell of the campaign matrix: which gadget, under which policy,
 /// with how long a nop slide. Everything else a shard needs (layout,
@@ -393,6 +401,32 @@ pub struct PoolReport {
 }
 
 impl PoolReport {
+    /// Folds the supervised outcomes of `shards` (index-aligned) into the
+    /// report. A shard that did not complete keeps the empty
+    /// [`ShardStats`] and carries its failure in its [`ShardStatus`].
+    pub fn new(shards: &[ShardSpec], report: SupervisedReport<ShardStats>) -> PoolReport {
+        let shards = shards
+            .iter()
+            .zip(report.outcomes)
+            .map(|(&spec, outcome)| {
+                let (stats, status) = match outcome {
+                    UnitOutcome::Done { result, attempts } => {
+                        (result, ShardStatus::Done { attempts })
+                    }
+                    UnitOutcome::Failed { error, .. } => {
+                        (ShardStats::default(), ShardStatus::Failed(error.to_string()))
+                    }
+                    UnitOutcome::Quarantined { error, .. } => {
+                        (ShardStats::default(), ShardStatus::Quarantined(error.to_string()))
+                    }
+                    UnitOutcome::Skipped => (ShardStats::default(), ShardStatus::Skipped),
+                };
+                ShardOutcome { spec, stats, status }
+            })
+            .collect();
+        PoolReport { shards, breaker_tripped: report.breaker_tripped }
+    }
+
     /// Shards that ran to completion.
     pub fn completed(&self) -> u64 {
         self.shards.iter().filter(|s| matches!(s.status, ShardStatus::Done { .. })).count() as u64
@@ -428,77 +462,34 @@ impl PoolReport {
     }
 }
 
-/// The campaign executor: fans a [`CampaignSpec`]'s shards out over the
-/// supervised work-stealing pool. The pool holds *how* to execute
-/// (threads, supervision policy); *what* each shard does is the runner
-/// closure, so this type stays free of any session dependency.
-#[derive(Debug, Clone)]
-pub struct SessionPool {
-    /// Worker threads (`0` = all host cores, clamped like every harness).
-    pub threads: usize,
-    /// Supervision policy for the shard units.
-    pub supervisor: SupervisorConfig,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::{ChaosClock, Clock, WallClock};
+    use crate::harness::RunError;
+    use crate::supervisor::{supervised_map_with, SupervisorConfig, UnitCtx};
 
-impl SessionPool {
-    /// A pool with passive supervision (no deadlines, retries or breaker).
-    pub fn new(threads: usize) -> SessionPool {
-        SessionPool { threads, supervisor: SupervisorConfig::default() }
-    }
-
-    /// Runs every shard of `spec` through `runner` and aggregates. The
-    /// runner receives the campaign (for the shared geometry and secret
-    /// axis), its shard, and the supervision context whose
-    /// [`CancelToken`](crate::supervisor::CancelToken) it should attach to
-    /// the machines it builds. Results arrive in spec order regardless of
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` fails [`CampaignSpec::is_valid`] — a malformed
-    /// spec is a caller bug, not a per-shard failure.
-    pub fn run_with<F>(&self, spec: &CampaignSpec, clock: &dyn Clock, runner: F) -> PoolReport
+    /// The shards of `spec` on the supervised pool, folded into a report.
+    fn run_pool<F>(
+        spec: &CampaignSpec,
+        threads: usize,
+        cfg: &SupervisorConfig,
+        clock: &dyn Clock,
+        runner: F,
+    ) -> PoolReport
     where
         F: Fn(&CampaignSpec, &ShardSpec, &UnitCtx) -> Result<ShardStats, RunError> + Sync,
     {
-        assert!(spec.is_valid(), "invalid campaign spec: {spec:?}");
-        let cfg = SupervisorConfig { seed: spec.seed, ..self.supervisor.clone() };
-        let report = supervised_map_with(
+        let outcomes = supervised_map_with(
             &spec.shards,
-            self.threads,
-            &cfg,
+            threads,
+            cfg,
             clock,
             |_, shard, ctx| runner(spec, shard, ctx),
             |_, _| {},
         );
-        let shards = spec
-            .shards
-            .iter()
-            .zip(report.outcomes)
-            .map(|(&shard, outcome)| {
-                let (stats, status) = match outcome {
-                    UnitOutcome::Done { result, attempts } => {
-                        (result, ShardStatus::Done { attempts })
-                    }
-                    UnitOutcome::Failed { error, .. } => {
-                        (ShardStats::default(), ShardStatus::Failed(error.to_string()))
-                    }
-                    UnitOutcome::Quarantined { error, .. } => {
-                        (ShardStats::default(), ShardStatus::Quarantined(error.to_string()))
-                    }
-                    UnitOutcome::Skipped => (ShardStats::default(), ShardStatus::Skipped),
-                };
-                ShardOutcome { spec: shard, stats, status }
-            })
-            .collect();
-        PoolReport { shards, breaker_tripped: report.breaker_tripped }
+        PoolReport::new(&spec.shards, outcomes)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::clock::{ChaosClock, WallClock};
 
     fn counting_runner(
         spec: &CampaignSpec,
@@ -565,7 +556,8 @@ mod tests {
     #[test]
     fn pool_streams_shard_stats_in_spec_order() {
         let spec = CampaignSpec::paper_matrix();
-        let report = SessionPool::new(4).run_with(&spec, &WallClock::new(), counting_runner);
+        let cfg = SupervisorConfig::default();
+        let report = run_pool(&spec, 4, &cfg, &WallClock::new(), counting_runner);
         assert!(report.all_done());
         assert!(!report.breaker_tripped);
         assert_eq!(report.total_units(), spec.unit_count());
@@ -579,9 +571,9 @@ mod tests {
     #[test]
     fn report_is_thread_count_invariant() {
         let spec = CampaignSpec::paper_matrix();
-        let clock = WallClock::new();
-        let one = SessionPool::new(1).run_with(&spec, &clock, counting_runner);
-        let many = SessionPool::new(8).run_with(&spec, &clock, counting_runner);
+        let (cfg, clock) = (SupervisorConfig::default(), WallClock::new());
+        let one = run_pool(&spec, 1, &cfg, &clock, counting_runner);
+        let many = run_pool(&spec, 8, &cfg, &clock, counting_runner);
         assert_eq!(one, many);
         assert_eq!(one.metrics(), many.metrics());
     }
@@ -603,11 +595,12 @@ mod tests {
     fn breaker_trip_yields_skipped_shards_with_wellformed_metrics() {
         let mut spec = CampaignSpec::paper_matrix();
         spec.seed = 7;
-        let clock = ChaosClock::new();
-        let mut pool = SessionPool::new(1);
-        pool.supervisor.max_failure_rate = 0.2;
-        pool.supervisor.breaker_min_units = 2;
-        let report = pool.run_with(&spec, &clock, |_, shard, _| {
+        let cfg = SupervisorConfig {
+            max_failure_rate: 0.2,
+            breaker_min_units: 2,
+            ..SupervisorConfig::default()
+        };
+        let report = run_pool(&spec, 1, &cfg, &ChaosClock::new(), |_, shard, _| {
             Err::<ShardStats, _>(RunError::Io { what: shard.label(), detail: "injected".into() })
         });
         assert!(report.breaker_tripped);
