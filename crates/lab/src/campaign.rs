@@ -187,7 +187,10 @@ fn settle<C: Campaign>(
     if let Some((j, resume)) = journal {
         let path = j.path().display();
         let refused = |e: &dyn std::fmt::Display| {
-            format!("cannot resume from {path}: {e}\nhint: delete the journal (or drop --resume) to start fresh")
+            format!(
+                "cannot resume from {path}: {e}\n\
+                 hint: delete the journal (or drop --resume) to start fresh"
+            )
         };
         let entries = j.open(&campaign.header(), *resume).map_err(|e| match e {
             OpenError::Resume(e) => refused(&e),
@@ -218,8 +221,10 @@ fn settle<C: Campaign>(
         );
     }
 
+    // The first failed append; the hook that sets it never panics.
     let append_error: Mutex<Option<String>> = Mutex::new(None);
-    let failed = || append_error.lock().unwrap().is_some();
+    let slot = || append_error.lock().expect("the append-error slot is never poisoned");
+    let failed = || slot().is_some();
     let report = supervised_map_with(
         &pending,
         threads,
@@ -242,12 +247,11 @@ fn settle<C: Campaign>(
             };
             if let Err(e) = j.append(&campaign.key(unit), &payload) {
                 let path = j.path().display();
-                let mut slot = append_error.lock().unwrap();
-                slot.get_or_insert_with(|| format!("cannot append to journal {path}: {e}"));
+                slot().get_or_insert_with(|| format!("cannot append to journal {path}: {e}"));
             }
         },
     );
-    if let Some(e) = append_error.into_inner().unwrap() {
+    if let Some(e) = append_error.into_inner().expect("the append-error slot is never poisoned") {
         return Err(e);
     }
     for (&i, outcome) in pending.iter().zip(report.outcomes) {
