@@ -668,7 +668,7 @@ impl<O: PipelineObserver> Core<O> {
             // Two-phase stores make progress per phase; mirror the operand
             // layout of `issue_store_two_phase`.
             Inst::Store { .. } | Inst::FpStore { .. } => {
-                let (data_phys, base_phys) = store_operand_phys(e);
+                let (data_phys, base_phys) = store_operand_phys(&e.inst, &e.srcs);
                 let gating = if e.addr_ready { data_phys } else { base_phys };
                 gating.is_some_and(|p| !self.regs.is_ready(p))
             }
@@ -952,9 +952,9 @@ impl<O: PipelineObserver> Core<O> {
     /// Removes all entries younger than `seq`, unwinding renames.
     pub(crate) fn squash_after(&mut self, seq: u64, now: u64) {
         self.sched.squash_younger(seq);
-        let removed = self.rob.squash_younger(seq);
-        self.emit(PipelineEvent::Squash { cycle: now, squashed: removed.len() as u64 });
-        for e in &removed {
+        // Unwind youngest-first, reading each entry in its slot.
+        let mut squashed = 0;
+        while let Some(e) = self.rob.pop_younger(seq) {
             if let Some(d) = e.dest {
                 self.rat.set(d.arch, d.prev);
                 self.free.free(d.new);
@@ -965,8 +965,10 @@ impl<O: PipelineObserver> Core<O> {
             if e.state == EntryState::Waiting {
                 self.iq_occupancy = self.iq_occupancy.saturating_sub(1);
             }
-            self.stats.squashed += 1;
+            squashed += 1;
         }
+        self.stats.squashed += squashed;
+        self.emit(PipelineEvent::Squash { cycle: now, squashed });
         self.sq.squash_younger(seq);
         self.pipe.clear();
     }
@@ -1426,7 +1428,7 @@ impl<O: PipelineObserver> Core<O> {
         };
         let (data_phys, base_phys, addr_done) = {
             let e = self.rob.get(seq).expect("entry exists");
-            let (data, base) = store_operand_phys(e);
+            let (data, base) = store_operand_phys(&e.inst, &e.srcs);
             (data, base, e.addr_ready)
         };
         let in_runahead = self.in_runahead();
@@ -1793,28 +1795,31 @@ impl<O: PipelineObserver> Core<O> {
         dispatched
     }
 
+    /// Renames `f` into a new ROB entry. Every field is computed into a
+    /// local first and the entry is pushed as one struct literal, so it is
+    /// built directly in its ROB slot instead of on the stack.
     fn dispatch_one(&mut self, f: Fetched) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut entry = RobEntry::with_meta(seq, f.pc, f.inst, f.meta);
-        entry.runahead = self.in_runahead();
+        let meta = f.meta;
         // Rename sources (predecoded — `Inst::sources` ran once at load).
-        for (i, src) in f.meta.srcs.iter().enumerate() {
-            if let Some(arch) = src {
-                entry.srcs[i] = Some(self.rat.get(*arch));
-            }
+        let mut srcs = [None; 3];
+        for (phys, src) in srcs.iter_mut().zip(meta.srcs) {
+            *phys = src.map(|arch| self.rat.get(arch));
         }
         // Secure-runahead scope tracking at rename, in speculative order.
-        let (scope_id, dispatch_scope) = self.secure_on_dispatch(&f, &entry);
-        entry.dispatch_scope = dispatch_scope;
+        let (scope_id, dispatch_scope) = self.secure_on_dispatch(&f, &srcs);
         // Rename destination.
-        if let Some(arch) = f.meta.dest {
-            let new = self.free.allocate(RegClass::of(arch)).expect("checked in dispatch");
-            self.sched.clear_waiters(new);
-            self.regs.mark_pending(new);
-            let prev = self.rat.set(arch, new);
-            entry.dest = Some(DestInfo { arch, new, prev });
-        }
+        let dest = match meta.dest {
+            Some(arch) => {
+                let new = self.free.allocate(RegClass::of(arch)).expect("checked in dispatch");
+                self.sched.clear_waiters(new);
+                self.regs.mark_pending(new);
+                let prev = self.rat.set(arch, new);
+                Some(DestInfo { arch, new, prev })
+            }
+            None => None,
+        };
         // Operand-wakeup registration: the entry joins the issue-ready
         // queue once its gating operands are produced. Data stores gate on
         // the base register first (address generation runs ahead of the
@@ -1822,50 +1827,52 @@ impl<O: PipelineObserver> Core<O> {
         // of its sources (INV counts as produced). A serializer also waits
         // for the ROB head: it is queued here only when it enters an empty
         // ROB, otherwise by `commit` (or `wake_reg`) once it is the head.
-        let serializing = f.meta.is_serializing();
+        let serializing = meta.is_serializing();
         if serializing {
             self.sched.add_serializer(seq);
         }
-        if f.meta.is_data_store() {
-            let (_, base_phys) = store_operand_phys(&entry);
+        let wait_count = if meta.is_data_store() {
+            let (_, base_phys) = store_operand_phys(&f.inst, &srcs);
             match base_phys.filter(|p| !self.regs.is_ready(*p)) {
                 Some(p) => {
-                    entry.wait_count = 1;
                     self.sched.add_waiter(p, seq);
+                    1
                 }
-                None => self.sched.mark_ready(seq),
+                None => {
+                    self.sched.mark_ready(seq);
+                    0
+                }
             }
         } else {
             let mut waits = 0u8;
-            for p in entry.srcs.iter().flatten() {
+            for p in srcs.iter().flatten() {
                 if !self.regs.is_ready(*p) {
                     waits += 1;
                     self.sched.add_waiter(*p, seq);
                 }
             }
-            entry.wait_count = waits;
             if waits == 0 && (!serializing || self.rob.is_empty()) {
                 self.sched.mark_ready(seq);
             }
-        }
+            waits
+        };
         // Branch bookkeeping.
-        if let Some(p) = f.pred {
-            entry.branch = Some(BranchInfo {
-                kind: p.kind,
-                predicted_taken: p.taken,
-                predicted_target: p.target,
-                rsb_checkpoint: p.rsb_checkpoint,
-                resolved: f.meta.ctrl == CtrlClass::Direct,
-                actual_taken: p.taken,
-                actual_target: p.target,
-                scope_id,
-            });
-        }
-        if entry.is_load {
+        let branch = f.pred.map(|p| BranchInfo {
+            kind: p.kind,
+            predicted_taken: p.taken,
+            predicted_target: p.target,
+            rsb_checkpoint: p.rsb_checkpoint,
+            resolved: meta.ctrl == CtrlClass::Direct,
+            actual_taken: p.taken,
+            actual_target: p.target,
+            scope_id,
+        });
+        let (is_load, is_store) = (meta.is_load(), meta.needs_sq());
+        if is_load {
             self.lq_occupancy += 1;
         }
-        if entry.is_store {
-            self.sq.allocate(seq, u64::from(f.meta.mem_width), f.meta.is_flush());
+        if is_store {
+            self.sq.allocate(seq, u64::from(meta.mem_width), meta.is_flush());
         }
         self.iq_occupancy += 1;
         self.stats.dispatched += 1;
@@ -1875,7 +1882,28 @@ impl<O: PipelineObserver> Core<O> {
                 ep.dispatched += 1;
             }
         }
-        self.rob.push(entry);
+        self.rob.push(RobEntry {
+            seq,
+            pc: f.pc,
+            inst: f.inst,
+            meta,
+            state: EntryState::Waiting,
+            ready_at: 0,
+            dest,
+            srcs,
+            result: 0,
+            taint: 0,
+            inv: false,
+            branch,
+            is_load,
+            is_store,
+            load_level: None,
+            load_addr: None,
+            aux_sp: 0,
+            dispatch_scope,
+            addr_ready: false,
+            wait_count,
+        });
     }
 
     // ------------------------------------------------------------------
@@ -2007,22 +2035,25 @@ impl<O: PipelineObserver> Core<O> {
 /// Recovers a data store's `(data, base)` physical sources from the packed
 /// source list `[data?, base?]` (reads of `r0` are elided by
 /// `Inst::sources`). Returns `(None, None)` for non-stores.
-fn store_operand_phys(e: &RobEntry) -> (Option<PhysRef>, Option<PhysRef>) {
-    match e.inst {
+fn store_operand_phys(
+    inst: &Inst,
+    srcs: &[Option<PhysRef>; 3],
+) -> (Option<PhysRef>, Option<PhysRef>) {
+    match *inst {
         Inst::Store { src, base, .. } => {
-            let data = if src.is_zero() { None } else { e.srcs[0] };
+            let data = if src.is_zero() { None } else { srcs[0] };
             let base_p = if base.is_zero() {
                 None
             } else if data.is_some() {
-                e.srcs[1]
+                srcs[1]
             } else {
-                e.srcs[0]
+                srcs[0]
             };
             (data, base_p)
         }
         Inst::FpStore { base, .. } => {
-            let data = e.srcs[0];
-            let base_p = if base.is_zero() { None } else { e.srcs[1] };
+            let data = srcs[0];
+            let base_p = if base.is_zero() { None } else { srcs[1] };
             (data, base_p)
         }
         _ => (None, None),

@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 use specrun_mem::{Btag, SlCache, SlTags};
 
 use crate::core::{Core, Fetched};
-use crate::rob::RobEntry;
+use crate::regs::PhysRef;
 use crate::sched::TimerQueue;
 use crate::taint::{scope_bit, ScopeId};
 
@@ -133,7 +133,7 @@ impl<O: crate::probe::PipelineObserver> Core<O> {
     pub(crate) fn secure_on_dispatch(
         &mut self,
         f: &Fetched,
-        entry: &RobEntry,
+        srcs: &[Option<PhysRef>; 3],
     ) -> (Option<u32>, Option<u32>) {
         if !self.cfg.runahead.secure.sl_cache || !self.in_runahead() {
             return (None, None);
@@ -145,7 +145,7 @@ impl<O: crate::probe::PipelineObserver> Core<O> {
                 // Seed taint: the predicate's source registers become
                 // tainted data within the new scope (Fig. 12: `rX` under
                 // `B1`, `rY` under `B2`).
-                for src in entry.srcs.iter().flatten() {
+                for src in srcs.iter().flatten() {
                     self.regs.add_taint(*src, scope_bit(id));
                 }
                 // Record for the post-exit verdict.

@@ -544,6 +544,11 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
             "--no-artifacts" => artifacts_dir = None,
             "--resume" => resume = true,
             flag if flag.starts_with('-') => return Err(format!("unknown run option {flag}")),
+            name if names.iter().any(|n| n == name) => {
+                // One journal key per scenario: a repeat would run twice
+                // under the same key and write the same artifact twice.
+                return Err(format!("scenario {name} is named more than once"));
+            }
             name => names.push(name.to_string()),
         }
     }
@@ -764,6 +769,8 @@ mod tests {
         assert!(parse_run_args(&strings(&["--all", "fig7"])).is_err(), "names plus --all");
         assert!(parse_run_args(&strings(&["--bogus"])).is_err(), "unknown flag");
         assert!(parse_run_args(&strings(&["--threads"])).is_err(), "missing value");
+        let err = parse_run_args(&strings(&["table1", "fig9", "table1"])).unwrap_err();
+        assert!(err.contains("scenario table1 is named more than once"), "{err}");
     }
 
     #[test]

@@ -252,9 +252,9 @@ pub fn try_evaluate(plan: &Plan, token: Option<&CancelToken>) -> Result<PlanEval
 /// (beside the per-invariant names and `"panic"`).
 pub const RUN_ERROR_VIOLATION: &str = "run_error";
 
-/// Digest summarizing one evaluation, journaled with a passing plan so a
-/// resumed campaign can (and tests do) cross-check that skipped work
-/// matches what actually ran.
+/// Digest summarizing one evaluation, journaled with a passing plan so
+/// the journal records what the skipped work computed (a test checks it
+/// against a fresh evaluation of the same plan).
 fn eval_digest(eval: &PlanEval) -> u64 {
     fnv1a(
         format!(
@@ -947,4 +947,57 @@ pub fn execute<C: Campaign>(campaign: &C, opts: &FuzzOptions, sink: &dyn Artifac
         sink,
         Some((&journal, opts.resume)),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal;
+    use crate::sink::FsSink;
+    use std::path::Path;
+
+    /// Writes through to the filesystem but removes nothing, so the
+    /// journal outlives the campaign that retires it.
+    struct KeepJournal;
+
+    impl ArtifactSink for KeepJournal {
+        fn append_line(&self, path: &Path, line: &str) -> std::io::Result<()> {
+            FsSink.append_line(path, line)
+        }
+
+        fn remove(&self, _path: &Path) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn journaled_eval_digests_match_a_fresh_evaluation() {
+        let dir = std::env::temp_dir().join(format!("fuzz-eval-digest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let opts = FuzzOptions {
+            plans: 6,
+            seed: 0xC0FFEE,
+            threads: 2,
+            quick: true,
+            report_path: dir.join("FUZZ_report.json"),
+            fail_dir: dir.join("fail"),
+            ..FuzzOptions::default()
+        };
+        assert_eq!(execute(&FuzzCampaign::new(&opts), &opts, &KeepJournal), 0);
+
+        let state = journal::load(&opts.journal_path(), &opts.journal_header())
+            .expect("the journal parses")
+            .expect("the journal is kept");
+        assert_eq!(state.entries.len(), 6, "every plan is journaled");
+        for (key, payload) in &state.entries {
+            let index: u64 = key.strip_prefix("plan:").and_then(|i| i.parse().ok()).expect(key);
+            let journaled = payload.strip_prefix("ok ").expect("every quick plan passes");
+            let plan = Plan::generate(opts.seed, index, opts.quick);
+            let fresh = eval_digest(&try_evaluate(&plan, None).expect("the plan runs"));
+            assert_eq!(journaled, format!("{fresh:016x}"), "plan {index}");
+        }
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -2,8 +2,9 @@
 //! journal to a byte-identical report, journals written by an earlier
 //! build (the committed fixtures) still resume, foreign journals are
 //! refused, artifact-write failures exit 2 and keep the journal for every
-//! journaled shape, `pool run` reports IO errors in one line, and a `run`
-//! deadline cancels a scenario instead of waiting for it.
+//! journaled shape, `pool run` reports IO errors in one line, a `run`
+//! deadline cancels a scenario instead of waiting for it, and a scenario
+//! named twice is refused before anything is journaled.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -353,4 +354,24 @@ fn run_deadline_cancels_the_scenario_and_reports_the_overrun() {
     assert_eq!(output.status.code(), Some(1), "an overrun is a failed scenario, not a usage error");
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("deadline exceeded"), "stdout names the overrun:\n{stdout}");
+}
+
+#[test]
+fn run_refuses_a_repeated_scenario_name_with_exit_2() {
+    // Two units under one journal key would both be journaled and both
+    // write `table1.json`; the repeat is a usage error instead.
+    let dir = scratch("repeat");
+    let artifacts = dir.join("artifacts");
+    let output = Command::new(lab_bin())
+        .args(["run", "table1", "table1", "--quick", "--artifacts-dir"])
+        .arg(&artifacts)
+        .output()
+        .expect("spawn run with a repeated name");
+    assert_eq!(output.status.code(), Some(2), "a repeated name is a usage error");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("scenario table1 is named more than once"), "{stderr}");
+    assert!(output.stdout.is_empty(), "no scenario ran");
+    assert!(!artifacts.exists(), "no journal or artifact is written");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
