@@ -123,9 +123,10 @@ extern "C" fn on_sigprof(_sig: c_int, _info: *mut c_void, context: *mut c_void) 
         let gregs = context.cast::<u8>().add(GREGS_OFFSET).cast::<u64>();
         (gregs.add(REG_RIP).read(), gregs.add(REG_RSP).read())
     };
-    // SAFETY: RSP is the interrupted main thread's stack pointer. The red
-    // zone and the word it points at are always mapped stack, and the
-    // handler itself runs below them on the same stack.
+    // SAFETY: RSP is the interrupted main thread's stack pointer. The
+    // handler is installed without `SA_ONSTACK`, so the kernel wrote this
+    // signal's frame on the same stack just below RSP (past the red zone):
+    // the stack from there up through the word at RSP is mapped.
     let ret = unsafe { (rsp as *const u64).read_volatile() };
     // SAFETY: `i < CAPACITY`, and the handler is the only writer (see
     // `Samples`); slot `i` is not yet published in `TAKEN`.
