@@ -3,18 +3,18 @@
 //! When the library is loaded into a process whose environment sets
 //! `SAMPLER_OUT`, a constructor arms a POSIX timer on `CLOCK_MONOTONIC`
 //! that sends `SIGPROF` to the main thread (`SIGEV_THREAD_ID`) every
-//! `SAMPLER_INTERVAL_US` microseconds (default 500). Each signal records
-//! two addresses: the interrupted instruction pointer and the word at the
-//! stack pointer. At a leaf function's first instructions (a `memcpy`, an
-//! out-of-line accessor) that word is the return address, so the sample
-//! can be charged to the caller; elsewhere it is an arbitrary stack word,
+//! `INTERVAL_US` (50) microseconds. Each signal records two addresses:
+//! the interrupted instruction pointer and the word at the stack pointer.
+//! At a leaf function's first instructions (a `memcpy`, an out-of-line
+//! accessor) that word is the return address, so the sample can be
+//! charged to the caller; elsewhere it is an arbitrary stack word,
 //! and `symbolize.py` only uses it when the instruction pointer alone does
 //! not place the sample.
 //!
 //! At exit the samples are written to `$SAMPLER_OUT` together with a copy
 //! of `/proc/self/maps`, which `symbolize.py` needs to turn run-time
 //! addresses back into file addresses. Only the main thread is sampled:
-//! the profiled binaries (`perfbench`, `specrun-lab run` with one unit)
+//! the profiled binaries (`perfbench`, `specrun-lab run --threads 1`)
 //! simulate on it.
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
@@ -35,6 +35,11 @@ const SYS_GETTID: c_long = 186;
 const GREGS_OFFSET: usize = 40;
 const REG_RSP: usize = 15;
 const REG_RIP: usize = 16;
+
+/// The sampling period: enough samples to rank functions on a run of a
+/// few milliseconds, while a 25 s benchmark run (at most 500k samples)
+/// still fits in `CAPACITY`.
+const INTERVAL_US: i64 = 50;
 
 /// At most this many samples are kept (16 MiB of address space, touched
 /// only as samples arrive); later ones are counted as dropped.
@@ -105,7 +110,6 @@ static DROPPED: AtomicUsize = AtomicUsize::new(0);
 static STOPPED: AtomicBool = AtomicBool::new(false);
 /// The armed timer (a glibc `timer_t`), for the dump to delete.
 static TIMER: AtomicUsize = AtomicUsize::new(0);
-static INTERVAL_US: AtomicUsize = AtomicUsize::new(0);
 
 extern "C" fn on_sigprof(_sig: c_int, _info: *mut c_void, context: *mut c_void) {
     if STOPPED.load(Ordering::Relaxed) {
@@ -139,12 +143,6 @@ extern "C" fn start() {
     if std::env::var_os("SAMPLER_OUT").is_none() {
         return;
     }
-    let interval_us = std::env::var("SAMPLER_INTERVAL_US")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&us| us > 0)
-        .unwrap_or(500);
-    INTERVAL_US.store(interval_us, Ordering::Relaxed);
     let action = SigAction {
         sa_sigaction: on_sigprof as *const () as usize,
         sa_mask: [0; 16],
@@ -178,13 +176,9 @@ extern "C" fn start() {
     // SAFETY: `dump` is an `extern "C" fn()` that lives as long as the
     // process (the library is never unloaded).
     unsafe { atexit(dump) };
-    let period = TimeSpec {
-        tv_sec: (interval_us / 1_000_000) as i64,
-        tv_nsec: (interval_us % 1_000_000) as i64 * 1000,
-    };
     let spec = ITimerSpec {
-        it_interval: TimeSpec { tv_sec: period.tv_sec, tv_nsec: period.tv_nsec },
-        it_value: period,
+        it_interval: TimeSpec { tv_sec: 0, tv_nsec: INTERVAL_US * 1000 },
+        it_value: TimeSpec { tv_sec: 0, tv_nsec: INTERVAL_US * 1000 },
     };
     // SAFETY: `timer` was just created, and `spec` is a valid, non-zero
     // `struct itimerspec`.
@@ -215,8 +209,7 @@ fn write_profile(path: &std::path::Path, samples: &[[u64; 2]]) -> std::io::Resul
     let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
     writeln!(
         out,
-        "sampler 1 interval_us={} samples={} dropped={}",
-        INTERVAL_US.load(Ordering::Relaxed),
+        "sampler 1 interval_us={INTERVAL_US} samples={} dropped={}",
         samples.len(),
         DROPPED.load(Ordering::Relaxed)
     )?;
