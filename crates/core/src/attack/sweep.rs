@@ -8,7 +8,8 @@
 //! [`specrun_workloads::harness`].
 
 use specrun_cpu::{CancelToken, CpuConfig};
-use specrun_workloads::harness::{self, parallel_map, RunError, TrialSpec};
+use specrun_workloads::harness::{self, parallel_map, RunError};
+use specrun_workloads::SplitMix64;
 
 use crate::attack::poc::{run_poc, PocConfig, PocOutcome};
 use crate::attack::GadgetKind;
@@ -90,14 +91,13 @@ pub fn run_pht_sweep(
     cfg: &SweepConfig,
     token: Option<&CancelToken>,
 ) -> Result<SweepReport, RunError> {
-    let specs: Vec<TrialSpec> =
-        harness::ConfigMatrix::new(cfg.machine.clone()).trials(cfg.trials).seed(cfg.seed).build();
-    let trials = parallel_map(&specs, cfg.threads, |i, spec| {
-        let mut rng = spec.rng();
+    let mut seeder = SplitMix64::new(cfg.seed);
+    let seeds: Vec<u64> = (0..cfg.trials.max(1)).map(|_| seeder.next_u64()).collect();
+    let trials = parallel_map(&seeds, cfg.threads, |i, &seed| {
         // Avoid 0: probe entry 0 is warmed by training and excluded by the
         // analyzer, so a 0 secret could never be recovered.
-        let secret = (rng.next_below(255) + 1) as u8;
-        let mut session = Session::builder().config(spec.config.clone()).build();
+        let secret = (SplitMix64::new(seed).next_below(255) + 1) as u8;
+        let mut session = Session::builder().config(cfg.machine.clone()).build();
         session.set_cancel_token(token.cloned());
         let poc = PocConfig { secret, ..cfg.poc.clone() };
         let outcome = run_poc(&mut session, GadgetKind::Pht, &poc);

@@ -38,13 +38,10 @@
 //! assert!(session.machine().core().config().runahead.secure.sl_cache);
 //! ```
 
-use std::io;
 use std::ops::{Deref, DerefMut};
-use std::path::PathBuf;
 
 use specrun_cpu::probe::{LeakTraceObserver, NoopObserver, PipelineObserver};
 use specrun_cpu::{CpuConfig, RunaheadPolicy, RunaheadTrigger, SecureConfig};
-use specrun_trace::{PipelineEvent, RecordingObserver};
 
 use crate::attack::covert::ProbeTimings;
 use crate::attack::AttackLayout;
@@ -103,7 +100,6 @@ pub struct SessionBuilder<O: PipelineObserver = NoopObserver> {
     secret: Option<u8>,
     warm: Vec<(u64, u64)>,
     observer: O,
-    trace_path: Option<PathBuf>,
 }
 
 impl Default for SessionBuilder {
@@ -114,7 +110,6 @@ impl Default for SessionBuilder {
             secret: None,
             warm: Vec::new(),
             observer: NoopObserver,
-            trace_path: None,
         }
     }
 }
@@ -158,7 +153,9 @@ impl<O: PipelineObserver> SessionBuilder<O> {
 
     /// Attaches a pipeline observer (see [`specrun_cpu::probe`]). The
     /// observer rides the session's type, so a detached session stays
-    /// zero-cost.
+    /// zero-cost. Observers compose as tuples: pairing an analysis
+    /// observer with a [`specrun_trace::RecordingObserver`] records the
+    /// event stream the analysis sees.
     pub fn observer<P: PipelineObserver>(self, observer: P) -> SessionBuilder<P> {
         SessionBuilder {
             config: self.config,
@@ -166,24 +163,6 @@ impl<O: PipelineObserver> SessionBuilder<O> {
             secret: self.secret,
             warm: self.warm,
             observer,
-            trace_path: self.trace_path,
-        }
-    }
-
-    /// Arms trace recording: a [`RecordingObserver`] is composed beside
-    /// the current observer (which keeps seeing every event), and
-    /// [`Session::write_trace`] later serializes the captured stream to
-    /// `path` as a binary trace log (see `specrun-trace`). Call after
-    /// [`SessionBuilder::observer`] — attaching a new observer replaces
-    /// the whole pair, recorder included.
-    pub fn trace(self, path: impl Into<PathBuf>) -> SessionBuilder<(O, RecordingObserver)> {
-        SessionBuilder {
-            config: self.config,
-            layout: self.layout,
-            secret: self.secret,
-            warm: self.warm,
-            observer: (self.observer, RecordingObserver::new()),
-            trace_path: Some(path.into()),
         }
     }
 
@@ -198,7 +177,6 @@ impl<O: PipelineObserver> SessionBuilder<O> {
         let mut session = Session {
             machine: Machine::with_observer(self.config, self.observer),
             layout: self.layout,
-            trace_path: self.trace_path,
         };
         if let Some(secret) = self.secret {
             let layout = session.layout;
@@ -219,7 +197,6 @@ impl<O: PipelineObserver> SessionBuilder<O> {
 pub struct Session<O: PipelineObserver = NoopObserver> {
     machine: Machine<O>,
     layout: AttackLayout,
-    trace_path: Option<PathBuf>,
 }
 
 impl Session {
@@ -271,28 +248,6 @@ impl<O: PipelineObserver> Session<O> {
     /// machine memory.
     pub fn probe_timings(&self) -> ProbeTimings {
         ProbeTimings::read_from(&self.machine, &self.layout)
-    }
-}
-
-impl<O: PipelineObserver> Session<(O, RecordingObserver)> {
-    /// The pipeline events recorded so far (the builder's
-    /// [`SessionBuilder::trace`] composed the recorder).
-    pub fn recorded_events(&self) -> &[PipelineEvent] {
-        self.machine.observer().1.events()
-    }
-
-    /// Serializes the recorded event stream to the path given to
-    /// [`SessionBuilder::trace`], atomically, and returns it. The log is a
-    /// pure function of the recorded events — byte-stable across runs.
-    pub fn write_trace(&self) -> io::Result<PathBuf> {
-        let Some(path) = self.trace_path.clone() else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "session has no trace path (use SessionBuilder::trace)",
-            ));
-        };
-        specrun_trace::write_trace_file(&path, self.recorded_events())?;
-        Ok(path)
     }
 }
 
@@ -378,35 +333,22 @@ mod tests {
     }
 
     #[test]
-    fn trace_builder_records_and_writes() {
+    fn recording_observer_composes_beside_an_analysis_observer() {
         let r1 = IntReg::new(1).unwrap();
         let mut b = ProgramBuilder::new(0x1000);
         b.li(r1, 7);
         b.halt();
         let program = b.build().unwrap();
-        let path =
-            std::env::temp_dir().join(format!("specrun_session_{}.trace", std::process::id()));
-        let mut session =
-            Session::builder().observer(CountingObserver::default()).trace(path.clone()).build();
-        session.run_program(&program, 10_000);
-        assert!(!session.recorded_events().is_empty(), "commits must be recorded");
-        // The composed analysis observer still sees the live stream.
-        assert_eq!(session.observer().0.commits, session.stats().committed);
-        let written = session.write_trace().unwrap();
-        assert_eq!(written, path);
-        let decoded = specrun_trace::read_trace_file(&written).unwrap();
-        assert_eq!(decoded.events, session.recorded_events());
-        let _ = std::fs::remove_file(written);
-    }
-
-    #[test]
-    fn write_trace_without_a_path_is_an_input_error() {
-        let session = Session::builder()
+        let mut session = Session::builder()
             .observer((CountingObserver::default(), specrun_trace::RecordingObserver::new()))
             .build();
-        // The observer pair matches the traced shape, but no path was armed.
-        let err = session.write_trace().expect_err("no path");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        session.run_program(&program, 10_000);
+        let (counts, recorder) = session.observer();
+        assert!(!recorder.events().is_empty(), "commits must be recorded");
+        // The composed analysis observer still sees the live stream.
+        assert_eq!(counts.commits, session.stats().committed);
+        let log = specrun_trace::encode_events(recorder.events());
+        assert_eq!(specrun_trace::decode_events(&log).unwrap().events, recorder.events());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! `artifacts/<scenario>.json` plus the merged `LAB_report.json`, and
 //! exits non-zero if any paper-claim invariant failed.
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 use crate::campaign::{self, Artifacts, Campaign, Rendered};
@@ -154,10 +155,7 @@ COMMANDS:
 pub fn main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("list") => {
-            list();
-            0
-        }
+        Some("list") => to_stdout(list),
         Some("run") => match run_command(&args[1..]) {
             Ok(code) => code,
             Err(e) => {
@@ -184,10 +182,7 @@ pub fn main() -> i32 {
             }
         },
         Some("fuzz") => match parse_fuzz_args(&args[1..]) {
-            Ok(FuzzCommand::ListInvariants) => {
-                list_invariants();
-                0
-            }
+            Ok(FuzzCommand::ListInvariants) => to_stdout(list_invariants),
             Ok(FuzzCommand::Run { opts, flaky }) if opts.replay.is_none() && !flaky.is_empty() => {
                 // The retry self-test: the named plans' first attempts fail.
                 let campaign = Chaos::new(FuzzCampaign::new(&opts)).flaky(&flaky);
@@ -232,18 +227,35 @@ pub fn main() -> i32 {
     }
 }
 
-fn list() {
-    println!("{:<12} {:<14} title", "scenario", "paper_ref");
-    for s in registry() {
-        println!("{:<12} {:<14} {}", s.name, s.paper_ref, s.title);
+/// Writes a listing through one locked stdout handle and returns the exit
+/// code. A reader that closes the pipe early (`specrun-lab list | head -1`)
+/// has what it asked for: the command stops writing and exits 0.
+fn to_stdout(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> i32 {
+    let mut out = io::stdout().lock();
+    match write(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => 0,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            2
+        }
     }
 }
 
-fn list_invariants() {
-    println!("{:<36} claim", "invariant");
-    for inv in crate::fuzz::INVARIANTS {
-        println!("{:<36} {}", inv.name, inv.claim);
+fn list(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "{:<12} {:<14} title", "scenario", "paper_ref")?;
+    for s in registry() {
+        writeln!(out, "{:<12} {:<14} {}", s.name, s.paper_ref, s.title)?;
     }
+    Ok(())
+}
+
+fn list_invariants(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "{:<36} claim", "invariant")?;
+    for inv in crate::fuzz::INVARIANTS {
+        writeln!(out, "{:<36} {}", inv.name, inv.claim)?;
+    }
+    Ok(())
 }
 
 /// Parses a u64 that may be written in hex (`0xC0FFEE`) or decimal.
@@ -469,8 +481,7 @@ fn parse_pool_args(args: &[String]) -> Result<PoolCommand, String> {
 fn pool_command(args: &[String]) -> Result<i32, String> {
     match parse_pool_args(args)? {
         PoolCommand::Spec => {
-            println!("{}", CampaignSpec::paper_matrix().to_json(0));
-            Ok(0)
+            Ok(to_stdout(|out| writeln!(out, "{}", CampaignSpec::paper_matrix().to_json(0))))
         }
         PoolCommand::Run { spec_path, threads, out } => {
             // A spec that cannot be read or decoded is an input error, not

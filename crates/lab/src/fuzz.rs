@@ -864,19 +864,17 @@ pub fn replay(
         "replaying plan {index} of campaign seed {seed} ({mode} scale){}",
         invert.as_deref().map(|n| format!(", inverted invariant {n}")).unwrap_or_default()
     );
-    if let Some(trace_path) = trace {
-        use specrun_trace::TraceSink as _;
+    if let Some(trace_log) = trace {
         match specrun::try_run_plan_recorded(&plan) {
             Ok((_, events)) => {
                 let bytes = specrun_trace::encode_events(&events);
-                let write = crate::sink::ArtifactTraceSink(sink).write_trace(trace_path, &bytes);
-                if let Err(e) = write {
-                    eprintln!("error: cannot write trace {}: {e}", trace_path.display());
+                if let Err(e) = sink.write_atomic_bytes(trace_log, &bytes) {
+                    eprintln!("error: cannot write trace {}: {e}", trace_log.display());
                     return 2;
                 }
                 println!(
                     "wrote forensic trace {} ({} event(s), {} bytes)",
-                    trace_path.display(),
+                    trace_log.display(),
                     events.len(),
                     bytes.len()
                 );

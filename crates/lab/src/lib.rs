@@ -54,7 +54,7 @@ pub use json::Json;
 pub use pool::{parse_spec, report_json, POOL_REPORT_NAME};
 pub use report::{parse_metrics, BenchReport, LabEntry, LabReport, LAB_REPORT_NAME};
 pub use scenario::{Invariant, RunContext, Scenario, ScenarioRun, DEFAULT_SEED};
-pub use sink::{ArtifactSink, ArtifactTraceSink, ChaosSink, FsSink};
+pub use sink::{ArtifactSink, ChaosSink, FsSink};
 
 /// Commonly used items for examples and tests.
 pub mod prelude {

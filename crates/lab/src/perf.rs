@@ -380,8 +380,8 @@ pub fn run(opts: &PerfOptions) -> i32 {
         report.metric(format!("{key}_ff_speedup"), speedup);
     }
 
-    // Trace-recording overhead: what `specrun-lab trace record` (or
-    // `Session::trace`) costs on a busy pipeline. mcf is the
+    // Trace-recording overhead: what a composed `RecordingObserver` (as
+    // in `specrun-lab trace record`) costs on a busy pipeline. mcf is the
     // commit-heaviest kernel, so its event stream is the densest the
     // recorder sees — the worst case for buffering overhead. The rate is
     // gated like the other hot paths (it ends in `_cycles_per_sec`): an

@@ -8,8 +8,9 @@ use specrun::attack::{run_pht_sweep, run_poc, GadgetKind, PocConfig, PocOutcome,
 use specrun::defense::verify_pht_blocked;
 use specrun::session::{leak_trace_for, Policy, Session};
 use specrun::window::measure_windows;
-use specrun_cpu::probe::{CountingObserver, NoopObserver, PipelineObserver};
-use specrun_cpu::{CpuConfig, RunaheadPolicy};
+use specrun_cpu::probe::{CountingObserver, LeakTraceObserver, NoopObserver, PipelineObserver};
+use specrun_cpu::{CancelToken, CpuConfig, CpuStats, RunaheadPolicy};
+use specrun_trace::{PipelineEvent, RecordingObserver};
 use specrun_workloads::harness::RunError;
 use specrun_workloads::ipc::{try_compare, try_run_workload_governed};
 use specrun_workloads::metrics::MetricSource;
@@ -674,6 +675,47 @@ fn run_defense(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
 // invariant — a scenario class the timing-only API could not express.
 // ---------------------------------------------------------------------------
 
+/// One run of the pinned Fig. 11 PHT PoC (slide > ROB, secret 127) with
+/// the forensic observers attached: what the live observers derived and
+/// every pipeline event a recorder captured beside them.
+pub(crate) struct ForensicRun {
+    pub(crate) outcome: PocOutcome,
+    pub(crate) stats: CpuStats,
+    pub(crate) counts: CountingObserver,
+    pub(crate) tracer: LeakTraceObserver,
+    pub(crate) events: Vec<PipelineEvent>,
+}
+
+/// Fresh forensic observers for the pinned PoC's geometry. Because the
+/// geometry is a constant of the binary, a replay builds the exact
+/// observers the live run used from the log alone.
+pub(crate) fn forensic_observers() -> (CountingObserver, LeakTraceObserver) {
+    let cfg = PocConfig::fig11(FIG11_SLIDE);
+    (CountingObserver::default(), leak_trace_for(&cfg.layout, &CpuConfig::default()))
+}
+
+/// Runs the forensic PoC on `policy` under `cancel`; a program that did
+/// not halt cleanly fails with an error naming `what`. `leak_trace`,
+/// `trace_repro` and `specrun-lab trace record` all run it here. The
+/// recorder is invisible to the simulation and to the other observers, so
+/// a caller that ignores the events sees the same run.
+pub(crate) fn forensic_poc(
+    policy: Policy,
+    cancel: &Option<CancelToken>,
+    what: &str,
+) -> Result<ForensicRun, RunError> {
+    let mut session = Session::builder()
+        .policy(policy)
+        .observer((forensic_observers(), RecordingObserver::new()))
+        .build();
+    session.set_cancel_token(cancel.clone());
+    let outcome = run_poc(&mut session, GadgetKind::Pht, &PocConfig::fig11(FIG11_SLIDE));
+    session.check_halted(|| what.to_string())?;
+    let ((counts, tracer), recorder) = session.observer().clone();
+    let stats = *session.stats();
+    Ok(ForensicRun { outcome, stats, counts, tracer, events: recorder.into_events() })
+}
+
 fn run_leak_trace(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     let mut run = ScenarioRun::new(&scenario("leak_trace"), ctx);
     // The Fig. 11 shape (slide > ROB): with the gadget beyond the reorder
@@ -691,39 +733,36 @@ fn run_leak_trace(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
 
     let jobs = [("runahead", Policy::Runahead), ("secure_sl_cache", Policy::Secure)];
     let results = try_fan_out(ctx, &jobs, |(_, policy)| {
-        let tracer = leak_trace_for(&cfg.layout, &CpuConfig::default());
-        let mut session = Session::builder()
-            .policy(*policy)
-            .observer((CountingObserver::default(), tracer))
-            .build();
-        let outcome =
-            governed(ctx, &mut session, "leak_trace PoC", |s| run_poc(s, GadgetKind::Pht, &cfg))?;
-        let stats = *session.stats();
-        let (counts, trace) = session.observer().clone();
-        Ok((outcome, stats, counts, trace))
+        forensic_poc(*policy, &ctx.cancel, "leak_trace PoC")
     })?;
 
     run.line("machine,timing_leaked,ground_truth,transient_secret_fills,secret_reads".to_string());
-    for ((name, _), (outcome, _stats, counts, trace)) in jobs.iter().zip(&results) {
+    for ((name, _), ForensicRun { outcome, counts, tracer, .. }) in jobs.iter().zip(&results) {
         outcome.emit_metrics(name, &mut run.metrics);
         run.metrics
-            .push(format!("{name}_transient_secret_fills"), trace.transient_secret_fills() as f64);
-        run.metrics.push(format!("{name}_secret_reads"), trace.secret_reads() as f64);
-        run.metrics.push(format!("{name}_transient_loads"), trace.transient_loads() as f64);
+            .push(format!("{name}_transient_secret_fills"), tracer.transient_secret_fills() as f64);
+        run.metrics.push(format!("{name}_secret_reads"), tracer.secret_reads() as f64);
+        run.metrics.push(format!("{name}_transient_loads"), tracer.transient_loads() as f64);
         run.metrics.push(format!("{name}_squash_events"), counts.squash_events as f64);
         run.metrics.push(format!("{name}_observer_commits"), counts.commits as f64);
         run.metrics.push(format!("{name}_observer_squashed"), counts.squashed_total as f64);
         run.line(format!(
             "{name},{:?},{:?},{},{}",
             outcome.leaked,
-            trace.ground_truth_byte(&[0]),
-            trace.transient_secret_fills(),
-            trace.secret_reads()
+            tracer.ground_truth_byte(&[0]),
+            tracer.transient_secret_fills(),
+            tracer.secret_reads()
         ));
     }
 
-    let (attacked, attacked_stats, attacked_counts, attacked_trace) = &results[0];
-    let (secured, _, _, secured_trace) = &results[1];
+    let ForensicRun {
+        outcome: attacked,
+        stats: attacked_stats,
+        counts: attacked_counts,
+        tracer: attacked_trace,
+        ..
+    } = &results[0];
+    let ForensicRun { outcome: secured, tracer: secured_trace, .. } = &results[1];
 
     // The inference and the ground truth must name the same probe indices
     // (probe entry 0 is excluded on both sides: training touches it
@@ -803,7 +842,7 @@ fn run_leak_trace(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
 // ---------------------------------------------------------------------------
 
 fn run_trace_repro(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
-    use specrun_trace::{decode_events, encode_events, first_divergence, RecordingObserver};
+    use specrun_trace::{decode_events, encode_events, first_divergence};
 
     let mut run = ScenarioRun::new(&scenario("trace_repro"), ctx);
     let cfg = PocConfig::fig11(FIG11_SLIDE); // secret 127, slide > ROB
@@ -815,25 +854,16 @@ fn run_trace_repro(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
 
     let jobs = [("runahead", Policy::Runahead), ("secure_sl_cache", Policy::Secure)];
     let results = try_fan_out(ctx, &jobs, |(_, policy)| {
-        let tracer = leak_trace_for(&cfg.layout, &CpuConfig::default());
-        let mut session = Session::builder()
-            .policy(*policy)
-            .observer(((CountingObserver::default(), tracer), RecordingObserver::new()))
-            .build();
-        let outcome =
-            governed(ctx, &mut session, "trace_repro PoC", |s| run_poc(s, GadgetKind::Pht, &cfg))?;
-        let ((counts, trace), recorder) = session.observer().clone();
-        Ok((outcome, counts, trace, recorder.into_events()))
+        forensic_poc(*policy, &ctx.cancel, "trace_repro PoC")
     })?;
 
     run.line("machine,events,trace_bytes,lossless,replay_identical".to_string());
     let mut replays = Vec::new();
-    for ((name, _), (_, counts, tracer, events)) in jobs.iter().zip(&results) {
+    for ((name, _), ForensicRun { counts, tracer, events, .. }) in jobs.iter().zip(&results) {
         let bytes = encode_events(events);
         let decoded = decode_events(&bytes).expect("a freshly encoded log decodes");
         let lossless = decoded.events == *events && !decoded.torn_tail;
-        let mut fresh =
-            (CountingObserver::default(), leak_trace_for(&cfg.layout, &CpuConfig::default()));
+        let mut fresh = forensic_observers();
         specrun_trace::replay(&decoded.events, &mut fresh);
         let identical = fresh.0 == *counts && fresh.1 == *tracer;
         run.metrics.push(format!("{name}_events"), events.len() as f64);
@@ -869,7 +899,7 @@ fn run_trace_repro(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
             cfg.secret
         ),
         replayed_attacked.ground_truth_byte(&[0]) == Some(cfg.secret)
-            && replayed_attacked.fills_per_entry() == results[0].2.fills_per_entry(),
+            && replayed_attacked.fills_per_entry() == results[0].tracer.fills_per_entry(),
         format!("{:?}", replayed_attacked.ground_truth_byte(&[0])),
     );
     run.check(
@@ -884,7 +914,7 @@ fn run_trace_repro(ctx: &RunContext) -> Result<ScenarioRun, RunError> {
     // timing skew the SL cache also causes.
     let secret_line = (cfg.layout.probe_base + u64::from(cfg.secret) * cfg.layout.probe_stride)
         / CpuConfig::default().mem.l1d.line_bytes;
-    let divergence = first_divergence(&results[0].3, &results[1].3);
+    let divergence = first_divergence(&results[0].events, &results[1].events);
     let pinpoints = matches!(
         divergence.as_ref().map(|d| d.a),
         Some(Some(specrun_trace::PipelineEvent::CacheFill { line, transient: true, .. }))

@@ -148,18 +148,6 @@ impl ArtifactSink for ChaosSink<'_> {
     }
 }
 
-/// Adapts an [`ArtifactSink`] to the trace crate's byte-oriented
-/// [`specrun_trace::TraceSink`], so trace logs written by lab commands ride
-/// the same atomic-replace protocol — and the same chaos fault injection —
-/// as every JSON artifact.
-pub struct ArtifactTraceSink<'a>(pub &'a dyn ArtifactSink);
-
-impl specrun_trace::TraceSink for ArtifactTraceSink<'_> {
-    fn write_trace(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.0.write_atomic_bytes(path, bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,15 +205,13 @@ mod tests {
 
     #[test]
     fn chaos_sink_injects_into_the_bytes_path_too() {
-        use specrun_trace::TraceSink as _;
         let dir = scratch("chaos_bytes");
         let path = dir.join("t.bin");
         let chaos = ChaosSink::new(&FsSink, &[0]).torn();
-        let sink = ArtifactTraceSink(&chaos);
-        assert!(sink.write_trace(&path, &[1, 2, 3]).is_err(), "op 0 injected");
+        assert!(chaos.write_atomic_bytes(&path, &[1, 2, 3]).is_err(), "op 0 injected");
         assert!(!path.exists(), "target untouched");
         assert_eq!(std::fs::read(tmp_path(&path)).unwrap(), [1, 2, 3], "temp left behind");
-        sink.write_trace(&path, &[4, 5]).unwrap();
+        chaos.write_atomic_bytes(&path, &[4, 5]).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), [4, 5]);
         assert!(!tmp_path(&path).exists());
         let _ = std::fs::remove_dir_all(&dir);

@@ -2,11 +2,11 @@
 //!
 //! The forensic loop the trace subsystem closes:
 //!
-//! * **record** runs the fixed-geometry Fig. 11 PHT PoC (the `leak_trace`
-//!   shape: slide > ROB, secret 127) on a chosen machine policy with the
-//!   ground-truth observers attached, and streams every pipeline event
-//!   into a delta-encoded binary log (`specrun_trace` format) written
-//!   through the [`crate::sink::ArtifactSink`] atomic protocol;
+//! * **record** runs the `leak_trace` scenario's forensic PoC (the
+//!   fixed-geometry Fig. 11 PHT shape: slide > ROB, secret 127) on a
+//!   chosen machine policy, and encodes the pipeline events its recorder
+//!   captured into a delta-encoded binary log (`specrun_trace` format)
+//!   written through the [`crate::sink::ArtifactSink`] atomic protocol;
 //! * **replay** re-drives fresh observers from the log alone — no
 //!   simulator — and derives the same metrics the live run derived. The
 //!   geometry is pinned (quick = full on `leak_trace`), so a replay needs
@@ -22,17 +22,13 @@
 
 use std::path::{Path, PathBuf};
 
-use specrun::attack::{run_poc, GadgetKind, PocConfig};
-use specrun::session::{leak_trace_for, Policy, Session};
+use specrun::session::Policy;
 use specrun_cpu::probe::{CountingObserver, LeakTraceObserver};
-use specrun_cpu::CpuConfig;
-use specrun_trace::{
-    encode_events, first_divergence, read_trace_file, stream_stats, PipelineEvent, TraceSink as _,
-};
+use specrun_trace::{decode_events, encode_events, first_divergence, stream_stats, PipelineEvent};
 
 use crate::json::Json;
-use crate::registry::FIG11_SLIDE;
-use crate::sink::{ArtifactSink, ArtifactTraceSink, FsSink};
+use crate::registry::{forensic_observers, forensic_poc, ForensicRun};
+use crate::sink::{ArtifactSink, FsSink};
 
 /// A parsed `specrun-lab trace` invocation.
 #[derive(Debug, PartialEq)]
@@ -137,17 +133,6 @@ pub(crate) fn parse_trace_args(args: &[String]) -> Result<TraceCommand, String> 
     }
 }
 
-/// The pinned PoC every trace command assumes: the `leak_trace` scenario
-/// shape. Because the geometry is a constant of the binary, `replay` can
-/// rebuild the exact observers the live run used from the log alone.
-fn poc() -> PocConfig {
-    PocConfig::fig11(FIG11_SLIDE)
-}
-
-fn fresh_tracer(cfg: &PocConfig) -> LeakTraceObserver {
-    leak_trace_for(&cfg.layout, &CpuConfig::default())
-}
-
 /// The observer-derived metric document. Every value is a pure function
 /// of the event stream (plus the pinned geometry), so a live `record` and
 /// a detached `replay` of its log produce byte-identical files — the CI
@@ -190,19 +175,12 @@ fn write_metrics(
 }
 
 fn record(out: &Path, policy: Policy, metrics: Option<&Path>) -> Result<i32, String> {
-    let cfg = poc();
-    let mut session = Session::builder()
-        .policy(policy)
-        .observer((CountingObserver::default(), fresh_tracer(&cfg)))
-        .trace(out)
-        .build();
-    let outcome = run_poc(&mut session, GadgetKind::Pht, &cfg);
-    let events = session.recorded_events().to_vec();
+    let ForensicRun { outcome, counts, tracer, events, .. } =
+        forensic_poc(policy, &None, "trace record PoC").map_err(|e| e.to_string())?;
     let bytes = encode_events(&events);
-    ArtifactTraceSink(&FsSink)
-        .write_trace(out, &bytes)
+    FsSink
+        .write_atomic_bytes(out, &bytes)
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    let (counts, tracer) = session.observer().0.clone();
     println!(
         "recorded {} event(s) ({} bytes) from the {} machine to {}",
         events.len(),
@@ -221,8 +199,10 @@ fn record(out: &Path, policy: Policy, metrics: Option<&Path>) -> Result<i32, Str
 }
 
 fn load_events(path: &Path) -> Result<Vec<PipelineEvent>, String> {
+    let bytes = std::fs::read(path)
+        .map_err(|e| format!("cannot read {}: cannot read trace: {e}", path.display()))?;
     let decoded =
-        read_trace_file(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        decode_events(&bytes).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     if decoded.torn_tail {
         eprintln!(
             "warning: {} has a torn tail; the final partial block was dropped",
@@ -234,8 +214,7 @@ fn load_events(path: &Path) -> Result<Vec<PipelineEvent>, String> {
 
 fn replay_log(path: &Path, metrics: Option<&Path>) -> Result<i32, String> {
     let events = load_events(path)?;
-    let cfg = poc();
-    let mut observers = (CountingObserver::default(), fresh_tracer(&cfg));
+    let mut observers = forensic_observers();
     specrun_trace::replay(&events, &mut observers);
     let (counts, tracer) = observers;
     println!("replayed {} event(s) from {} (no simulator)", events.len(), path.display());
@@ -358,6 +337,20 @@ mod tests {
         // Operational failures are not usage errors: they self-report and
         // exit 2 without triggering the caller's usage dump.
         assert_eq!(trace_command(&strings(&["replay", "/nonexistent/trace.bin"])), Ok(2));
+    }
+
+    #[test]
+    fn load_events_tells_unreadable_logs_from_corrupt_ones() {
+        let missing = Path::new("/nonexistent/specrun.trace");
+        let err = load_events(missing).unwrap_err();
+        assert!(err.starts_with("cannot read /nonexistent/specrun.trace: cannot read trace: "));
+        let dir = scratch("corrupt");
+        let garbage = dir.join("garbage.bin");
+        std::fs::write(&garbage, b"garbage").unwrap();
+        let err = load_events(&garbage).unwrap_err();
+        let header = specrun_trace::TraceError::Header;
+        assert_eq!(err, format!("cannot read {}: {header}", garbage.display()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

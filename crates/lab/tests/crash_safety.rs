@@ -3,8 +3,9 @@
 //! build (the committed fixtures) still resume, foreign journals are
 //! refused, artifact-write failures exit 2 and keep the journal for every
 //! journaled shape, `pool run` reports IO errors in one line, a `run`
-//! deadline cancels a scenario instead of waiting for it, and a scenario
-//! named twice is refused before anything is journaled.
+//! deadline cancels a scenario instead of waiting for it, a scenario
+//! named twice is refused before anything is journaled, and a listing
+//! whose reader closes the pipe exits 0 without a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -374,4 +375,23 @@ fn run_refuses_a_repeated_scenario_name_with_exit_2() {
     assert!(!artifacts.exists(), "no journal or artifact is written");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn listings_exit_0_quietly_when_the_reader_closes_the_pipe() {
+    for args in [&["list"][..], &["fuzz", "--list-invariants"], &["pool", "spec"]] {
+        let mut child = Command::new(lab_bin())
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn a listing");
+        // The reader goes away before the listing is written, as
+        // `specrun-lab list | true` does.
+        drop(child.stdout.take());
+        let output = child.wait_with_output().expect("wait for the listing");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{args:?}: a closed pipe is not an error");
+        assert!(!stderr.contains("panicked"), "{args:?}: no panic on a closed pipe:\n{stderr}");
+    }
 }

@@ -30,8 +30,6 @@
 //!   shortened trace.
 
 use std::fmt;
-use std::io::{self, Write};
-use std::path::Path;
 
 use specrun_cpu::probe::PipelineEvent;
 use specrun_mem::HitLevel;
@@ -344,67 +342,6 @@ pub fn decode_events(bytes: &[u8]) -> Result<DecodedTrace, TraceError> {
     Ok(DecodedTrace { events, torn_tail: false, blocks })
 }
 
-/// Destination for an encoded trace log. `specrun-lab` adapts its
-/// `ArtifactSink` onto this (so chaos fault injection covers trace writes
-/// too); [`FsTraceSink`] is the plain filesystem implementation with the
-/// same atomic discipline.
-pub trait TraceSink {
-    /// Writes `bytes` to `path` atomically (no torn files on crash —
-    /// old-or-new, never a hybrid).
-    fn write_trace(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-}
-
-/// Filesystem [`TraceSink`]: temp file + fsync + rename, matching the
-/// artifact-sink discipline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FsTraceSink;
-
-impl TraceSink for FsTraceSink {
-    fn write_trace(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(bytes)?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
-    }
-}
-
-/// Encodes `events` and writes the log to `path` through [`FsTraceSink`].
-pub fn write_trace_file(path: &Path, events: &[PipelineEvent]) -> io::Result<()> {
-    FsTraceSink.write_trace(path, &encode_events(events))
-}
-
-/// Reading a trace file can fail two ways: the file itself (I/O) or its
-/// contents ([`TraceError`]).
-#[derive(Debug)]
-pub enum TraceFileError {
-    /// The file could not be read.
-    Io(io::Error),
-    /// The file's contents are not a valid trace.
-    Decode(TraceError),
-}
-
-impl fmt::Display for TraceFileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceFileError::Io(e) => write!(f, "cannot read trace: {e}"),
-            TraceFileError::Decode(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceFileError {}
-
-/// Reads and decodes the trace log at `path`.
-pub fn read_trace_file(path: &Path) -> Result<DecodedTrace, TraceFileError> {
-    let bytes = std::fs::read(path).map_err(TraceFileError::Io)?;
-    decode_events(&bytes).map_err(TraceFileError::Decode)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,28 +488,5 @@ mod tests {
             PipelineEvent::Commit { cycle: 2, pc: 4 },
         ];
         assert_eq!(decode_events(&encode_events(&events)).unwrap().events, events);
-    }
-
-    #[test]
-    fn fs_sink_writes_atomically_named_file() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("specrun_trace_fmt_{}.trace", std::process::id()));
-        let events = sample_events();
-        write_trace_file(&path, &events).unwrap();
-        let decoded = read_trace_file(&path).unwrap();
-        assert_eq!(decoded.events, events);
-        assert!(!path.with_extension("trace.tmp").exists());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn read_trace_file_distinguishes_io_from_decode() {
-        let missing = Path::new("/nonexistent/specrun.trace");
-        assert!(matches!(read_trace_file(missing), Err(TraceFileError::Io(_))));
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("specrun_trace_bad_{}.trace", std::process::id()));
-        std::fs::write(&path, b"garbage").unwrap();
-        assert!(matches!(read_trace_file(&path), Err(TraceFileError::Decode(TraceError::Header))));
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -12,9 +12,7 @@
 //!   a compact delta-encoded binary log (varint cycle deltas,
 //!   per-event-kind tags, framed blocks whose trailing FNV digests make a
 //!   torn tail self-identifying — the campaign-journal discipline, in
-//!   binary). [`TraceSink`] is the atomic-write seam; `specrun-lab`
-//!   adapts its `ArtifactSink` onto it so chaos fault injection covers
-//!   trace writes too.
+//!   binary).
 //! * **Replay** — [`decode_events`] recovers the stream and [`replay`]
 //!   re-drives *any* observer from it, no simulator needed: a replayed
 //!   `CountingObserver` or `LeakTraceObserver` reproduces the live run's
@@ -24,6 +22,11 @@
 //!   and taint annotations normalized away) and names the first event
 //!   where the pipelines part ways: "the transient secret fill at the Nth
 //!   `RunaheadEnter` that the SL cache suppressed".
+//!
+//! The crate does no file I/O: it turns events into bytes and back, and
+//! the caller decides where the bytes live. `specrun-lab` writes logs
+//! through its `ArtifactSink` atomic-replace protocol (so chaos fault
+//! injection covers trace writes too) and reads them back whole.
 //!
 //! ```
 //! use specrun_cpu::probe::{CountingObserver, PipelineObserver};
@@ -54,8 +57,7 @@ mod record;
 
 pub use diff::{first_divergence, stream_stats, Divergence, StreamStats};
 pub use format::{
-    decode_events, encode_events, read_trace_file, write_trace_file, DecodedTrace, FsTraceSink,
-    TraceError, TraceFileError, TraceSink, BLOCK_EVENTS, TRACE_MAGIC,
+    decode_events, encode_events, DecodedTrace, TraceError, BLOCK_EVENTS, TRACE_MAGIC,
 };
 pub use record::{replay, RecordingObserver};
 

@@ -1,5 +1,5 @@
-//! Parallel trial harness: config-matrix building and multi-threaded
-//! fan-out over independent simulations.
+//! Parallel trial harness: multi-threaded fan-out over independent
+//! simulations.
 //!
 //! Every SPECRUN experiment is a sweep: Fig. 7 runs six kernels on two
 //! machines, Fig. 9-style covert-channel evaluations average over many
@@ -8,11 +8,8 @@
 //! configurations. All of those trials are *independent* — each owns a
 //! fresh [`Core`](specrun_cpu::Core) — so they parallelize embarrassingly.
 //!
-//! The harness has three parts:
+//! The harness has two parts:
 //!
-//! * [`ConfigMatrix`] — builds the cartesian product of machine-config axes
-//!   into a flat list of [`TrialSpec`]s, each with a deterministic per-trial
-//!   RNG seed;
 //! * [`parallel_map`] — fans a closure out over a slice on the campaign
 //!   worker pool ([`crate::supervisor::supervised_map_with`] with nothing
 //!   supervised), preserving input order and re-raising the lowest-index
@@ -27,10 +24,9 @@
 //! assert_eq!(s.max, 16.0);
 //! ```
 
-use specrun_cpu::{CpuConfig, RunExit, RunaheadPolicy, SecureConfig};
+use specrun_cpu::RunExit;
 
 use crate::clock::WallClock;
-use crate::rng::SplitMix64;
 use crate::supervisor::{supervised_map_with, SupervisorConfig, UnitOutcome};
 
 /// Ceiling on worker-thread counts: above this, extra threads only add
@@ -231,138 +227,6 @@ where
         .collect()
 }
 
-/// One point of a configuration sweep.
-#[derive(Debug, Clone)]
-pub struct TrialSpec {
-    /// Flat index in the sweep (also the result position).
-    pub id: usize,
-    /// Machine configuration for this trial.
-    pub config: CpuConfig,
-    /// Deterministic seed for this trial's randomness.
-    pub seed: u64,
-    /// Repetition number within its config point (0-based).
-    pub repeat: u32,
-    /// Human-readable config-point label, e.g. `"Original"`.
-    pub label: String,
-}
-
-impl TrialSpec {
-    /// A fresh RNG seeded for this trial.
-    pub fn rng(&self) -> SplitMix64 {
-        SplitMix64::new(self.seed)
-    }
-}
-
-/// Cartesian-product builder for machine-configuration sweeps.
-///
-/// Axes left unset contribute the base configuration's value. Each config
-/// point is repeated `trials` times with distinct per-trial seeds.
-///
-/// ```
-/// use specrun_cpu::{CpuConfig, RunaheadPolicy};
-/// use specrun_workloads::harness::ConfigMatrix;
-/// let specs = ConfigMatrix::new(CpuConfig::default())
-///     .policies(&[RunaheadPolicy::Original, RunaheadPolicy::Precise])
-///     .trials(3)
-///     .build();
-/// assert_eq!(specs.len(), 6);
-/// assert_ne!(specs[0].seed, specs[1].seed);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ConfigMatrix {
-    base: CpuConfig,
-    policies: Vec<RunaheadPolicy>,
-    secures: Vec<SecureConfig>,
-    trials: u32,
-    base_seed: u64,
-}
-
-impl ConfigMatrix {
-    /// Starts a matrix from a base configuration.
-    pub fn new(base: CpuConfig) -> ConfigMatrix {
-        ConfigMatrix {
-            base,
-            policies: Vec::new(),
-            secures: Vec::new(),
-            trials: 1,
-            base_seed: 0x5045_4352_554e, // "SPECRUN"
-        }
-    }
-
-    /// Sweeps the runahead policy axis.
-    pub fn policies(mut self, policies: &[RunaheadPolicy]) -> ConfigMatrix {
-        self.policies = policies.to_vec();
-        self
-    }
-
-    /// Sweeps the defense axis.
-    pub fn secures(mut self, secures: &[SecureConfig]) -> ConfigMatrix {
-        self.secures = secures.to_vec();
-        self
-    }
-
-    /// Repetitions per config point (independent seeds).
-    pub fn trials(mut self, trials: u32) -> ConfigMatrix {
-        self.trials = trials.max(1);
-        self
-    }
-
-    /// Base seed from which all per-trial seeds derive.
-    pub fn seed(mut self, seed: u64) -> ConfigMatrix {
-        self.base_seed = seed;
-        self
-    }
-
-    /// Expands the matrix into a flat trial list.
-    pub fn build(&self) -> Vec<TrialSpec> {
-        let policies: Vec<Option<RunaheadPolicy>> = if self.policies.is_empty() {
-            vec![None]
-        } else {
-            self.policies.iter().copied().map(Some).collect()
-        };
-        let secures: Vec<Option<SecureConfig>> = if self.secures.is_empty() {
-            vec![None]
-        } else {
-            self.secures.iter().copied().map(Some).collect()
-        };
-        let mut seeder = SplitMix64::new(self.base_seed);
-        let mut specs = Vec::new();
-        for policy in &policies {
-            for secure in &secures {
-                for repeat in 0..self.trials {
-                    let mut config = self.base.clone();
-                    let mut label = String::new();
-                    if let Some(p) = policy {
-                        config.runahead.policy = *p;
-                        label = format!("{p:?}");
-                    }
-                    if let Some(s) = secure {
-                        config.runahead.secure = *s;
-                        if !label.is_empty() {
-                            label.push('/');
-                        }
-                        label.push_str(if s.sl_cache {
-                            "sl_cache"
-                        } else if s.skip_inv_branches {
-                            "skip_inv"
-                        } else {
-                            "undefended"
-                        });
-                    }
-                    specs.push(TrialSpec {
-                        id: specs.len(),
-                        config,
-                        seed: seeder.next_u64(),
-                        repeat,
-                        label: label.clone(),
-                    });
-                }
-            }
-        }
-        specs
-    }
-}
-
 /// Aggregate of a per-trial metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -402,6 +266,7 @@ mod tests {
     use super::*;
     use crate::{ipc::try_run_workload_observed, kernels};
     use specrun_cpu::probe::NoopObserver;
+    use specrun_cpu::CpuConfig;
 
     #[test]
     fn parallel_map_preserves_order_and_covers_all() {
@@ -502,26 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_covers_product_with_distinct_seeds() {
-        let specs = ConfigMatrix::new(CpuConfig::default())
-            .policies(&[RunaheadPolicy::Original, RunaheadPolicy::Precise, RunaheadPolicy::Vector])
-            .trials(4)
-            .build();
-        assert_eq!(specs.len(), 12);
-        let mut seeds: Vec<u64> = specs.iter().map(|s| s.seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 12, "per-trial seeds must be distinct");
-        assert_eq!(specs[0].label, "Original");
-        // Deterministic: rebuilding yields the same seeds.
-        let again = ConfigMatrix::new(CpuConfig::default())
-            .policies(&[RunaheadPolicy::Original, RunaheadPolicy::Precise, RunaheadPolicy::Vector])
-            .trials(4)
-            .build();
-        assert_eq!(again[5].seed, specs[5].seed);
-    }
-
-    #[test]
     fn summary_aggregates() {
         let s = Summary::of([2.0, 4.0, 6.0]);
         assert_eq!((s.n, s.mean, s.min, s.max), (3, 4.0, 2.0, 6.0));
@@ -554,53 +399,12 @@ mod tests {
     }
 
     #[test]
-    fn matrix_trial_count_is_policies_times_secures_times_trials() {
-        let specs = ConfigMatrix::new(CpuConfig::default())
-            .policies(&[RunaheadPolicy::Original, RunaheadPolicy::Precise])
-            .secures(&[
-                SecureConfig::default(),
-                SecureConfig::sl_cache_default(),
-                SecureConfig::skip_inv_default(),
-            ])
-            .trials(5)
-            .build();
-        assert_eq!(specs.len(), 2 * 3 * 5, "policies x secures x trials");
-        // Flat ids follow build order and labels carry both axes.
-        assert!(specs.iter().enumerate().all(|(i, s)| s.id == i));
-        assert_eq!(specs[0].label, "Original/undefended");
-        assert_eq!(specs[5].label, "Original/sl_cache");
-        let last = specs.last().unwrap();
-        assert_eq!(last.label, "Precise/skip_inv");
-        assert_eq!(last.repeat, 4);
-    }
-
-    #[test]
-    fn matrix_seeds_are_deterministic_and_base_seed_sensitive() {
-        let build = |seed: u64| {
-            ConfigMatrix::new(CpuConfig::default())
-                .policies(&[RunaheadPolicy::Original, RunaheadPolicy::Vector])
-                .trials(3)
-                .seed(seed)
-                .build()
-        };
-        let a: Vec<u64> = build(42).iter().map(|s| s.seed).collect();
-        let b: Vec<u64> = build(42).iter().map(|s| s.seed).collect();
-        assert_eq!(a, b, "same base seed must reproduce every trial seed");
-        let c: Vec<u64> = build(43).iter().map(|s| s.seed).collect();
-        assert_ne!(a, c, "different base seed must change the trial seeds");
-        let mut uniq = a.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), a.len(), "per-trial seeds must be distinct");
-    }
-
-    #[test]
     fn parallel_simulation_matches_serial() {
         let w = kernels::lbm(60);
-        let specs = ConfigMatrix::new(CpuConfig::default()).trials(4).build();
+        let configs = vec![CpuConfig::default(); 4];
         let cycles = |threads| {
-            parallel_map(&specs, threads, |_, s: &TrialSpec| {
-                let run = try_run_workload_observed(&w, s.config.clone(), 5_000_000, NoopObserver);
+            parallel_map(&configs, threads, |_, config: &CpuConfig| {
+                let run = try_run_workload_observed(&w, config.clone(), 5_000_000, NoopObserver);
                 run.unwrap().0.cycles
             })
         };

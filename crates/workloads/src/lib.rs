@@ -30,9 +30,7 @@ pub mod supervisor;
 
 pub use clock::{ChaosClock, Clock, WallClock};
 pub use fuzz::shrink_plan;
-pub use harness::{
-    parallel_map, ConfigMatrix, RunError, Summary, TrialError, TrialSpec, MAX_THREADS,
-};
+pub use harness::{parallel_map, RunError, Summary, TrialError, MAX_THREADS};
 pub use ipc::{
     geomean_speedup, try_compare, try_run_workload_governed, try_run_workload_observed,
     IpcComparison, IpcResult, DEFAULT_ITERS,
@@ -60,7 +58,7 @@ pub fn suite_with_iters(iters: u32) -> Vec<Workload> {
 
 /// Commonly used items for examples and tests.
 pub mod prelude {
-    pub use crate::harness::{parallel_map, ConfigMatrix, Summary};
+    pub use crate::harness::{parallel_map, Summary};
     pub use crate::ipc::{geomean_speedup, try_compare, IpcComparison};
     pub use crate::kernels::Workload;
     pub use crate::metrics::{MetricSet, MetricSource};

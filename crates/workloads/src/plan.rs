@@ -576,49 +576,61 @@ impl Plan {
         s.push_str(&format!("{pad}\"attack_filler\": {},\n", self.victim.attack_filler));
         s.push_str(&format!("{pad}\"max_cycles\": {},\n", self.victim.max_cycles));
         s.push_str(&format!("{pad}\"secret\": {},\n", self.secret));
-        let l = &self.layout;
-        s.push_str(&format!("{pad}\"layout\": {{\n"));
-        s.push_str(&format!("{pad2}\"bound_addr\": \"{:#x}\",\n", l.bound_addr));
-        s.push_str(&format!("{pad2}\"bound_value\": {},\n", l.bound_value));
-        s.push_str(&format!("{pad2}\"array1_base\": \"{:#x}\",\n", l.array1_base));
-        s.push_str(&format!("{pad2}\"secret_addr\": \"{:#x}\",\n", l.secret_addr));
-        s.push_str(&format!("{pad2}\"probe_base\": \"{:#x}\",\n", l.probe_base));
-        s.push_str(&format!("{pad2}\"probe_stride\": {},\n", l.probe_stride));
-        s.push_str(&format!("{pad2}\"probe_entries\": {},\n", l.probe_entries));
-        s.push_str(&format!("{pad2}\"results_base\": \"{:#x}\"\n", l.results_base));
-        s.push_str(&format!("{pad}}},\n"));
-        s.push_str(&format!("{pad}\"warm\": ["));
-        for (i, w) in self.warm.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n{pad2}{{\"addr\": \"{:#x}\", \"len\": {}}}", w.addr, w.len));
-        }
-        if self.warm.is_empty() {
-            s.push_str("],\n");
-        } else {
-            s.push_str(&format!("\n{pad}],\n"));
-        }
-        let k = &self.knobs;
-        s.push_str(&format!("{pad}\"knobs\": {{\n"));
-        s.push_str(&format!("{pad2}\"rob_entries\": {},\n", k.rob_entries));
-        s.push_str(&format!("{pad2}\"lq_entries\": {},\n", k.lq_entries));
-        s.push_str(&format!("{pad2}\"sq_entries\": {},\n", k.sq_entries));
-        s.push_str(&format!("{pad2}\"enter_penalty\": {},\n", k.enter_penalty));
-        s.push_str(&format!("{pad2}\"exit_penalty\": {},\n", k.exit_penalty));
-        s.push_str(&format!("{pad2}\"train_predictor\": {},\n", k.train_predictor));
-        s.push_str(&format!("{pad2}\"checkpoint_predictor\": {},\n", k.checkpoint_predictor));
-        s.push_str(&format!("{pad2}\"vector_lanes\": {},\n", k.vector_lanes));
-        s.push_str(&format!("{pad2}\"min_episode_yield\": {},\n", k.min_episode_yield));
-        s.push_str(&format!("{pad2}\"useless_backoff\": {},\n", k.useless_backoff));
-        s.push_str(&format!("{pad2}\"runahead_cache_bytes\": {},\n", k.runahead_cache_bytes));
-        s.push_str(&format!("{pad2}\"sl_entries\": {},\n", k.sl_entries));
-        s.push_str(&format!("{pad2}\"sl_latency\": {},\n", k.sl_latency));
-        s.push_str(&format!("{pad2}\"fast_forward\": {}\n", k.fast_forward));
-        s.push_str(&format!("{pad}}}\n"));
-        s.push_str(&format!("{close}}}"));
+        push_spec_sections(&mut s, &pad, &pad2, &self.layout, &self.warm, &self.knobs);
+        s.push_str(&format!("\n{close}}}"));
         s
     }
+}
+
+/// Writes the `layout`, `warm` and `knobs` sections shared by a plan's and
+/// a pool spec's JSON, from the `"layout"` key through the knobs block's
+/// closing brace (the caller adds what follows it).
+pub(crate) fn push_spec_sections(
+    s: &mut String,
+    pad: &str,
+    pad2: &str,
+    layout: &AttackLayout,
+    warm: &[WarmStep],
+    knobs: &KnobSpec,
+) {
+    s.push_str(&format!("{pad}\"layout\": {{\n"));
+    s.push_str(&format!("{pad2}\"bound_addr\": \"{:#x}\",\n", layout.bound_addr));
+    s.push_str(&format!("{pad2}\"bound_value\": {},\n", layout.bound_value));
+    s.push_str(&format!("{pad2}\"array1_base\": \"{:#x}\",\n", layout.array1_base));
+    s.push_str(&format!("{pad2}\"secret_addr\": \"{:#x}\",\n", layout.secret_addr));
+    s.push_str(&format!("{pad2}\"probe_base\": \"{:#x}\",\n", layout.probe_base));
+    s.push_str(&format!("{pad2}\"probe_stride\": {},\n", layout.probe_stride));
+    s.push_str(&format!("{pad2}\"probe_entries\": {},\n", layout.probe_entries));
+    s.push_str(&format!("{pad2}\"results_base\": \"{:#x}\"\n", layout.results_base));
+    s.push_str(&format!("{pad}}},\n"));
+    s.push_str(&format!("{pad}\"warm\": ["));
+    for (i, w) in warm.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push_str(&format!("\n{pad2}{{\"addr\": \"{:#x}\", \"len\": {}}}", w.addr, w.len));
+    }
+    if warm.is_empty() {
+        s.push_str("],\n");
+    } else {
+        s.push_str(&format!("\n{pad}],\n"));
+    }
+    s.push_str(&format!("{pad}\"knobs\": {{\n"));
+    s.push_str(&format!("{pad2}\"rob_entries\": {},\n", knobs.rob_entries));
+    s.push_str(&format!("{pad2}\"lq_entries\": {},\n", knobs.lq_entries));
+    s.push_str(&format!("{pad2}\"sq_entries\": {},\n", knobs.sq_entries));
+    s.push_str(&format!("{pad2}\"enter_penalty\": {},\n", knobs.enter_penalty));
+    s.push_str(&format!("{pad2}\"exit_penalty\": {},\n", knobs.exit_penalty));
+    s.push_str(&format!("{pad2}\"train_predictor\": {},\n", knobs.train_predictor));
+    s.push_str(&format!("{pad2}\"checkpoint_predictor\": {},\n", knobs.checkpoint_predictor));
+    s.push_str(&format!("{pad2}\"vector_lanes\": {},\n", knobs.vector_lanes));
+    s.push_str(&format!("{pad2}\"min_episode_yield\": {},\n", knobs.min_episode_yield));
+    s.push_str(&format!("{pad2}\"useless_backoff\": {},\n", knobs.useless_backoff));
+    s.push_str(&format!("{pad2}\"runahead_cache_bytes\": {},\n", knobs.runahead_cache_bytes));
+    s.push_str(&format!("{pad2}\"sl_entries\": {},\n", knobs.sl_entries));
+    s.push_str(&format!("{pad2}\"sl_latency\": {},\n", knobs.sl_latency));
+    s.push_str(&format!("{pad2}\"fast_forward\": {}\n", knobs.fast_forward));
+    s.push_str(&format!("{pad}}}"));
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@
 //! ```
 
 use crate::metrics::{metric_key, MetricSet, MetricSource};
-use crate::plan::{AttackLayout, GadgetKind, KnobSpec, PlanPolicy, WarmStep};
+use crate::plan::{push_spec_sections, AttackLayout, GadgetKind, KnobSpec, PlanPolicy, WarmStep};
 use crate::supervisor::{SupervisedReport, UnitOutcome};
 
 /// One cell of the campaign matrix: which gadget, under which policy,
@@ -217,47 +217,8 @@ impl CampaignSpec {
             s.push_str(&secret.to_string());
         }
         s.push_str("],\n");
-        let l = &self.layout;
-        s.push_str(&format!("{pad}\"layout\": {{\n"));
-        s.push_str(&format!("{pad2}\"bound_addr\": \"{:#x}\",\n", l.bound_addr));
-        s.push_str(&format!("{pad2}\"bound_value\": {},\n", l.bound_value));
-        s.push_str(&format!("{pad2}\"array1_base\": \"{:#x}\",\n", l.array1_base));
-        s.push_str(&format!("{pad2}\"secret_addr\": \"{:#x}\",\n", l.secret_addr));
-        s.push_str(&format!("{pad2}\"probe_base\": \"{:#x}\",\n", l.probe_base));
-        s.push_str(&format!("{pad2}\"probe_stride\": {},\n", l.probe_stride));
-        s.push_str(&format!("{pad2}\"probe_entries\": {},\n", l.probe_entries));
-        s.push_str(&format!("{pad2}\"results_base\": \"{:#x}\"\n", l.results_base));
-        s.push_str(&format!("{pad}}},\n"));
-        s.push_str(&format!("{pad}\"warm\": ["));
-        for (i, w) in self.warm.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n{pad2}{{\"addr\": \"{:#x}\", \"len\": {}}}", w.addr, w.len));
-        }
-        if self.warm.is_empty() {
-            s.push_str("],\n");
-        } else {
-            s.push_str(&format!("\n{pad}],\n"));
-        }
-        let k = &self.knobs;
-        s.push_str(&format!("{pad}\"knobs\": {{\n"));
-        s.push_str(&format!("{pad2}\"rob_entries\": {},\n", k.rob_entries));
-        s.push_str(&format!("{pad2}\"lq_entries\": {},\n", k.lq_entries));
-        s.push_str(&format!("{pad2}\"sq_entries\": {},\n", k.sq_entries));
-        s.push_str(&format!("{pad2}\"enter_penalty\": {},\n", k.enter_penalty));
-        s.push_str(&format!("{pad2}\"exit_penalty\": {},\n", k.exit_penalty));
-        s.push_str(&format!("{pad2}\"train_predictor\": {},\n", k.train_predictor));
-        s.push_str(&format!("{pad2}\"checkpoint_predictor\": {},\n", k.checkpoint_predictor));
-        s.push_str(&format!("{pad2}\"vector_lanes\": {},\n", k.vector_lanes));
-        s.push_str(&format!("{pad2}\"min_episode_yield\": {},\n", k.min_episode_yield));
-        s.push_str(&format!("{pad2}\"useless_backoff\": {},\n", k.useless_backoff));
-        s.push_str(&format!("{pad2}\"runahead_cache_bytes\": {},\n", k.runahead_cache_bytes));
-        s.push_str(&format!("{pad2}\"sl_entries\": {},\n", k.sl_entries));
-        s.push_str(&format!("{pad2}\"sl_latency\": {},\n", k.sl_latency));
-        s.push_str(&format!("{pad2}\"fast_forward\": {}\n", k.fast_forward));
-        s.push_str(&format!("{pad}}},\n"));
-        s.push_str(&format!("{pad}\"shards\": [\n"));
+        push_spec_sections(&mut s, &pad, &pad2, &self.layout, &self.warm, &self.knobs);
+        s.push_str(&format!(",\n{pad}\"shards\": [\n"));
         for (i, shard) in self.shards.iter().enumerate() {
             s.push_str(&format!(
                 "{pad2}{{\"gadget\": \"{}\", \"policy\": \"{}\", \"nop_slide\": {}}}{}\n",
