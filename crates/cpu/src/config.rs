@@ -217,8 +217,9 @@ pub struct CpuConfig {
     /// Event-scheduler self-check: every cycle, the retired scan-based
     /// scheduler logic runs in parallel with the event-driven one —
     /// writeback's due-completion set is recomputed by a full ROB scan, and
-    /// the issue-ready queue is audited against every waiting entry's
-    /// operand state — and any divergence panics. Orders of magnitude
+    /// the issue-ready set is audited against every waiting entry's
+    /// operand state and for bits left on freed ROB slots — and any
+    /// divergence panics. Orders of magnitude
     /// slower — for tests only.
     pub sched_check: bool,
     /// Predecode self-check: every fetched micro-op's

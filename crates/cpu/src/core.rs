@@ -146,7 +146,8 @@ pub struct Core<O: PipelineObserver = NoopObserver> {
     pub(crate) strides: HashMap<u64, StrideEntry>,
     pub(crate) ra_backoff_until: u64,
     pub(crate) scheduled_flushes: TimerQueue<u64>,
-    // Event-driven scheduling: completion events, ready queue, wakeups.
+    // Event-driven scheduling: completion events, wakeups, serializers
+    // (the issue-ready set is a bit per `rob` slot).
     pub(crate) sched: Scheduler,
     pub(crate) stats: CpuStats,
     // Reusable per-cycle scratch buffers (the hot loop must not allocate).
@@ -514,11 +515,11 @@ impl<O: PipelineObserver> Core<O> {
     /// collected event cycles. Since the state is therefore identical at
     /// `now + 1`, the same reasoning applies until the earliest event.
     ///
-    /// With the event-driven scheduler this check is O(ready queue), not
-    /// O(ROB): every `Executing` entry's completion is in the event queue
-    /// (its minimum is the earliest writeback), and every `Waiting` entry
-    /// outside the ready queue is operand-blocked, so the pipeline can jump
-    /// even while instructions are *in flight* — the busy-but-stalled state
+    /// With the event-driven scheduler this check reads one issue candidate
+    /// off the ready bits instead of scanning the ROB: every `Executing`
+    /// entry's completion is in the event queue (its minimum is the
+    /// earliest writeback), and every `Waiting` entry outside the ready set
+    /// is operand-blocked, so the pipeline can jump even while instructions are *in flight* — the busy-but-stalled state
     /// (e.g. runahead mcf waiting on a DRAM batch) where the old full-scan
     /// check was too expensive to pay every cycle and bailed out behind a
     /// minimum-stall heuristic.
@@ -625,18 +626,17 @@ impl<O: PipelineObserver> Core<O> {
             next = next.min(at);
         }
 
-        // Issue: `Waiting` entries outside the ready queue are blocked on an
+        // Issue: `Waiting` entries outside the ready set are blocked on an
         // operand whose production is itself a tracked completion event (or
         // a runahead entry/exit, both tracked), or are serializers behind
         // the head, which reach it only through commit (a Done head,
         // rejected above). Ready entries younger than a pending serializer
         // stay pinned until it completes — a tracked event; any other
-        // issue candidate may act (or at least probe a functional unit or
+        // issue candidate, which exists iff the oldest one is not younger
+        // than the gate, may act (or at least probe a functional unit or
         // the store queue) next step: not quiescent.
         let gate = self.sched.serializer_gate();
-        let mut candidates =
-            self.sched.ready_seqs().take_while(|&&seq| gate.map_or(true, |g| seq <= g));
-        if candidates.any(|&seq| self.rob.get(seq).is_some()) {
+        if self.rob.next_ready(0).is_some_and(|i| gate.map_or(true, |g| self.rob.nth(i).seq <= g)) {
             return None;
         }
 
@@ -804,27 +804,19 @@ impl<O: PipelineObserver> Core<O> {
 
     /// Delivers wakeups for a newly produced register: every waiter's
     /// pending-operand count drops, and entries reaching zero join the
-    /// issue-ready queue — except a serializer behind the ROB head, which
-    /// `commit` queues once it becomes the head. Waiter lists never hold
-    /// live entries for a *reallocated* register — a physical register is
-    /// freed only when the instruction that overwrote its architectural
-    /// mapping commits, by which point every reader of the old mapping has
-    /// retired (or, on a squash, the readers died in the same squash) — so
-    /// a stale sequence number here simply no longer resolves in the ROB
-    /// and is skipped.
+    /// issue-ready set — except a serializer behind the ROB head, which
+    /// `commit` marks once it becomes the head (see `Rob::wake`). Waiter
+    /// lists never hold live entries for a *reallocated* register — a
+    /// physical register is freed only when the instruction that
+    /// overwrote its architectural mapping commits, by which point every
+    /// reader of the old mapping has retired (or, on a squash, the readers
+    /// died in the same squash) — so a stale sequence number here simply
+    /// no longer resolves in the ROB and is skipped.
     fn wake_reg(&mut self, p: PhysRef) {
         let mut woken = std::mem::take(&mut self.sched.scratch);
         self.sched.take_waiters(p, &mut woken);
         for seq in woken.drain(..) {
-            let Some(e) = self.rob.get_mut(seq) else { continue };
-            if e.state != EntryState::Waiting {
-                continue;
-            }
-            e.wait_count = e.wait_count.saturating_sub(1);
-            if e.wait_count == 0 {
-                if !e.meta.is_serializing() || self.seq_of_head() == Some(seq) {
-                    self.sched.mark_ready(seq);
-                }
+            if self.rob.wake(seq) {
                 self.stats.sched_wakeups += 1;
             }
         }
@@ -847,11 +839,13 @@ impl<O: PipelineObserver> Core<O> {
         );
     }
 
-    /// `sched_check`: audits the ready queue and serializer gate against
-    /// the retired scan-based issue logic. A `Waiting` entry is queued
+    /// `sched_check`: audits the ready set and serializer gate against
+    /// the retired scan-based issue logic. A `Waiting` entry is ready
     /// exactly when its gating operands are produced and it is not a
-    /// serializer behind the ROB head; no other entry is queued.
+    /// serializer behind the ROB head; no other entry, live or freed, has
+    /// its ready bit set.
     fn check_issue_invariants(&self) {
+        self.rob.check_ready_bits();
         let scan_gate = self
             .rob
             .iter()
@@ -868,17 +862,17 @@ impl<O: PipelineObserver> Core<O> {
                 let behind_head = e.meta.is_serializing() && head_seq != Some(e.seq);
                 let expected = !self.stuck_on_operands(e) && !behind_head;
                 assert_eq!(
-                    self.sched.contains_ready(e.seq),
+                    self.rob.is_ready(e.seq),
                     expected,
-                    "sched_check: waiting entry {} (pc {:#x}) is {} the ready queue",
+                    "sched_check: waiting entry {} (pc {:#x}) is {} the ready set",
                     e.seq,
                     e.pc,
                     if expected { "absent from" } else { "wrongly in" }
                 );
             } else {
                 assert!(
-                    !self.sched.contains_ready(e.seq),
-                    "sched_check: non-waiting entry {} in the ready queue",
+                    !self.rob.is_ready(e.seq),
+                    "sched_check: non-waiting entry {} in the ready set",
                     e.seq
                 );
             }
@@ -1033,12 +1027,12 @@ impl<O: PipelineObserver> Core<O> {
             }
         }
         if retired {
-            // A serializer waits off the ready queue until it is the
+            // A serializer waits off the ready set until it is the
             // oldest instruction (all older work, stores included, has
             // committed); it issues in the same cycle it reaches the head.
             if let Some(h) = self.rob.head() {
                 if h.state == EntryState::Waiting && h.meta.is_serializing() && h.wait_count == 0 {
-                    self.sched.mark_ready(h.seq);
+                    self.rob.mark_ready_nth(0);
                 }
             }
         }
@@ -1113,28 +1107,26 @@ impl<O: PipelineObserver> Core<O> {
         // is squashed mid-loop the stale gate is harmless: every entry the
         // gate would wrongly block is younger and died in the same squash.
         let gate = self.sched.serializer_gate();
-        // Walk the ready queue in program order through a cursor, so
-        // wakeups delivered mid-issue (an older entry poisoning its INV
-        // destination) are picked up this same cycle, exactly like the
-        // in-order scan, while squashes prune unvisited candidates.
-        let mut cursor: Option<u64> = None;
+        // Walk the ready bits in program order through a cursor (a position
+        // from the ROB head, which issue never moves), so wakeups delivered
+        // mid-issue (an older entry poisoning its INV destination) are
+        // picked up this same cycle if they lie past the cursor, exactly
+        // like the in-order scan, while a squash (only ever of entries past
+        // the cursor) takes their bits with them.
+        let mut cursor = 0;
         while issued < self.cfg.width {
-            let Some(seq) = self.sched.first_ready_after(cursor) else { break };
-            cursor = Some(seq);
-            if gate.is_some_and(|g| seq > g) {
+            let Some(i) = self.rob.next_ready(cursor) else { break };
+            cursor = i + 1;
+            // Gather operand state without holding a ROB borrow.
+            let e = self.rob.nth(i);
+            if gate.is_some_and(|g| e.seq > g) {
                 break;
             }
-            // Gather operand state without holding a ROB borrow.
-            let Some(e) = self.rob.get(seq) else {
-                // Squashed since it was queued (stale entry).
-                self.sched.remove_ready(seq);
-                continue;
-            };
-            debug_assert!(e.state == EntryState::Waiting, "ready queue holds only Waiting entries");
-            let (inst, meta, pc, srcs) = (e.inst, e.meta, e.pc, e.srcs);
+            debug_assert!(e.state == EntryState::Waiting, "ready set holds only Waiting entries");
+            let (seq, inst, meta, pc, srcs) = (e.seq, e.inst, e.meta, e.pc, e.srcs);
             if self.try_issue_entry(seq, inst, meta, pc, srcs, now) {
                 issued += 1;
-                self.sched.remove_ready(seq);
+                self.rob.unmark_ready_nth(i);
                 self.iq_occupancy = self.iq_occupancy.saturating_sub(1);
             }
         }
@@ -1467,7 +1459,7 @@ impl<O: PipelineObserver> Core<O> {
                     // Address done, data still in flight: park on the data
                     // register's waiter list instead of burning a retry
                     // every cycle — its production re-queues the entry.
-                    self.sched.remove_ready(seq);
+                    self.rob.unmark_ready(seq);
                     self.sched.add_waiter(p, seq);
                     let e = self.rob.get_mut(seq).expect("entry exists");
                     e.wait_count = 1;
@@ -1821,27 +1813,25 @@ impl<O: PipelineObserver> Core<O> {
             None => None,
         };
         // Operand-wakeup registration: the entry joins the issue-ready
-        // queue once its gating operands are produced. Data stores gate on
+        // set once its gating operands are produced. Data stores gate on
         // the base register first (address generation runs ahead of the
         // data, see `issue_store_two_phase`); everything else gates on all
         // of its sources (INV counts as produced). A serializer also waits
         // for the ROB head: it is queued here only when it enters an empty
         // ROB, otherwise by `commit` (or `wake_reg`) once it is the head.
+        // The ready bit is set by the same `push` that writes the entry.
         let serializing = meta.is_serializing();
         if serializing {
             self.sched.add_serializer(seq);
         }
-        let wait_count = if meta.is_data_store() {
+        let (wait_count, ready) = if meta.is_data_store() {
             let (_, base_phys) = store_operand_phys(&f.inst, &srcs);
             match base_phys.filter(|p| !self.regs.is_ready(*p)) {
                 Some(p) => {
                     self.sched.add_waiter(p, seq);
-                    1
+                    (1, false)
                 }
-                None => {
-                    self.sched.mark_ready(seq);
-                    0
-                }
+                None => (0, true),
             }
         } else {
             let mut waits = 0u8;
@@ -1851,10 +1841,7 @@ impl<O: PipelineObserver> Core<O> {
                     self.sched.add_waiter(*p, seq);
                 }
             }
-            if waits == 0 && (!serializing || self.rob.is_empty()) {
-                self.sched.mark_ready(seq);
-            }
-            waits
+            (waits, waits == 0 && (!serializing || self.rob.is_empty()))
         };
         // Branch bookkeeping.
         let branch = f.pred.map(|p| BranchInfo {
@@ -1882,28 +1869,31 @@ impl<O: PipelineObserver> Core<O> {
                 ep.dispatched += 1;
             }
         }
-        self.rob.push(RobEntry {
-            seq,
-            pc: f.pc,
-            inst: f.inst,
-            meta,
-            state: EntryState::Waiting,
-            ready_at: 0,
-            dest,
-            srcs,
-            result: 0,
-            taint: 0,
-            inv: false,
-            branch,
-            is_load,
-            is_store,
-            load_level: None,
-            load_addr: None,
-            aux_sp: 0,
-            dispatch_scope,
-            addr_ready: false,
-            wait_count,
-        });
+        self.rob.push(
+            RobEntry {
+                seq,
+                pc: f.pc,
+                inst: f.inst,
+                meta,
+                state: EntryState::Waiting,
+                ready_at: 0,
+                dest,
+                srcs,
+                result: 0,
+                taint: 0,
+                inv: false,
+                branch,
+                is_load,
+                is_store,
+                load_level: None,
+                load_addr: None,
+                aux_sp: 0,
+                dispatch_scope,
+                addr_ready: false,
+                wait_count,
+            },
+            ready,
+        );
     }
 
     // ------------------------------------------------------------------

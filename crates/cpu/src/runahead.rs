@@ -146,7 +146,7 @@ impl<O: crate::probe::PipelineObserver> Core<O> {
             };
             if let Some(d) = dest {
                 // Wake-aware poison: waiters on the load's result must move
-                // to the issue-ready queue (poison counts as produced).
+                // to the issue-ready set (poison counts as produced).
                 self.produce_inv(d.new);
             }
         }

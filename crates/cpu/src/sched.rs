@@ -21,16 +21,18 @@
 //!   `retain` sweeps bit for bit, and an idle queue costs one O(1) peek
 //!   per cycle instead of a sweep.
 //! * [`Scheduler`] — the operand-wakeup network: per-physical-register
-//!   waiter lists, a program-ordered ready queue of issue candidates, and
-//!   the pending-serializer list that gates issue. A dispatched entry whose
-//!   gating operands are unready parks on the producers' waiter lists;
-//!   when a producer writes back (or poisons its destination with INV) the
-//!   waiters' pending counts drop and entries whose count reaches zero
-//!   join the ready queue. `issue` then walks only the ready queue, in
-//!   sequence order, preserving program-order issue priority. A
-//!   serializer (`rdcycle`) additionally waits for the ROB head: the core
-//!   queues it on dispatch into an empty ROB or when `commit` makes it the
-//!   head, so it is never retried while older work is still in flight.
+//!   waiter lists and the pending-serializer list that gates issue. A
+//!   dispatched entry whose gating operands are unready parks on the
+//!   producers' waiter lists; when a producer writes back (or poisons its
+//!   destination with INV) the waiters' pending counts drop and entries
+//!   whose count reaches zero become issue candidates. The candidate set
+//!   itself is one bit per ROB ring slot, kept by `Rob` beside the
+//!   entries (`Rob::next_ready`): the ring is in program order from the
+//!   head, so `issue` walks only the set bits, oldest first, and a bit
+//!   leaves with its entry on commit or squash. A serializer (`rdcycle`)
+//!   additionally waits for the ROB head: it becomes a candidate on
+//!   dispatch into an empty ROB or when `commit` makes it the head, so it
+//!   is never retried while older work is still in flight.
 //!
 //! The `CpuConfig::sched_check` mode re-runs the retired scan logic in
 //! parallel each cycle and asserts the event-driven structures reach
@@ -228,15 +230,6 @@ impl<T> TimerQueue<T> {
 pub(crate) struct Scheduler {
     /// Completion events for `Executing` entries.
     pub completions: CompletionQueue,
-    /// Issue candidates in program order: `Waiting` entries whose gating
-    /// operands are all produced, serializers only once they are the ROB
-    /// head (candidates may still be blocked on a functional unit, store
-    /// disambiguation or the serializer gate, and are retried each cycle
-    /// like the scan-based scheduler did). A sorted
-    /// `Vec`: the queue is bounded by the 40-entry issue queue, where
-    /// shifting a few dozen `u64`s beats a B-tree's pointer chasing on the
-    /// per-cycle cursor walk.
-    ready: Vec<u64>,
     /// Per-physical-register waiter lists (sequence numbers of entries
     /// blocked on this register's production).
     int_waiters: Vec<Vec<u64>>,
@@ -253,7 +246,6 @@ impl Scheduler {
     pub fn new(int_prf: usize, fp_prf: usize) -> Scheduler {
         Scheduler {
             completions: CompletionQueue::default(),
-            ready: Vec::new(),
             int_waiters: vec![Vec::new(); int_prf],
             fp_waiters: vec![Vec::new(); fp_prf],
             serializers: Vec::new(),
@@ -268,57 +260,17 @@ impl Scheduler {
         }
     }
 
-    /// Inserts `seq` into the ready queue.
-    pub fn mark_ready(&mut self, seq: u64) {
-        // Wakeups arrive roughly in program order, so the common insertion
-        // point is the tail.
-        if self.ready.last().is_some_and(|&s| s < seq) || self.ready.is_empty() {
-            self.ready.push(seq);
-            return;
-        }
-        if let Err(i) = self.ready.binary_search(&seq) {
-            self.ready.insert(i, seq);
-        }
-    }
-
-    /// Removes `seq` from the ready queue.
-    pub fn remove_ready(&mut self, seq: u64) {
-        if let Ok(i) = self.ready.binary_search(&seq) {
-            self.ready.remove(i);
-        }
-    }
-
-    /// Whether `seq` is an issue candidate.
-    pub fn contains_ready(&self, seq: u64) -> bool {
-        self.ready.binary_search(&seq).is_ok()
-    }
-
-    /// The smallest ready sequence number strictly greater than `prev`
-    /// (`None` starts from the beginning). Cursor-based so wakeups fired
-    /// mid-issue (INV poisoning by an older entry) are picked up in the
-    /// same cycle, exactly like the in-order ROB scan.
-    pub fn first_ready_after(&self, prev: Option<u64>) -> Option<u64> {
-        let from = match prev {
-            Some(s) => self.ready.partition_point(|&r| r <= s),
-            None => 0,
-        };
-        self.ready.get(from).copied()
-    }
-
-    /// Iterates the ready queue in program order.
-    pub fn ready_seqs(&self) -> impl Iterator<Item = &u64> {
-        self.ready.iter()
-    }
-
     /// Registers `seq` as blocked on the production of `p`.
     pub fn add_waiter(&mut self, p: PhysRef, seq: u64) {
         self.waiters_mut(p).push(seq);
     }
 
-    /// Drains the waiter list of `p` into `out` (called when `p` is
-    /// produced, valid or INV).
+    /// Moves the waiter list of `p` into the empty `out` (called when `p`
+    /// is produced, valid or INV). The two buffers swap, so no element is
+    /// copied and `p` keeps `out`'s allocation for its next waiters.
     pub fn take_waiters(&mut self, p: PhysRef, out: &mut Vec<u64>) {
-        out.append(self.waiters_mut(p));
+        debug_assert!(out.is_empty(), "the drain buffer is empty");
+        std::mem::swap(out, self.waiters_mut(p));
     }
 
     /// Drops any waiters parked on `p` (defensive: called when `p` is
@@ -345,17 +297,16 @@ impl Scheduler {
     }
 
     /// Drops all bookkeeping for entries younger than `seq` (misprediction
-    /// squash). Waiter-list entries are left to lazy validation: squashed
-    /// sequence numbers are never reused, so a stale wakeup is ignored.
+    /// squash; their ready bits leave the ROB with them). Waiter-list
+    /// entries are left to lazy validation: squashed sequence numbers are
+    /// never reused, so a stale wakeup is ignored.
     pub fn squash_younger(&mut self, seq: u64) {
-        self.ready.truncate(self.ready.partition_point(|&r| r <= seq));
         self.serializers.retain(|&s| s <= seq);
     }
 
     /// Drops all in-flight bookkeeping (pipeline flush, runahead exit).
     pub fn clear_inflight(&mut self) {
         self.completions.clear();
-        self.ready.clear();
         self.serializers.clear();
         for w in &mut self.int_waiters {
             w.clear();
@@ -433,20 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn ready_queue_cursor_iteration() {
-        let mut s = Scheduler::new(4, 2);
-        s.mark_ready(5);
-        s.mark_ready(2);
-        s.mark_ready(9);
-        assert_eq!(s.first_ready_after(None), Some(2));
-        assert_eq!(s.first_ready_after(Some(2)), Some(5));
-        // Wakeups landing mid-iteration are seen if younger than the cursor.
-        s.mark_ready(7);
-        assert_eq!(s.first_ready_after(Some(5)), Some(7));
-        assert_eq!(s.first_ready_after(Some(9)), None);
-    }
-
-    #[test]
     fn waiters_drain_once() {
         let mut s = Scheduler::new(4, 2);
         s.add_waiter(int(1), 10);
@@ -457,21 +394,5 @@ mod tests {
         out.clear();
         s.take_waiters(int(1), &mut out);
         assert!(out.is_empty(), "a produced register has no residual waiters");
-    }
-
-    #[test]
-    fn squash_prunes_ready_and_serializers() {
-        let mut s = Scheduler::new(4, 2);
-        for seq in [1, 4, 6, 9] {
-            s.mark_ready(seq);
-        }
-        s.add_serializer(3);
-        s.add_serializer(8);
-        s.squash_younger(4);
-        assert!(s.contains_ready(1) && s.contains_ready(4));
-        assert!(!s.contains_ready(6) && !s.contains_ready(9));
-        assert_eq!(s.serializer_gate(), Some(3));
-        s.retire_serializer(3);
-        assert_eq!(s.serializer_gate(), None, "seq 8 was squashed");
     }
 }

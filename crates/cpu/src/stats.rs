@@ -60,7 +60,7 @@ pub struct CpuStats {
     pub skipped_inv_branches: u64,
     /// Operand wakeups delivered by the event-driven scheduler (a waiting
     /// instruction's last unproduced operand arriving moves it to the
-    /// issue-ready queue). Identical across fast-forward and naive runs:
+    /// issue-ready set). Identical across fast-forward and naive runs:
     /// wakeups only happen on cycles where state changes.
     pub sched_wakeups: u64,
 }

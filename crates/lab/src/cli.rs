@@ -227,10 +227,11 @@ pub fn main() -> i32 {
     }
 }
 
-/// Writes a listing through one locked stdout handle and returns the exit
-/// code. A reader that closes the pipe early (`specrun-lab list | head -1`)
-/// has what it asked for: the command stops writing and exits 0.
-fn to_stdout(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> i32 {
+/// Writes a listing or report through one locked stdout handle and
+/// returns the exit code. A reader that closes the pipe early
+/// (`specrun-lab list | head -1`) has what it asked for: the command stops
+/// writing and exits 0.
+pub(crate) fn to_stdout(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> i32 {
     let mut out = io::stdout().lock();
     match write(&mut out).and_then(|()| out.flush()) {
         Ok(()) => 0,

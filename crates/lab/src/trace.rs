@@ -18,8 +18,10 @@
 //!   first behave differently from the attacked one".
 //!
 //! Exit codes follow the lab convention: 0 success (diff: identical),
-//! 1 divergence found, 2 usage/IO/corrupt-log errors.
+//! 1 divergence found, 2 usage/IO/corrupt-log errors. A reader that closes
+//! stdout early (`trace diff a.bin b.bin | true`) changes no exit code.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use specrun::session::Policy;
@@ -166,35 +168,46 @@ fn write_metrics(
     events: usize,
     counts: &CountingObserver,
     tracer: &LeakTraceObserver,
+    text: &mut String,
 ) -> Result<(), String> {
     let Some(path) = path else { return Ok(()) };
     let doc = metrics_json(events, counts, tracer).render();
     FsSink.write_atomic(path, &doc).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
+    let _ = writeln!(text, "wrote {}", path.display());
     Ok(())
 }
 
-fn record(out: &Path, policy: Policy, metrics: Option<&Path>) -> Result<i32, String> {
+// The commands below append their report to `text` (writing to a `String`
+// cannot fail); `trace_command` prints it through one locked stdout.
+
+fn record(
+    out: &Path,
+    policy: Policy,
+    metrics: Option<&Path>,
+    text: &mut String,
+) -> Result<i32, String> {
     let ForensicRun { outcome, counts, tracer, events, .. } =
         forensic_poc(policy, &None, "trace record PoC").map_err(|e| e.to_string())?;
     let bytes = encode_events(&events);
     FsSink
         .write_atomic_bytes(out, &bytes)
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    println!(
+    let _ = writeln!(
+        text,
         "recorded {} event(s) ({} bytes) from the {} machine to {}",
         events.len(),
         bytes.len(),
         policy_label(policy),
         out.display()
     );
-    println!(
+    let _ = writeln!(
+        text,
         "timing leaked {:?}; ground truth {:?}; transient secret fills {}",
         outcome.leaked,
         tracer.ground_truth_byte(&[0]),
         tracer.transient_secret_fills()
     );
-    write_metrics(metrics, events.len(), &counts, &tracer)?;
+    write_metrics(metrics, events.len(), &counts, &tracer, text)?;
     Ok(0)
 }
 
@@ -212,28 +225,31 @@ fn load_events(path: &Path) -> Result<Vec<PipelineEvent>, String> {
     Ok(decoded.events)
 }
 
-fn replay_log(path: &Path, metrics: Option<&Path>) -> Result<i32, String> {
+fn replay_log(path: &Path, metrics: Option<&Path>, text: &mut String) -> Result<i32, String> {
     let events = load_events(path)?;
     let mut observers = forensic_observers();
     specrun_trace::replay(&events, &mut observers);
     let (counts, tracer) = observers;
-    println!("replayed {} event(s) from {} (no simulator)", events.len(), path.display());
-    println!(
+    let _ =
+        writeln!(text, "replayed {} event(s) from {} (no simulator)", events.len(), path.display());
+    let _ = writeln!(
+        text,
         "ground truth {:?}; transient secret fills {}; commits {}",
         tracer.ground_truth_byte(&[0]),
         tracer.transient_secret_fills(),
         counts.commits
     );
-    write_metrics(metrics, events.len(), &counts, &tracer)?;
+    write_metrics(metrics, events.len(), &counts, &tracer, text)?;
     Ok(0)
 }
 
-fn diff_logs(path_a: &Path, path_b: &Path) -> Result<i32, String> {
+fn diff_logs(path_a: &Path, path_b: &Path, text: &mut String) -> Result<i32, String> {
     let a = load_events(path_a)?;
     let b = load_events(path_b)?;
     for (path, events) in [(path_a, &a), (path_b, &b)] {
         let s = stream_stats(events);
-        println!(
+        let _ = writeln!(
+            text,
             "{}: {} event(s), {} commit(s), {} runahead episode(s), {} transient fill(s)",
             path.display(),
             s.events,
@@ -244,11 +260,11 @@ fn diff_logs(path_a: &Path, path_b: &Path) -> Result<i32, String> {
     }
     match first_divergence(&a, &b) {
         None => {
-            println!("traces are behaviourally identical");
+            let _ = writeln!(text, "traces are behaviourally identical");
             Ok(0)
         }
         Some(d) => {
-            println!("{}", d.describe());
+            let _ = writeln!(text, "{}", d.describe());
             Ok(1)
         }
     }
@@ -257,17 +273,27 @@ fn diff_logs(path_a: &Path, path_b: &Path) -> Result<i32, String> {
 /// Executes `specrun-lab trace …`. `Err` is reserved for usage errors
 /// (the caller prints the synopsis); operational failures — unreadable
 /// or corrupt logs, IO — report themselves here and exit 2 without the
-/// usage dump.
+/// usage dump. The report reaches stdout before any error line, as one
+/// write through `cli::to_stdout`: a closed pipe leaves the command's own
+/// exit code (diff's verdict included) as it is.
 pub fn trace_command(args: &[String]) -> Result<i32, String> {
+    let mut text = String::new();
     let run = match parse_trace_args(args)? {
-        TraceCommand::Record { out, policy, metrics } => record(&out, policy, metrics.as_deref()),
-        TraceCommand::Replay { path, metrics } => replay_log(&path, metrics.as_deref()),
-        TraceCommand::Diff { a, b } => diff_logs(&a, &b),
+        TraceCommand::Record { out, policy, metrics } => {
+            record(&out, policy, metrics.as_deref(), &mut text)
+        }
+        TraceCommand::Replay { path, metrics } => replay_log(&path, metrics.as_deref(), &mut text),
+        TraceCommand::Diff { a, b } => diff_logs(&a, &b, &mut text),
     };
-    Ok(run.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        2
-    }))
+    let printed = crate::cli::to_stdout(|out| out.write_all(text.as_bytes()));
+    Ok(match run {
+        Ok(code) if printed == 0 => code,
+        Ok(_) => printed,
+        Err(e) => {
+            eprintln!("error: {e}");
+            2
+        }
+    })
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! refused, artifact-write failures exit 2 and keep the journal for every
 //! journaled shape, `pool run` reports IO errors in one line, a `run`
 //! deadline cancels a scenario instead of waiting for it, a scenario
-//! named twice is refused before anything is journaled, and a listing
-//! whose reader closes the pipe exits 0 without a panic.
+//! named twice is refused before anything is journaled, and a listing or
+//! trace report whose reader closes the pipe keeps its exit code without
+//! a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -394,4 +395,40 @@ fn listings_exit_0_quietly_when_the_reader_closes_the_pipe() {
         assert_eq!(output.status.code(), Some(0), "{args:?}: a closed pipe is not an error");
         assert!(!stderr.contains("panicked"), "{args:?}: no panic on a closed pipe:\n{stderr}");
     }
+}
+
+/// Runs `specrun-lab args` with its stdout closed before anything is
+/// written, as `specrun-lab … | true` does, and returns the exit code.
+fn exit_code_with_closed_stdout(args: &[&str]) -> Option<i32> {
+    let mut child = Command::new(lab_bin())
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn specrun-lab");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("wait for specrun-lab");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "{args:?}: no panic on a closed pipe:\n{stderr}");
+    output.status.code()
+}
+
+#[test]
+fn trace_reports_keep_their_exit_code_when_the_reader_closes_the_pipe() {
+    let dir = scratch("trace-pipe");
+    let (ra, sec) = (dir.join("ra.bin"), dir.join("sec.bin"));
+    let (ra, sec) = (ra.to_str().unwrap(), sec.to_str().unwrap());
+    for (path, policy) in [(ra, "runahead"), (sec, "secure")] {
+        let args = ["trace", "record", "--policy", policy, "--out", path];
+        assert_eq!(exit_code_with_closed_stdout(&args), Some(0), "{args:?}");
+        assert!(Path::new(path).exists(), "{policy}: the log is written before the report");
+    }
+    assert_eq!(exit_code_with_closed_stdout(&["trace", "replay", ra]), Some(0));
+    assert_eq!(exit_code_with_closed_stdout(&["trace", "diff", ra, ra]), Some(0));
+    assert_eq!(
+        exit_code_with_closed_stdout(&["trace", "diff", ra, sec]),
+        Some(1),
+        "a closed pipe does not hide the divergence verdict"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

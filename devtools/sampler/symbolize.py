@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Turns a sampler profile into per-stage and per-function tables.
 
-    python3 devtools/sampler/symbolize.py PROFILE [--top N]
+    python3 devtools/sampler/symbolize.py PROFILE [--top N] [--match PATTERN]...
 
 PROFILE is the file a run under the sampler wrote to $SAMPLER_OUT. Each
 sample's instruction pointer is mapped back to its ELF file through the
@@ -13,18 +13,29 @@ inlined frames too. Two tables follow:
   not reach `Core::step` (an out-of-line callee such as `memcpy` or a
   non-inlined accessor), the sample's return-address word is resolved
   instead, which charges a leaf call to the stage that made it;
-* per function: the innermost frame of the instruction pointer, with the
-  caller (from the return-address word) for library code without symbols.
+* per function: the innermost frame of the instruction pointer. A module
+  without debug info (a stripped libc) only resolves to its nearest
+  exported symbol, which misnames its `memcpy`/`memmove` as whatever
+  symbol precedes them; such frames are labelled `[libc.so.6] called from
+  <caller>` instead, the caller coming from the return-address word.
+
+Each `--match PATTERN` (a Python regular expression, searched in every
+frame name; repeatable) adds a line with the share of samples whose inline
+chain has a matching frame, e.g. `--match Rob:: --match Scheduler::`. For
+a leaf in a module without debug info the chain is its caller's chain, so
+a `memcpy` called from `Rob::push` counts as `Rob::`.
 
 Addresses are resolved against the files on disk, so symbolize a profile
 before rebuilding the binary that wrote it. Standard library only; needs
 `addr2line` from binutils on the PATH.
-Exit status 1 when the profile holds no sample that resolves to a function.
+Exit status 1 when the profile holds no sample that resolves to a function
+or lies in a library without debug info.
 """
 
 import argparse
 import bisect
 import collections
+import re
 import struct
 import subprocess
 import sys
@@ -59,17 +70,27 @@ def parse_profile(path):
 
 
 def load_segments(path):
-    """(file offset, vaddr, file size) of each PT_LOAD segment of an ELF64."""
+    """(file offset, vaddr, file size) of each PT_LOAD segment of an ELF64,
+    and whether the file has a `.debug_info` section."""
     try:
         with open(path, "rb") as f:
             ident = f.read(64)
             if ident[:4] != b"\x7fELF" or ident[4] != 2:
                 return None
-            phoff, = struct.unpack_from("<Q", ident, 32)
-            phentsize, phnum = struct.unpack_from("<HH", ident, 54)
+            phoff, shoff = struct.unpack_from("<QQ", ident, 32)
+            phentsize, phnum, shentsize, shnum, shstrndx = struct.unpack_from(
+                "<HHHHH", ident, 54)
             f.seek(phoff)
             table = f.read(phentsize * phnum)
-    except OSError:
+            f.seek(shoff)
+            sections = f.read(shentsize * shnum)
+            names = b""
+            if shstrndx < shnum:
+                str_off, str_size = struct.unpack_from(
+                    "<QQ", sections, shstrndx * shentsize + 24)
+                f.seek(str_off)
+                names = f.read(str_size)
+    except (OSError, struct.error):
         return None
     segments = []
     for i in range(phnum):
@@ -77,7 +98,12 @@ def load_segments(path):
             "<IIQQQQ", table, i * phentsize)
         if p_type == 1:
             segments.append((p_offset, p_vaddr, p_filesz))
-    return segments
+    debug = False
+    for i in range(shnum):
+        name_off, = struct.unpack_from("<I", sections, i * shentsize)
+        if names[name_off:name_off + 12] == b".debug_info\0":
+            debug = True
+    return segments, debug
 
 
 class Resolver:
@@ -98,9 +124,9 @@ class Resolver:
             return None
         if path not in self.segments:
             self.segments[path] = load_segments(path)
-        segments = self.segments[path]
-        if not segments:
+        if not self.segments[path]:
             return None
+        segments, _debug = self.segments[path]
         file_off = addr - lo + offset
         for seg_off, vaddr, size in segments:
             if seg_off <= file_off < seg_off + size:
@@ -129,10 +155,12 @@ class Resolver:
                     self.frames[current].append(line[len(" (inlined by) "):])
 
     def functions(self, addr):
-        """Function names, innermost first; [] when unresolved."""
+        """Function names, innermost first; [] when unresolved or when the
+        module has no debug info (its names are only nearest exports)."""
         where = self.locate(addr)
-        frames = self.frames.get(where, []) if where else []
-        names = [f.split(" at ")[0] for f in frames]
+        if not where or not self.segments[where[0]][1]:
+            return []
+        names = [f.split(" at ")[0] for f in self.frames.get(where, [])]
         return [n for n in names if n != "??"]
 
 
@@ -160,10 +188,10 @@ def short(name):
     return name.replace("specrun_cpu::core::Core<O>", "Core")
 
 
-def table(title, counts, total, top):
+def table(title, rows, total):
     print(f"\n{title}")
     print(f"{'share':>7} {'samples':>8}  name")
-    for name, n in counts.most_common(top):
+    for name, n in rows:
         print(f"{100.0 * n / total:6.1f}% {n:8d}  {name}")
 
 
@@ -171,7 +199,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("profile")
     ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--match", action="append", default=[], metavar="PATTERN",
+                    help="print the share of samples with a frame matching "
+                         "this regular expression (repeatable)")
     args = ap.parse_args()
+    patterns = [(p, re.compile(p)) for p in args.match]
     header, maps, samples = parse_profile(args.profile)
     if not samples:
         print(f"{args.profile}: no samples ({header})", file=sys.stderr)
@@ -180,24 +212,34 @@ def main():
     # Return addresses point after the call; resolve the call itself.
     resolver.resolve_all({rip for rip, _ in samples} | {ret - 1 for _, ret in samples if ret})
     stages, functions = collections.Counter(), collections.Counter()
+    matched = collections.Counter()
     resolved = 0
     for rip, ret in samples:
         names = resolver.functions(rip)
         caller = resolver.functions(ret - 1) if ret else []
-        resolved += bool(names)
+        where = resolver.locate(rip)
+        library = bool(where) and not resolver.segments[where[0]][1]
+        resolved += bool(names) or library
         stage = stage_of(names) or stage_of(caller)
         stages[short(stage) if stage else "(outside Core::step)"] += 1
         if names:
             functions[short(names[0])] += 1
+            chain = names
         else:
-            where = resolver.locate(rip)
             module = where[0].rsplit("/", 1)[-1] if where else "?"
             via = short(caller[0]) if caller else "?"
             functions[f"[{module}] called from {via}"] += 1
+            chain = caller
+        for pattern, regex in patterns:
+            if any(regex.search(short(n)) for n in chain):
+                matched[pattern] += 1
     total = len(samples)
-    print(f"{header}; {resolved} of {total} samples resolved to a function")
-    table("per stage (frame under Core::step)", stages, total, args.top)
-    table("per function (innermost frame)", functions, total, args.top)
+    print(f"{header}; {resolved} of {total} samples resolved to a function or library")
+    table("per stage (frame under Core::step)", stages.most_common(args.top), total)
+    table("per function (innermost frame)", functions.most_common(args.top), total)
+    if patterns:
+        table("matches (samples with a matching frame, library leaves via their caller)",
+              [(p, matched[p]) for p, _ in patterns], total)
     return 0 if resolved else 1
 
 
