@@ -154,11 +154,15 @@ class Resolver:
                 elif line.startswith(" (inlined by) ") and current:
                     self.frames[current].append(line[len(" (inlined by) "):])
 
+    def in_library(self, where):
+        """Whether a located address lies in a module without debug info."""
+        return bool(where) and not self.segments[where[0]][1]
+
     def functions(self, addr):
         """Function names, innermost first; [] when unresolved or when the
         module has no debug info (its names are only nearest exports)."""
         where = self.locate(addr)
-        if not where or not self.segments[where[0]][1]:
+        if not where or self.in_library(where):
             return []
         names = [f.split(" at ")[0] for f in self.frames.get(where, [])]
         return [n for n in names if n != "??"]
@@ -218,8 +222,7 @@ def main():
         names = resolver.functions(rip)
         caller = resolver.functions(ret - 1) if ret else []
         where = resolver.locate(rip)
-        library = bool(where) and not resolver.segments[where[0]][1]
-        resolved += bool(names) or library
+        resolved += bool(names) or resolver.in_library(where)
         stage = stage_of(names) or stage_of(caller)
         stages[short(stage) if stage else "(outside Core::step)"] += 1
         if names:
