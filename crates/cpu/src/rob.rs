@@ -562,7 +562,7 @@ mod tests {
     }
 
     /// The ready seqs, walked from the head the way `issue` walks them.
-    fn ready_seqs(rob: &Rob) -> Vec<u64> {
+    fn walk_ready(rob: &Rob) -> Vec<u64> {
         let mut out = Vec::new();
         let mut cursor = 0;
         while let Some((i, seq)) = ready_from(rob, cursor) {
@@ -842,7 +842,7 @@ mod tests {
         mark(&mut rob, 15);
         assert_eq!(ready_from(&rob, i + 1), Some((5, 15)), "only the younger mark is visited");
         assert_eq!(ready_from(&rob, 6), None);
-        assert_eq!(ready_seqs(&rob), vec![11, 13, 15], "the next walk sees the older mark");
+        assert_eq!(walk_ready(&rob), vec![11, 13, 15], "the next walk sees the older mark");
     }
 
     #[test]
@@ -859,7 +859,7 @@ mod tests {
         }
         assert!(rob.wrapped() > 0, "the live window wraps");
         assert_eq!(seqs(&rob), vec![3, 4, 5, 6]);
-        assert_eq!(ready_seqs(&rob), vec![3, 4, 6]);
+        assert_eq!(walk_ready(&rob), vec![3, 4, 6]);
         assert_eq!(ready_from(&rob, 1), Some((1, 4)), "a walk from past the head skips it");
         assert_eq!(ready_from(&rob, 2), Some((3, 6)), "the walk crosses the wrap");
         rob.unmark_ready_nth(3);
@@ -873,26 +873,26 @@ mod tests {
             rob.push(entry(s), true);
         }
         rob.pop_head_discard();
-        assert_eq!(ready_seqs(&rob), vec![1, 2, 3, 4, 5]);
+        assert_eq!(walk_ready(&rob), vec![1, 2, 3, 4, 5]);
         while rob.pop_younger(3).is_some() {}
-        assert_eq!(ready_seqs(&rob), vec![1, 2, 3]);
+        assert_eq!(walk_ready(&rob), vec![1, 2, 3]);
         assert_eq!(rob.ready_count, 3);
         // Pushing unready entries over the freed slots exposes no stale bit.
         for s in 10..15 {
             rob.push(entry(s), false);
         }
-        assert_eq!(ready_seqs(&rob), vec![1, 2, 3]);
+        assert_eq!(walk_ready(&rob), vec![1, 2, 3]);
         rob.clear();
         assert_eq!(rob.ready_count, 0);
         assert_eq!(ready_from(&rob, 0), None);
         for s in 20..28 {
             rob.push(entry(s), false);
         }
-        assert!(ready_seqs(&rob).is_empty(), "a cleared ring holds no ready bit");
+        assert!(walk_ready(&rob).is_empty(), "a cleared ring holds no ready bit");
     }
 
     #[test]
-    fn clone_of_a_wrapped_ring_keeps_its_ready_seqs() {
+    fn clone_of_a_wrapped_ring_keeps_its_ready_bits() {
         let mut rob = Rob::new(8);
         for s in 0..8 {
             rob.push(entry(s), false);
@@ -908,8 +908,8 @@ mod tests {
         assert!(rob.wrapped() > 0);
         let clone = rob.clone();
         assert_eq!(clone.head, 0);
-        assert_eq!(ready_seqs(&clone), vec![5, 8, 10]);
-        assert_eq!(ready_seqs(&clone), ready_seqs(&rob));
+        assert_eq!(walk_ready(&clone), vec![5, 8, 10]);
+        assert_eq!(walk_ready(&clone), walk_ready(&rob));
         for s in 5..=11 {
             assert_eq!(clone.is_ready(s), rob.is_ready(s), "seq {s}");
         }
@@ -930,7 +930,7 @@ mod tests {
                 next += 1;
             }
             let expected: Vec<u64> = (next - 320..next).filter(|&s| ready(s)).collect();
-            assert_eq!(ready_seqs(&rob), expected);
+            assert_eq!(walk_ready(&rob), expected);
             // A walk started mid-window begins at the first ready seq there.
             for from in [0, 63, 64, 191, 319] {
                 let want = (next - 320 + from as u64..next).find(|&s| ready(s));
@@ -959,7 +959,7 @@ mod tests {
         assert!(!rob.wake(99), "a squashed entry ignores a stale wakeup");
         rob.pop_head_discard();
         rob.mark_ready_nth(0);
-        assert_eq!(ready_seqs(&rob), vec![2, 3], "commit marks the serializer at the head");
+        assert_eq!(walk_ready(&rob), vec![2, 3], "commit marks the serializer at the head");
     }
 
     /// One step of a random ready-set workload.
@@ -1060,7 +1060,7 @@ mod tests {
                     Op::Mark(_) | Op::Unmark(_) | Op::Squash(_) | Op::Walk(_) => {}
                 }
                 prop_assert_eq!(seqs(&rob), live.iter().copied().collect::<Vec<_>>());
-                prop_assert_eq!(ready_seqs(&rob), ready.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(walk_ready(&rob), ready.iter().copied().collect::<Vec<_>>());
                 prop_assert_eq!(rob.ready_count, ready.len());
             }
         }
