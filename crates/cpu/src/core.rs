@@ -1817,9 +1817,9 @@ impl<O: PipelineObserver> Core<O> {
         // the base register first (address generation runs ahead of the
         // data, see `issue_store_two_phase`); everything else gates on all
         // of its sources (INV counts as produced). A serializer also waits
-        // for the ROB head: it is queued here only when it enters an empty
-        // ROB, otherwise by `commit` (or `wake_reg`) once it is the head.
-        // The ready bit is set by the same `push` that writes the entry.
+        // for the ROB head: it is marked ready here only when it enters an
+        // empty ROB, otherwise by `commit` (or `wake_reg`) once it is the
+        // head. The ready bit is set by the same `push` that writes the entry.
         let serializing = meta.is_serializing();
         if serializing {
             self.sched.add_serializer(seq);
