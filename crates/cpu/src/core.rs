@@ -5,7 +5,7 @@
 //! [`Core::step`] so results written this cycle wake dependants this cycle;
 //! the 6-stage front end is modelled as a fetch-to-rename delay line.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use specrun_bp::{BranchKind, BranchPredictor, Prediction};
@@ -55,15 +55,142 @@ pub(crate) enum Mode {
     Runahead(Episode),
 }
 
-/// An instruction moving through the front-end delay line, carrying its
-/// predecoded metadata so rename never re-derives static facts.
+/// One slot of the front-end delay line ([`FetchRing`]): an instruction
+/// with its predecoded metadata, so rename never re-derives static facts.
+/// `fetch` writes the fields in place and `dispatch` reads them out of the
+/// slot; a `Fetched` is never built whole and moved.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fetched {
     pub pc: u64,
     pub inst: Inst,
     pub meta: UopMeta,
+    /// First cycle at which dispatch may rename it (fetch cycle plus the
+    /// front-end depth).
     pub available_at: u64,
     pub pred: Option<PredInfo>,
+}
+
+/// The front-end delay line: a FIFO ring of `fetch_queue` slots (any size;
+/// it is not rounded to a power of two). `fetch` fills the tail slot field
+/// by field ([`FetchRing::push_slot`]), and `dispatch` reads the front
+/// slot's fields and then advances the head ([`FetchRing::pop_front`]).
+///
+/// Slots are materialised lazily, like `Rob`'s: the ring is reserved whole
+/// on the first push that needs a new slot and then filled one push at a
+/// time, so a core that never fetches (or a fork of a short queue) writes
+/// no unused slots. While `slots` is still growing the ring has never
+/// wrapped, so the tail is either an old slot or exactly `slots.len()`.
+#[derive(Debug)]
+pub(crate) struct FetchRing {
+    slots: Vec<Fetched>,
+    /// Slot of the oldest entry.
+    head: usize,
+    /// Number of live entries.
+    len: usize,
+    /// Ring size (`fetch_queue`).
+    capacity: usize,
+}
+
+impl Clone for FetchRing {
+    /// Copies only the live entries, packed to slot 0 in FIFO order (pool
+    /// forks and `ff_check` shadows clone cores with fetches in flight).
+    fn clone(&self) -> FetchRing {
+        FetchRing {
+            slots: self.iter().copied().collect(),
+            head: 0,
+            len: self.len,
+            capacity: self.capacity,
+        }
+    }
+}
+
+impl FetchRing {
+    /// Creates an empty ring of `capacity` slots.
+    pub(crate) fn new(capacity: usize) -> FetchRing {
+        FetchRing { slots: Vec::new(), head: 0, len: 0, capacity }
+    }
+
+    /// Whether nothing waits for dispatch.
+    #[inline(always)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether fetch must stop: every slot is taken.
+    #[inline(always)]
+    pub(crate) fn is_full(&self) -> bool {
+        self.len >= self.capacity
+    }
+
+    /// Slot of the `i`-th oldest entry.
+    #[inline(always)]
+    fn slot(&self, i: usize) -> usize {
+        let s = self.head + i;
+        if s >= self.capacity {
+            s - self.capacity
+        } else {
+            s
+        }
+    }
+
+    /// The oldest entry.
+    #[inline(always)]
+    pub(crate) fn front(&self) -> Option<&Fetched> {
+        (self.len > 0).then(|| &self.slots[self.head])
+    }
+
+    /// Appends an entry and returns its slot, which still holds whatever
+    /// the slot held last: the caller writes every field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring is full (callers check [`FetchRing::is_full`]).
+    #[inline(always)]
+    pub(crate) fn push_slot(&mut self) -> &mut Fetched {
+        assert!(!self.is_full(), "fetch queue overflow");
+        let tail = self.slot(self.len);
+        self.len += 1;
+        if tail == self.slots.len() {
+            self.grow();
+        }
+        &mut self.slots[tail]
+    }
+
+    /// Materialises the next slot of a ring that has not wrapped yet.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        self.slots.reserve_exact(self.capacity - self.slots.len());
+        self.slots.push(Fetched {
+            pc: 0,
+            inst: Inst::Nop,
+            meta: UopMeta::of(&Inst::Nop, 0),
+            available_at: 0,
+            pred: None,
+        });
+    }
+
+    /// Removes the oldest entry (dispatch has read the fields it needs).
+    #[inline(always)]
+    pub(crate) fn pop_front(&mut self) {
+        debug_assert!(self.len > 0, "pop from an empty fetch queue");
+        self.len -= 1;
+        // A drained ring restarts at slot 0, as `Rob` does, so a front end
+        // that keeps draining reuses the same host-cache-resident slots.
+        self.head = if self.len == 0 { 0 } else { self.slot(1) };
+    }
+
+    /// Drops every entry (redirects, squashes, runahead exit). Keeps the
+    /// allocation.
+    pub(crate) fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
+
+    /// Iterates oldest → youngest.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Fetched> {
+        (0..self.len).map(|i| &self.slots[self.slot(i)])
+    }
 }
 
 /// The slice of a ROB entry that (pseudo-)retirement consumes.
@@ -127,7 +254,8 @@ pub struct Core<O: PipelineObserver = NoopObserver> {
     pub(crate) fetch_pc: u64,
     pub(crate) fetch_stalled_until: u64,
     pub(crate) fetch_halted: bool,
-    pub(crate) pipe: VecDeque<Fetched>,
+    /// The front-end delay line between fetch and rename.
+    pub(crate) pipe: FetchRing,
     pub(crate) ipf_frontier: u64,
     /// Stream-prefetch probe memo: the last frontier line that hit L1I and
     /// the L1I content generation it was observed under. While the
@@ -197,7 +325,7 @@ impl<O: PipelineObserver> Core<O> {
             fetch_pc: 0,
             fetch_stalled_until: 0,
             fetch_halted: true,
-            pipe: VecDeque::new(),
+            pipe: FetchRing::new(cfg.fetch_queue),
             ipf_frontier: 0,
             ipf_probe_memo: (u64::MAX, 0),
             next_seq: 0,
@@ -536,7 +664,7 @@ impl<O: PipelineObserver> Core<O> {
         // Fetch and the stream prefetcher.
         if !self.fetch_halted {
             let stalled = self.fetch_stalled_until > now;
-            let has_room = self.pipe.len() < self.cfg.fetch_queue;
+            let has_room = !self.pipe.is_full();
             if !stalled && has_room {
                 // Fetch is live and has room: it will act next step. This
                 // is the common busy-pipeline case — reject it before the
@@ -546,11 +674,8 @@ impl<O: PipelineObserver> Core<O> {
             // The prefetcher must have saturated its lookahead, or it will
             // issue requests next step regardless of the demand stall.
             let depth = self.cfg.ifetch_prefetch_lines;
-            if depth > 0 {
-                let cur = self.mem.line_of(self.fetch_pc);
-                if self.ipf_frontier < cur + depth || self.ipf_frontier > cur + 2 * depth {
-                    return None;
-                }
+            if depth > 0 && !self.ipf_saturated(depth) {
+                return None;
             }
             if stalled && has_room {
                 // Demand fetch resumes at the stall deadline — an event
@@ -704,11 +829,19 @@ impl<O: PipelineObserver> Core<O> {
     // ------------------------------------------------------------------
 
     /// Writes back every completion due at `now`; returns whether any was.
+    ///
+    /// The three scratch buffers stay in place: each loop below indexes
+    /// (or iterates) its buffer while the stages it calls borrow the rest
+    /// of the core, and none of those touches the buffers.
     fn writeback(&mut self, now: u64) -> bool {
-        let mut resolutions = std::mem::take(&mut self.scratch_resolutions);
-        let mut completed = std::mem::take(&mut self.scratch_completed);
-        resolutions.clear();
-        completed.clear();
+        // Idle exit: nothing is due and this cycle's wheel slot holds no
+        // stale event to shed, so no buffer is touched.
+        if self.sched.completions.nothing_due(now) {
+            if self.cfg.sched_check {
+                self.check_writeback_set(&[], now);
+            }
+            return false;
+        }
         // Pop due completion events instead of scanning the ROB. Issue
         // always schedules completions in the future and writeback runs on
         // every live cycle, so all *live* due events carry the same
@@ -716,25 +849,25 @@ impl<O: PipelineObserver> Core<O> {
         // oldest-first scan order exactly (stale events sort first but are
         // dropped by the liveness check anyway). Stale events are ones left
         // behind by squashes or runahead-entry poisoning.
-        let mut due = std::mem::take(&mut self.scratch_due);
-        due.clear();
-        self.sched.completions.pop_due_into(now, &mut due);
-        due.sort_unstable();
-        for &(at, seq) in &due {
+        self.scratch_due.clear();
+        self.sched.completions.pop_due_into(now, &mut self.scratch_due);
+        self.scratch_due.sort_unstable();
+        self.scratch_completed.clear();
+        for &(at, seq) in &self.scratch_due {
             let live = self
                 .rob
                 .get(seq)
                 .is_some_and(|e| e.state == EntryState::Executing && e.ready_at == at);
             if live {
-                completed.push(seq);
+                self.scratch_completed.push(seq);
             }
         }
-        self.scratch_due = due;
         if self.cfg.sched_check {
-            self.check_writeback_set(&completed, now);
+            self.check_writeback_set(&self.scratch_completed, now);
         }
-        let wrote_back = !completed.is_empty();
-        for seq in completed.drain(..) {
+        self.scratch_resolutions.clear();
+        for k in 0..self.scratch_completed.len() {
+            let seq = self.scratch_completed[k];
             let e = self.rob.get_mut(seq).expect("entry exists");
             // Loads from memory read their data at completion so stores
             // that committed in the meantime are visible.
@@ -762,7 +895,7 @@ impl<O: PipelineObserver> Core<O> {
                         b.actual_taken = true;
                     }
                 }
-                resolutions.push(seq);
+                self.scratch_resolutions.push(seq);
             }
             if serializing {
                 // A completed serializer stops gating younger issue.
@@ -777,12 +910,12 @@ impl<O: PipelineObserver> Core<O> {
                 self.regs.set_taint(phys, taint);
             }
         }
-        for seq in resolutions.drain(..) {
-            self.resolve_branch(seq, now);
+        // Branches resolve after every completion of the cycle is written
+        // back, oldest first.
+        for k in 0..self.scratch_resolutions.len() {
+            self.resolve_branch(self.scratch_resolutions[k], now);
         }
-        self.scratch_resolutions = resolutions;
-        self.scratch_completed = completed;
-        wrote_back
+        !self.scratch_completed.is_empty()
     }
 
     // ------------------------------------------------------------------
@@ -1100,6 +1233,10 @@ impl<O: PipelineObserver> Core<O> {
     fn issue(&mut self, now: u64) -> bool {
         if self.cfg.sched_check {
             self.check_issue_invariants();
+        }
+        // Idle exit: no entry is an issue candidate.
+        if !self.rob.has_ready() {
+            return false;
         }
         let mut issued = 0usize;
         // The oldest in-flight serializer blocks everything younger, even in
@@ -1780,27 +1917,30 @@ impl<O: PipelineObserver> Core<O> {
                     break;
                 }
             }
-            let f = self.pipe.pop_front().expect("front exists");
-            self.dispatch_one(f);
+            // Read the four fields rename needs out of the slot; the slot
+            // is reused in place, never moved.
+            let (pc, inst, meta, pred) = (front.pc, front.inst, front.meta, front.pred);
+            self.pipe.pop_front();
+            self.dispatch_one(pc, inst, meta, pred);
             dispatched = true;
         }
         dispatched
     }
 
-    /// Renames `f` into a new ROB entry. Every field is computed into a
-    /// local first and the entry is pushed as one struct literal, so it is
-    /// built directly in its ROB slot instead of on the stack.
-    fn dispatch_one(&mut self, f: Fetched) {
+    /// Renames the fetched instruction `inst` at `pc` into a new ROB entry.
+    /// Every field is computed into a local first and the entry is pushed
+    /// as one struct literal, so it is built directly in its ROB slot
+    /// instead of on the stack.
+    fn dispatch_one(&mut self, pc: u64, inst: Inst, meta: UopMeta, pred: Option<PredInfo>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let meta = f.meta;
         // Rename sources (predecoded — `Inst::sources` ran once at load).
         let mut srcs = [None; 3];
         for (phys, src) in srcs.iter_mut().zip(meta.srcs) {
             *phys = src.map(|arch| self.rat.get(arch));
         }
         // Secure-runahead scope tracking at rename, in speculative order.
-        let (scope_id, dispatch_scope) = self.secure_on_dispatch(&f, &srcs);
+        let (scope_id, dispatch_scope) = self.secure_on_dispatch(pc, &inst, &pred, &srcs);
         // Rename destination.
         let dest = match meta.dest {
             Some(arch) => {
@@ -1825,7 +1965,7 @@ impl<O: PipelineObserver> Core<O> {
             self.sched.add_serializer(seq);
         }
         let (wait_count, ready) = if meta.is_data_store() {
-            let (_, base_phys) = store_operand_phys(&f.inst, &srcs);
+            let (_, base_phys) = store_operand_phys(&inst, &srcs);
             match base_phys.filter(|p| !self.regs.is_ready(*p)) {
                 Some(p) => {
                     self.sched.add_waiter(p, seq);
@@ -1844,7 +1984,7 @@ impl<O: PipelineObserver> Core<O> {
             (waits, waits == 0 && (!serializing || self.rob.is_empty()))
         };
         // Branch bookkeeping.
-        let branch = f.pred.map(|p| BranchInfo {
+        let branch = pred.map(|p| BranchInfo {
             kind: p.kind,
             predicted_taken: p.taken,
             predicted_target: p.target,
@@ -1872,8 +2012,8 @@ impl<O: PipelineObserver> Core<O> {
         self.rob.push(
             RobEntry {
                 seq,
-                pc: f.pc,
-                inst: f.inst,
+                pc,
+                inst,
                 meta,
                 state: EntryState::Waiting,
                 ready_at: 0,
@@ -1909,7 +2049,7 @@ impl<O: PipelineObserver> Core<O> {
         // The stream prefetcher keeps requesting ahead even while demand
         // fetch is stalled on a miss.
         self.stream_prefetch(now);
-        if now < self.fetch_stalled_until {
+        if now < self.fetch_stalled_until || self.pipe.is_full() {
             return false;
         }
         // Borrow the program once per step by parking it: cloning the `Arc`
@@ -1923,7 +2063,7 @@ impl<O: PipelineObserver> Core<O> {
         // one line thus costs one `MemHierarchy::access`, not four.
         let mut probed_line = u64::MAX;
         for _ in 0..self.cfg.width {
-            if self.pipe.len() >= self.cfg.fetch_queue {
+            if self.pipe.is_full() {
                 break;
             }
             let pc = self.fetch_pc;
@@ -1956,13 +2096,13 @@ impl<O: PipelineObserver> Core<O> {
             } else {
                 None
             };
-            self.pipe.push_back(Fetched {
-                pc,
-                inst,
-                meta,
-                available_at: now + self.cfg.frontend_stages,
-                pred,
-            });
+            // Fill the tail slot in place, field by field.
+            let slot = self.pipe.push_slot();
+            slot.pc = pc;
+            slot.inst = inst;
+            slot.meta = meta;
+            slot.available_at = now + self.cfg.frontend_stages;
+            slot.pred = pred;
             self.stats.fetched += 1;
             self.fetch_pc = match &pred {
                 Some(p) if p.taken => p.target,
@@ -1977,6 +2117,15 @@ impl<O: PipelineObserver> Core<O> {
         self.stats.fetched != fetched_before
     }
 
+    /// Whether the stream prefetcher's lookahead of `depth` lines is
+    /// saturated: the frontier lies `depth..=2 * depth` lines past the
+    /// fetch line, so a prefetch step would neither re-anchor nor request.
+    #[inline(always)]
+    fn ipf_saturated(&self, depth: u64) -> bool {
+        let cur = self.mem.line_of(self.fetch_pc);
+        (cur + depth..=cur + 2 * depth).contains(&self.ipf_frontier)
+    }
+
     /// Streaming instruction prefetcher (stands in for the trace cache and
     /// trace queue of the paper's Fig. 6 front end). Keeps up to
     /// `ifetch_prefetch_lines` of lookahead in flight so sequential fetch is
@@ -1986,6 +2135,10 @@ impl<O: PipelineObserver> Core<O> {
     fn stream_prefetch(&mut self, now: u64) {
         let depth = self.cfg.ifetch_prefetch_lines;
         if depth == 0 {
+            return;
+        }
+        // Idle exit: a saturated lookahead neither re-anchors nor walks.
+        if self.ipf_saturated(depth) {
             return;
         }
         let line_bytes = self.mem.line_bytes();
@@ -2166,5 +2319,219 @@ fn two_operands(rs1: IntReg, rs2: IntReg, vals: [u64; 3]) -> (u64, u64) {
         (true, false) => (0, vals[0]),
         (false, true) => (vals[0], 0),
         (false, false) => (vals[0], vals[1]),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// Pushes a distinguishable entry for `pc` the way `fetch` does, one
+    /// field at a time.
+    fn push(ring: &mut FetchRing, pc: u64) {
+        let slot = ring.push_slot();
+        slot.pc = pc;
+        slot.inst = Inst::Nop;
+        slot.meta = UopMeta::of(&Inst::Nop, pc);
+        slot.available_at = pc + 6;
+        slot.pred = (pc % 3 == 0).then_some(PredInfo {
+            kind: BranchKind::Conditional,
+            taken: pc % 2 == 0,
+            target: pc + 64,
+            rsb_checkpoint: pc as usize,
+        });
+    }
+
+    /// Pops the front entry, returning its pc.
+    fn pop(ring: &mut FetchRing) -> Option<u64> {
+        let pc = ring.front()?.pc;
+        ring.pop_front();
+        Some(pc)
+    }
+
+    fn pcs(ring: &FetchRing) -> Vec<u64> {
+        ring.iter().map(|f| f.pc).collect()
+    }
+
+    #[test]
+    fn fetch_ring_wraps_at_non_power_of_two_and_power_of_two_sizes() {
+        for capacity in [5, 16] {
+            let mut ring = FetchRing::new(capacity);
+            let mut next = 0;
+            let mut want = VecDeque::new();
+            let mut wrapped = false;
+            // Keep the ring between half full and full for several laps.
+            for _ in 0..4 * capacity {
+                while !ring.is_full() {
+                    push(&mut ring, next);
+                    want.push_back(next);
+                    next += 1;
+                }
+                assert_eq!(ring.slots.len(), capacity, "a full ring has every slot");
+                wrapped |= ring.head > 0;
+                for _ in 0..capacity / 2 + 1 {
+                    assert_eq!(pop(&mut ring), want.pop_front());
+                }
+                assert_eq!(pcs(&ring), Vec::from(want.clone()));
+            }
+            assert!(wrapped, "a full ring with its head past slot 0 runs across the end");
+            while let Some(pc) = pop(&mut ring) {
+                assert_eq!(Some(pc), want.pop_front());
+            }
+            assert!(ring.is_empty() && want.is_empty());
+            assert_eq!(ring.head, 0, "a drained ring restarts at slot 0");
+        }
+    }
+
+    #[test]
+    fn fetch_ring_clear_mid_fill_then_refill() {
+        let mut ring = FetchRing::new(5);
+        for pc in 0..3 {
+            push(&mut ring, pc);
+        }
+        assert_eq!(pop(&mut ring), Some(0));
+        assert_eq!(ring.slots.len(), 3, "slots are materialised one push at a time");
+        ring.clear();
+        assert!(ring.is_empty() && ring.front().is_none());
+        for pc in 10..15 {
+            push(&mut ring, pc);
+        }
+        assert!(ring.is_full());
+        assert_eq!(pcs(&ring), vec![10, 11, 12, 13, 14]);
+        assert_eq!(ring.front().map(|f| f.available_at), Some(16), "fields are rewritten");
+        assert_eq!(ring.slots.len(), 5);
+    }
+
+    #[test]
+    fn clone_of_a_wrapped_fetch_ring_reads_back_in_order() {
+        let mut ring = FetchRing::new(5);
+        for pc in 0..5 {
+            push(&mut ring, pc);
+        }
+        for _ in 0..3 {
+            pop(&mut ring);
+        }
+        for pc in 5..8 {
+            push(&mut ring, pc);
+        }
+        assert_eq!(ring.head, 3, "entries 5..8 wrapped to the front slots");
+        let clone = ring.clone();
+        assert_eq!(clone.head, 0);
+        assert_eq!(clone.slots.len(), 5, "only live entries are copied");
+        assert_eq!(pcs(&clone), vec![3, 4, 5, 6, 7]);
+        for (a, b) in clone.iter().zip(ring.iter()) {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
+        // Both drain to the same sequence, and the clone keeps working.
+        let mut clone = clone;
+        pop(&mut clone);
+        push(&mut clone, 8);
+        assert_eq!(pcs(&clone), vec![4, 5, 6, 7, 8]);
+        assert!(clone.is_full());
+    }
+
+    #[test]
+    fn fetch_queue_never_exceeds_its_configured_size() {
+        let r = |i| IntReg::new(i).unwrap();
+        let mut b = specrun_isa::ProgramBuilder::new(0);
+        b.li(r(1), 0);
+        b.for_loop(r(2), 200, |b| {
+            b.add(r(1), r(1), r(2));
+            b.mul(r(3), r(1), r(1));
+        });
+        b.halt();
+        let program = b.build().unwrap();
+        for fetch_queue in [4, 5, 16] {
+            let cfg = CpuConfig { fetch_queue, ..CpuConfig::default() };
+            let mut core = Core::new(cfg);
+            core.load_program(&program);
+            let mut seen_full = false;
+            while !core.is_halted() {
+                core.step();
+                assert!(core.pipe.len <= fetch_queue, "fetch queue overflow");
+                assert!(core.pipe.slots.len() <= fetch_queue, "ring grew past its size");
+                seen_full |= core.pipe.is_full();
+            }
+            assert!(seen_full, "fetch_queue {fetch_queue}: the front end backed up");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fetch queue overflow")]
+    fn pushing_into_a_full_fetch_ring_panics() {
+        let mut ring = FetchRing::new(2);
+        for pc in 0..3 {
+            push(&mut ring, pc);
+        }
+    }
+
+    /// One step of a random front-end workload.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Push,
+        Pop,
+        Clear,
+        Clone,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            Just(Op::Push),
+            Just(Op::Push),
+            Just(Op::Push),
+            Just(Op::Pop),
+            Just(Op::Pop),
+            Just(Op::Clear),
+            Just(Op::Clone),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The ring against the `VecDeque<Fetched>` it replaced: pushes
+        /// (refused when full, as `fetch` stops), pops, clears and clones
+        /// agree on every entry, field for field, in order.
+        #[test]
+        fn fetch_ring_matches_a_vecdeque_model(
+            capacity in prop_oneof![Just(1usize), Just(5), Just(16), Just(23)],
+            ops in proptest::collection::vec(op(), 1..300),
+        ) {
+            let mut ring = FetchRing::new(capacity);
+            let mut model: VecDeque<Fetched> = VecDeque::new();
+            let mut next = 0u64;
+            for op in ops {
+                match op {
+                    Op::Push if model.len() < capacity => {
+                        push(&mut ring, next);
+                        model.push_back(*ring.iter().last().expect("just pushed"));
+                        next += 1;
+                    }
+                    Op::Push => prop_assert!(ring.is_full()),
+                    Op::Pop => {
+                        let want = model.pop_front().map(|f| f.pc);
+                        prop_assert_eq!(pop(&mut ring), want);
+                    }
+                    Op::Clear => {
+                        ring.clear();
+                        model.clear();
+                    }
+                    Op::Clone => ring = ring.clone(),
+                }
+                prop_assert_eq!(ring.len, model.len());
+                prop_assert_eq!(ring.is_empty(), model.is_empty());
+                prop_assert_eq!(ring.is_full(), model.len() == capacity);
+                prop_assert!(ring.slots.len() <= capacity);
+                prop_assert_eq!(
+                    ring.iter().map(|f| format!("{f:?}")).collect::<Vec<_>>(),
+                    model.iter().map(|f| format!("{f:?}")).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(ring.front().map(|f| f.pc), model.front().map(|f| f.pc));
+            }
+        }
     }
 }

@@ -386,6 +386,12 @@ impl Rob {
         }
     }
 
+    /// Whether any entry is an issue candidate. O(1).
+    #[inline(always)]
+    pub fn has_ready(&self) -> bool {
+        self.ready_count > 0
+    }
+
     /// Makes the `i`-th oldest entry an issue candidate.
     pub fn mark_ready_nth(&mut self, i: usize) {
         debug_assert!(i < self.len);

@@ -54,6 +54,8 @@ pub(crate) struct StrideEntry {
 impl<O: crate::probe::PipelineObserver> Core<O> {
     /// Whether the configured entry condition holds (assumes the caller
     /// established that a DRAM-bound load is stalled at the ROB head).
+    /// Inlined: `commit` evaluates it on every cycle of such a stall.
+    #[inline(always)]
     pub(crate) fn runahead_trigger_met(&self) -> bool {
         if self.cycle < self.ra_backoff_until {
             return false;

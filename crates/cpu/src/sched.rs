@@ -7,14 +7,17 @@
 //! the host-scheduled flush list and the secure-mode SL-fill list. All of
 //! that is replaced by three structures:
 //!
-//! * [`CompletionQueue`] — a min-heap keyed on `(ready_at, seq)`. Every ROB
-//!   entry that enters `Executing` schedules exactly one completion event;
-//!   `writeback` pops the due events instead of scanning. Squashed entries
-//!   leave stale events behind; they are validated lazily against the ROB
-//!   and discarded on pop. Because issue always produces `ready_at > now`
-//!   and writeback runs every live cycle, all events due at a given cycle
-//!   share that cycle as their key, so the `(ready_at, seq)` pop order is
-//!   exactly the oldest-first ROB-scan order the scan-based scheduler used.
+//! * [`CompletionQueue`] — events keyed on `(ready_at, seq)`: a 4-slot
+//!   cycle wheel for near completions and a min-heap for the rest. Every
+//!   ROB entry that enters `Executing` schedules exactly one completion
+//!   event; `writeback` pops the due events instead of scanning, and
+//!   returns at once when [`CompletionQueue::nothing_due`] (an empty wheel
+//!   slot and a later heap minimum). Squashed entries leave stale events
+//!   behind; they are validated lazily against the ROB and discarded on
+//!   pop. Because issue always produces `ready_at > now` and writeback
+//!   runs every live cycle, all events due at a given cycle share that
+//!   cycle as their key, so the `(ready_at, seq)` pop order is exactly the
+//!   oldest-first ROB-scan order the scan-based scheduler used.
 //! * [`TimerQueue`] — a min-heap of `(cycle, insertion order, payload)`
 //!   used for host-scheduled `clflush`es and secure-runahead SL fills.
 //!   Same-cycle events pop in insertion order, matching the retired
@@ -58,6 +61,8 @@ use crate::regs::{PhysRef, RegClass};
 /// `Vec` append and the per-cycle drain empties exactly one slot. Only
 /// long-latency events (DRAM fills, which can also linger as stale entries
 /// for hundreds of cycles after a runahead poison) pay the binary heap.
+/// A cycle with nothing due is told apart by two loads
+/// ([`CompletionQueue::nothing_due`]), before any buffer is touched.
 ///
 /// Wheel invariant: an event is scheduled at most `NEAR-1` cycles ahead, so
 /// its slot is visited for the first time exactly at its due cycle (or
@@ -101,6 +106,15 @@ impl CompletionQueue {
             self.heap.pop();
             out.push((at, seq));
         }
+    }
+
+    /// Whether [`CompletionQueue::pop_due_into`] at `now` would neither
+    /// return nor discard any event: this cycle's wheel slot is empty and
+    /// the heap's earliest event is later. O(1); `writeback`'s idle exit.
+    #[inline(always)]
+    pub fn nothing_due(&self, now: u64) -> bool {
+        self.near[(now as usize) & (NEAR - 1)].is_empty()
+            && self.heap.peek().map_or(true, |&Reverse((at, _))| at > now)
     }
 
     /// The earliest `(ready_at, seq)` event, if any (stale events

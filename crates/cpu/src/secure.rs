@@ -14,9 +14,10 @@
 
 use std::collections::{HashMap, HashSet};
 
+use specrun_isa::Inst;
 use specrun_mem::{Btag, SlCache, SlTags};
 
-use crate::core::{Core, Fetched};
+use crate::core::{Core, PredInfo};
 use crate::regs::PhysRef;
 use crate::sched::TimerQueue;
 use crate::taint::{scope_bit, ScopeId};
@@ -126,22 +127,25 @@ impl SecureState {
 }
 
 impl<O: crate::probe::PipelineObserver> Core<O> {
-    /// Rename-time hook: tracks branch scopes in speculative order and
+    /// Rename-time hook for the instruction `inst` at `pc` (with its fetch
+    /// prediction `pred`): tracks branch scopes in speculative order and
     /// seeds predicate taint. Returns `(scope id for a scoped conditional,
     /// innermost scope open at this instruction)`.
     #[inline]
     pub(crate) fn secure_on_dispatch(
         &mut self,
-        f: &Fetched,
+        pc: u64,
+        inst: &Inst,
+        pred: &Option<PredInfo>,
         srcs: &[Option<PhysRef>; 3],
     ) -> (Option<u32>, Option<u32>) {
         if !self.cfg.runahead.secure.sl_cache || !self.in_runahead() {
             return (None, None);
         }
-        self.tracker.on_inst(f.pc);
-        let branch_scope = match self.scope_map.get(&f.pc).copied() {
-            Some(end_pc) if f.inst.is_cond_branch() => {
-                let id = self.tracker.on_branch(f.pc, end_pc);
+        self.tracker.on_inst(pc);
+        let branch_scope = match self.scope_map.get(&pc).copied() {
+            Some(end_pc) if inst.is_cond_branch() => {
+                let id = self.tracker.on_branch(pc, end_pc);
                 // Seed taint: the predicate's source registers become
                 // tainted data within the new scope (Fig. 12: `rX` under
                 // `B1`, `rY` under `B2`).
@@ -151,9 +155,9 @@ impl<O: crate::probe::PipelineObserver> Core<O> {
                 // Record for the post-exit verdict.
                 self.secure
                     .records
-                    .entry(f.pc)
+                    .entry(pc)
                     .or_default()
-                    .push((id, f.pred.is_some_and(|p| p.taken)));
+                    .push((id, pred.is_some_and(|p| p.taken)));
                 self.secure.pending_scopes.insert(id);
                 Some(id)
             }
