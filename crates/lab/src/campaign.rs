@@ -24,6 +24,7 @@ use specrun_workloads::supervisor::{
     supervised_map_with, SupervisedReport, SupervisorConfig, UnitCtx, UnitOutcome,
 };
 
+use crate::cli::to_stdout;
 use crate::journal::{Journal, OpenError};
 use crate::sink::ArtifactSink;
 
@@ -142,9 +143,14 @@ pub fn execute<C: Campaign>(
         }
         return 2;
     }
-    for (path, _) in &rendered.artifacts.files {
-        println!("wrote {}", path.display());
-    }
+    // Closing lines go through `to_stdout`: a reader that closed the pipe
+    // early does not change the campaign's exit code.
+    let _ = to_stdout(|out| {
+        for (path, _) in &rendered.artifacts.files {
+            writeln!(out, "wrote {}", path.display())?;
+        }
+        Ok(())
+    });
     // After a breaker trip the journal stays, so `--resume` can finish.
     if let Some((j, _)) = journal.as_ref().filter(|_| !breaker_tripped) {
         if let Err(e) = j.finish() {
@@ -153,7 +159,7 @@ pub fn execute<C: Campaign>(
         }
     }
     if rendered.passed {
-        println!("{}", rendered.verdict);
+        let _ = to_stdout(|out| writeln!(out, "{}", rendered.verdict));
         0
     } else {
         eprintln!("{}", rendered.verdict);
@@ -215,10 +221,13 @@ fn settle<C: Campaign>(
     }
     if pending.len() < units.len() {
         let (resumed, noun) = (units.len() - pending.len(), campaign.noun());
-        println!(
-            "resumed: {resumed} {noun}(s) recovered from the journal; {} re-run",
-            pending.len()
-        );
+        let _ = to_stdout(|out| {
+            writeln!(
+                out,
+                "resumed: {resumed} {noun}(s) recovered from the journal; {} re-run",
+                pending.len()
+            )
+        });
     }
 
     // The first failed append; the hook that sets it never panics.

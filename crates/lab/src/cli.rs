@@ -215,8 +215,9 @@ pub fn main() -> i32 {
             }
         },
         Some("--help" | "-h" | "help") | None => {
-            print!("{USAGE}");
-            i32::from(args.is_empty())
+            // A bare `specrun-lab` is a usage error (exit 1) even when the
+            // reader closes the pipe early.
+            to_stdout(|out| out.write_all(USAGE.as_bytes())).max(i32::from(args.is_empty()))
         }
         Some(other) => {
             eprintln!("error: unknown command {other}");
@@ -628,11 +629,20 @@ impl Campaign for RunCampaign {
     }
 
     fn run(&self, scenario: &Scenario, unit: &UnitCtx) -> Result<LabEntry, RunError> {
-        if unit.attempt == 0 {
-            println!("== {} ({}) — {} ==", scenario.name, scenario.paper_ref, scenario.title);
-        } else {
-            println!("  retry {} of {}", unit.attempt, self.retries);
-        }
+        // Report lines go through `to_stdout`, so a reader that closes the
+        // pipe early ends the listing, never the scenario: the command
+        // keeps the campaign's exit code.
+        let _ = to_stdout(|out| {
+            if unit.attempt == 0 {
+                writeln!(
+                    out,
+                    "== {} ({}) — {} ==",
+                    scenario.name, scenario.paper_ref, scenario.title
+                )
+            } else {
+                writeln!(out, "  retry {} of {}", unit.attempt, self.retries)
+            }
+        });
         let ctx = RunContext { cancel: Some(unit.token.clone()), ..self.ctx.clone() };
         let run = (scenario.run)(&ctx)?;
         // The deadline covers the whole body, including work after its
@@ -666,26 +676,33 @@ impl Campaign for RunCampaign {
             LabEntry::Run(run) => run,
             LabEntry::Journaled { .. } => {
                 let (name, paper_ref) = (scenario.name, scenario.paper_ref);
-                println!("== {name} ({paper_ref}) — journaled as passed, skipped ==");
-                println!();
+                let _ = to_stdout(|out| {
+                    writeln!(out, "== {name} ({paper_ref}) — journaled as passed, skipped ==\n")
+                });
                 return;
             }
         };
-        for line in &run.lines {
-            println!("{line}");
-        }
-        for inv in &run.invariants {
-            let verdict = if inv.passed { "ok" } else { "FAILED" };
-            println!("  [{verdict}] {}: {} (observed: {})", inv.name, inv.claim, inv.observed);
-        }
-        if let Some(error) = &run.error {
-            println!("  [FAILED] run_error: scenario did not complete ({error})");
-        }
-        if let UnitOutcome::Quarantined { .. } = outcome {
-            let name = &run.name;
-            println!("  [FAILED] quarantined: {name} failed identically twice; retries stopped");
-        }
-        println!();
+        let _ = to_stdout(|out| {
+            for line in &run.lines {
+                writeln!(out, "{line}")?;
+            }
+            for inv in &run.invariants {
+                let verdict = if inv.passed { "ok" } else { "FAILED" };
+                let (name, claim, observed) = (&inv.name, &inv.claim, &inv.observed);
+                writeln!(out, "  [{verdict}] {name}: {claim} (observed: {observed})")?;
+            }
+            if let Some(error) = &run.error {
+                writeln!(out, "  [FAILED] run_error: scenario did not complete ({error})")?;
+            }
+            if let UnitOutcome::Quarantined { .. } = outcome {
+                let name = &run.name;
+                writeln!(
+                    out,
+                    "  [FAILED] quarantined: {name} failed identically twice; retries stopped"
+                )?;
+            }
+            writeln!(out)
+        });
     }
 
     fn render(&self, report: SupervisedReport<LabEntry>) -> Rendered {

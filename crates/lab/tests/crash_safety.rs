@@ -414,6 +414,18 @@ fn exit_code_with_closed_stdout(args: &[&str]) -> Option<i32> {
 }
 
 #[test]
+fn run_and_help_keep_their_exit_code_when_the_reader_closes_the_pipe() {
+    let run = ["run", "table1", "--quick", "--no-artifacts"];
+    assert_eq!(exit_code_with_closed_stdout(&run), Some(0), "{run:?}");
+    assert_eq!(exit_code_with_closed_stdout(&["--help"]), Some(0), "--help");
+    assert_eq!(
+        exit_code_with_closed_stdout(&[]),
+        Some(1),
+        "a bare invocation stays a usage error on a closed pipe"
+    );
+}
+
+#[test]
 fn trace_reports_keep_their_exit_code_when_the_reader_closes_the_pipe() {
     let dir = scratch("trace-pipe");
     let (ra, sec) = (dir.join("ra.bin"), dir.join("sec.bin"));
