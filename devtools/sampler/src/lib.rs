@@ -3,13 +3,15 @@
 //! When the library is loaded into a process whose environment sets
 //! `SAMPLER_OUT`, a constructor arms a POSIX timer on `CLOCK_MONOTONIC`
 //! that sends `SIGPROF` to the main thread (`SIGEV_THREAD_ID`) every
-//! `INTERVAL_US` (50) microseconds. Each signal records two addresses:
-//! the interrupted instruction pointer and the word at the stack pointer.
-//! At a leaf function's first instructions (a `memcpy`, an out-of-line
-//! accessor) that word is the return address, so the sample can be
-//! charged to the caller; elsewhere it is an arbitrary stack word,
-//! and `symbolize.py` only uses it when the instruction pointer alone does
-//! not place the sample.
+//! `INTERVAL_US` (50) microseconds. Each signal records the interrupted
+//! instruction pointer and the `STACK_WORDS` (8) words at and above the
+//! stack pointer. At a leaf function's first instructions (an out-of-line
+//! accessor) the word at the stack pointer is the return address, so the
+//! sample can be charged to the caller; a library leaf that has pushed
+//! registers or reserved a frame (a `memcpy` mid-copy) has it a few words
+//! higher. Elsewhere they are arbitrary stack words, and `symbolize.py`
+//! only uses them when the instruction pointer alone does not place the
+//! sample.
 //!
 //! At exit the samples are written to `$SAMPLER_OUT` together with a copy
 //! of `/proc/self/maps`, which `symbolize.py` needs to turn run-time
@@ -41,9 +43,15 @@ const REG_RIP: usize = 16;
 /// still fits in `CAPACITY`.
 const INTERVAL_US: i64 = 50;
 
-/// At most this many samples are kept (16 MiB of address space, touched
+/// At most this many samples are kept (72 MiB of address space, touched
 /// only as samples arrive); later ones are counted as dropped.
 const CAPACITY: usize = 1 << 20;
+
+/// Stack words recorded per sample, from the stack pointer upwards.
+const STACK_WORDS: usize = 8;
+
+/// One sample: the instruction pointer, then the stack words.
+type Sample = [u64; 1 + STACK_WORDS];
 
 /// glibc's x86-64 `struct sigaction`.
 #[repr(C)]
@@ -91,17 +99,18 @@ extern "C" {
     fn atexit(f: extern "C" fn()) -> c_int;
 }
 
-/// The sample buffer: `(rip, [rsp])` pairs. The signal handler is its
+/// The sample buffer: `[rip, [rsp], [rsp + 8], ...]` records. The signal
+/// handler is its
 /// only writer and runs on the main thread only, one signal at a time
 /// (`SIGPROF` is blocked while its handler runs).
-struct Samples(UnsafeCell<[[u64; 2]; CAPACITY]>);
+struct Samples(UnsafeCell<[Sample; CAPACITY]>);
 
 // SAFETY: the handler writes slot `i` before publishing `i + 1` in `TAKEN`
 // with `Release`, and readers only read slots below a `TAKEN` value they
 // loaded with `Acquire`, so no slot is read while it is written.
 unsafe impl Sync for Samples {}
 
-static SAMPLES: Samples = Samples(UnsafeCell::new([[0; 2]; CAPACITY]));
+static SAMPLES: Samples = Samples(UnsafeCell::new([[0; 1 + STACK_WORDS]; CAPACITY]));
 /// Samples written to `SAMPLES`.
 static TAKEN: AtomicUsize = AtomicUsize::new(0);
 /// Signals that arrived with the buffer full.
@@ -127,14 +136,23 @@ extern "C" fn on_sigprof(_sig: c_int, _info: *mut c_void, context: *mut c_void) 
         let gregs = context.cast::<u8>().add(GREGS_OFFSET).cast::<u64>();
         (gregs.add(REG_RIP).read(), gregs.add(REG_RSP).read())
     };
-    // SAFETY: RSP is the interrupted main thread's stack pointer. The
-    // handler is installed without `SA_ONSTACK`, so the kernel wrote this
-    // signal's frame on the same stack just below RSP (past the red zone):
-    // the stack from there up through the word at RSP is mapped.
-    let ret = unsafe { (rsp as *const u64).read_volatile() };
+    let mut sample: Sample = [rip; 1 + STACK_WORDS];
+    for (k, word) in sample[1..].iter_mut().enumerate() {
+        // SAFETY: RSP is the interrupted main thread's stack pointer. The
+        // handler is installed without `SA_ONSTACK`, so the kernel wrote
+        // this signal's frame on the same stack just below RSP (past the
+        // red zone): the stack from there up through the word at RSP is
+        // mapped. The words above RSP belong to the interrupted function's
+        // own frame and its callers' frames, up to the initial stack that
+        // the kernel filled at exec (argument and environment strings,
+        // their pointer vectors and the auxiliary vector, several hundred
+        // bytes at least), so the main thread's stack is mapped at least
+        // `STACK_WORDS` words above RSP too.
+        *word = unsafe { (rsp as *const u64).add(k).read_volatile() };
+    }
     // SAFETY: `i < CAPACITY`, and the handler is the only writer (see
     // `Samples`); slot `i` is not yet published in `TAKEN`.
-    unsafe { SAMPLES.0.get().cast::<[u64; 2]>().add(i).write([rip, ret]) };
+    unsafe { SAMPLES.0.get().cast::<Sample>().add(i).write(sample) };
     TAKEN.store(i + 1, Ordering::Release);
 }
 
@@ -196,28 +214,30 @@ extern "C" fn dump() {
     let taken = TAKEN.load(Ordering::Acquire);
     // SAFETY: slots below `taken` were published by the handler and are
     // never written again (see `Samples`).
-    let samples = unsafe { std::slice::from_raw_parts(SAMPLES.0.get().cast::<[u64; 2]>(), taken) };
+    let samples = unsafe { std::slice::from_raw_parts(SAMPLES.0.get().cast::<Sample>(), taken) };
     if let Err(err) = write_profile(std::path::Path::new(&path), samples) {
         eprintln!("sampler: cannot write {}: {err}", path.to_string_lossy());
     }
 }
 
 /// The profile format: a header line, the process's memory map, then one
-/// `rip ret` line per sample (both hexadecimal).
-fn write_profile(path: &std::path::Path, samples: &[[u64; 2]]) -> std::io::Result<()> {
+/// line per sample: the instruction pointer and the stack words, all
+/// hexadecimal.
+fn write_profile(path: &std::path::Path, samples: &[Sample]) -> std::io::Result<()> {
     let maps = std::fs::read_to_string("/proc/self/maps")?;
     let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
     writeln!(
         out,
-        "sampler 1 interval_us={INTERVAL_US} samples={} dropped={}",
+        "sampler 2 interval_us={INTERVAL_US} stack_words={STACK_WORDS} samples={} dropped={}",
         samples.len(),
         DROPPED.load(Ordering::Relaxed)
     )?;
     writeln!(out, "[maps]")?;
     out.write_all(maps.as_bytes())?;
     writeln!(out, "[samples]")?;
-    for [rip, ret] in samples {
-        writeln!(out, "{rip:x} {ret:x}")?;
+    for sample in samples {
+        let line: Vec<String> = sample.iter().map(|w| format!("{w:x}")).collect();
+        writeln!(out, "{}", line.join(" "))?;
     }
     out.flush()
 }

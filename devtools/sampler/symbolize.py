@@ -11,13 +11,21 @@ inlined frames too. Two tables follow:
 * per stage: the frame directly under `Core::step` (fetch, dispatch,
   issue, writeback, commit, ...). When the instruction pointer's frames do
   not reach `Core::step` (an out-of-line callee such as `memcpy` or a
-  non-inlined accessor), the sample's return-address word is resolved
-  instead, which charges a leaf call to the stage that made it;
+  non-inlined accessor), the sample's caller is resolved instead, which
+  charges a leaf call to the stage that made it;
 * per function: the innermost frame of the instruction pointer. A module
   without debug info (a stripped libc) only resolves to its nearest
   exported symbol, which misnames its `memcpy`/`memmove` as whatever
   symbol precedes them; such frames are labelled `[libc.so.6] called from
-  <caller>` instead, the caller coming from the return-address word.
+  <caller>` instead.
+
+The caller comes from the stack words the sampler recorded above the
+stack pointer. For a function with debug info it is the first word (the
+return address at a leaf's entry). A library leaf may have pushed
+registers or reserved a frame first, so for it the caller is the first of
+the words that resolves to a function in a module with debug info. The
+line `library leaves:` reports how many library samples found a caller
+that way.
 
 Each `--match PATTERN` (a Python regular expression, searched in every
 frame name; repeatable) adds a line with the share of samples whose inline
@@ -63,8 +71,8 @@ def parse_profile(path):
                 lo, hi = (int(x, 16) for x in parts[0].split("-"))
                 maps.append((lo, hi, int(parts[2], 16), parts[5]))
             elif section == "[samples]" and line:
-                rip, ret = line.split()
-                samples.append((int(rip, 16), int(ret, 16)))
+                rip, *words = (int(x, 16) for x in line.split())
+                samples.append((rip, words))
     maps.sort()
     return header, maps, samples
 
@@ -172,6 +180,17 @@ def is_core_method(name):
     return CORE in name and "::" in name.rsplit(">", 1)[-1]
 
 
+def caller_of(resolver, words, library):
+    """The inline chain of the sample's caller, innermost first ([] when
+    unknown): the first stack word, or for a library leaf the first word
+    that resolves to a function in a module with debug info."""
+    for w in words if library else words[:1]:
+        names = resolver.functions(w - 1) if w else []
+        if names:
+            return names
+    return []
+
+
 def stage_of(names):
     """The frame directly under `Core::step`, or None if it is not known.
 
@@ -214,15 +233,20 @@ def main():
         return 1
     resolver = Resolver(maps)
     # Return addresses point after the call; resolve the call itself.
-    resolver.resolve_all({rip for rip, _ in samples} | {ret - 1 for _, ret in samples if ret})
+    resolver.resolve_all({rip for rip, _ in samples}
+                         | {w - 1 for _, words in samples for w in words if w})
     stages, functions = collections.Counter(), collections.Counter()
     matched = collections.Counter()
-    resolved = 0
-    for rip, ret in samples:
+    resolved = leaves = leaves_placed = 0
+    for rip, words in samples:
         names = resolver.functions(rip)
-        caller = resolver.functions(ret - 1) if ret else []
         where = resolver.locate(rip)
-        resolved += bool(names) or resolver.in_library(where)
+        library = resolver.in_library(where)
+        resolved += bool(names) or library
+        caller = caller_of(resolver, words, library)
+        if library:
+            leaves += 1
+            leaves_placed += bool(caller)
         stage = stage_of(names) or stage_of(caller)
         stages[short(stage) if stage else "(outside Core::step)"] += 1
         if names:
@@ -238,6 +262,8 @@ def main():
                 matched[pattern] += 1
     total = len(samples)
     print(f"{header}; {resolved} of {total} samples resolved to a function or library")
+    print(f"library leaves: {leaves} samples ({100.0 * leaves / total:.1f}%), "
+          f"caller found for {leaves_placed} ({100.0 * leaves_placed / max(leaves, 1):.1f}%)")
     table("per stage (frame under Core::step)", stages.most_common(args.top), total)
     table("per function (innermost frame)", functions.most_common(args.top), total)
     if patterns:
