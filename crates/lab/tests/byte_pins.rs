@@ -5,9 +5,9 @@
 //! constants check that the binary agrees with the one that wrote them.
 //! Each pin covers a path with a history of being re-routed: the `trace
 //! record` log and metrics document, the `pool spec` matrix, the fuzz plan
-//! JSON and the sweep's per-trial secrets. A pin that fails means the
-//! output changed: if the change is intended, say so and update the
-//! constant in the same commit.
+//! JSON, the sweep's per-trial secrets, and the quick `LAB`, `POOL` and
+//! `FUZZ` reports. A pin that fails means the output changed: if the
+//! change is intended, say so and update the constant in the same commit.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -86,4 +86,52 @@ fn sweep_trial_secrets_are_pinned() {
     let report = run_pht_sweep(&cfg, None).expect("sweep halts");
     let secrets: Vec<u8> = report.trials.iter().map(|t| t.secret).collect();
     assert_eq!(secrets, [58, 191, 32, 209]);
+}
+
+/// Runs `specrun-lab` with `args` in `dir` and returns the FNV-1a digest of
+/// the artifact it wrote at `dir/artifact`.
+fn artifact_digest(dir: &std::path::Path, args: &[&str], artifact: &str) -> u64 {
+    let output =
+        Command::new(lab_bin()).args(args).current_dir(dir).output().expect("spawn specrun-lab");
+    assert!(output.status.success(), "{args:?}: {}", String::from_utf8_lossy(&output.stderr));
+    fnv1a(&std::fs::read(dir.join(artifact)).expect(artifact))
+}
+
+#[test]
+fn quick_lab_report_is_pinned() {
+    let dir = scratch("lab");
+    let digest = artifact_digest(
+        &dir,
+        &["run", "--all", "--quick", "--artifacts-dir", "lab"],
+        "lab/LAB_report.json",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(digest, 0xb388_7692_dc4d_0245, "{digest:#x}");
+}
+
+#[test]
+fn pool_report_of_the_paper_matrix_is_pinned() {
+    let dir = scratch("pool");
+    let spec = Command::new(lab_bin()).args(["pool", "spec"]).output().expect("spawn pool spec");
+    assert!(spec.status.success());
+    std::fs::write(dir.join("spec.json"), &spec.stdout).expect("write spec");
+    let digest = artifact_digest(
+        &dir,
+        &["pool", "run", "spec.json", "--threads", "1", "--out", "POOL_report.json"],
+        "POOL_report.json",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(digest, 0xf977_482a_f148_5856, "{digest:#x}");
+}
+
+#[test]
+fn quick_fuzz_report_is_pinned() {
+    let dir = scratch("fuzz");
+    let digest = artifact_digest(
+        &dir,
+        &["fuzz", "--plans", "40", "--seed", "0xC0FFEE", "--quick", "--report", "FUZZ_report.json"],
+        "FUZZ_report.json",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(digest, 0x371d_01b8_d1ce_01a1, "{digest:#x}");
 }
