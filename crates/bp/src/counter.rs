@@ -31,13 +31,6 @@ impl SaturatingCounter {
         SaturatingCounter { value: 0, max: (1 << bits) - 1 }
     }
 
-    /// Creates a counter starting at a chosen value (clamped to the range).
-    pub fn with_value(bits: u8, value: u8) -> SaturatingCounter {
-        let mut c = SaturatingCounter::new(bits);
-        c.value = value.min(c.max);
-        c
-    }
-
     /// Current raw value.
     pub fn value(&self) -> u8 {
         self.value
@@ -84,7 +77,10 @@ mod tests {
 
     #[test]
     fn hysteresis_requires_two_flips() {
-        let mut c = SaturatingCounter::with_value(2, 3); // strongly taken
+        let mut c = SaturatingCounter::new(2);
+        for _ in 0..3 {
+            c.update(true); // strongly taken
+        }
         c.update(false);
         assert!(c.is_taken(), "one not-taken must not flip a strong counter");
         c.update(false);
@@ -93,8 +89,12 @@ mod tests {
 
     #[test]
     fn threshold_is_midpoint() {
-        assert!(!SaturatingCounter::with_value(2, 1).is_taken());
-        assert!(SaturatingCounter::with_value(2, 2).is_taken());
+        let mut c = SaturatingCounter::new(2);
+        c.update(true);
+        assert_eq!(c.value(), 1);
+        assert!(!c.is_taken());
+        c.update(true);
+        assert!(c.is_taken());
     }
 
     #[test]

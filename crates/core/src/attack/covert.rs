@@ -67,17 +67,6 @@ impl ProbeTimings {
             misses.iter().sum::<u64>() as f64 / misses.len() as f64
         }
     }
-
-    /// Renders the series as `index,cycles` CSV (one row per probe entry),
-    /// the format the figure binaries print.
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("index,cycles\n");
-        for (i, t) in self.timings.iter().enumerate() {
-            let _ = writeln!(out, "{i},{t}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -126,12 +115,5 @@ mod tests {
         v[200] = 8;
         let t = ProbeTimings::new(v);
         assert_eq!(t.leaked_byte(DEFAULT_THRESHOLD, &[]), Some(200));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = series_with_dip(1).to_csv();
-        assert!(csv.starts_with("index,cycles\n"));
-        assert_eq!(csv.lines().count(), 257);
     }
 }

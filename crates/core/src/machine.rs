@@ -27,7 +27,6 @@ use specrun_workloads::harness::{check_exit, RunError};
 #[derive(Debug, Clone)]
 pub struct Machine<O: PipelineObserver = NoopObserver> {
     core: Core<O>,
-    last_exit: Option<RunExit>,
     first_non_halt: Option<(RunExit, u64)>,
     cancel: Option<CancelToken>,
 }
@@ -35,19 +34,14 @@ pub struct Machine<O: PipelineObserver = NoopObserver> {
 impl Machine {
     /// Creates a detached machine from an explicit configuration.
     pub fn new(config: CpuConfig) -> Machine {
-        Machine { core: Core::new(config), last_exit: None, first_non_halt: None, cancel: None }
+        Machine { core: Core::new(config), first_non_halt: None, cancel: None }
     }
 }
 
 impl<O: PipelineObserver> Machine<O> {
     /// Creates a machine with `observer` attached to its core's pipeline.
     pub fn with_observer(config: CpuConfig, observer: O) -> Machine<O> {
-        Machine {
-            core: Core::with_observer(config, observer),
-            last_exit: None,
-            first_non_halt: None,
-            cancel: None,
-        }
+        Machine { core: Core::with_observer(config, observer), first_non_halt: None, cancel: None }
     }
 
     /// Attaches a supervisor [`CancelToken`]: every subsequent run is
@@ -72,16 +66,10 @@ impl<O: PipelineObserver> Machine<O> {
             Some(token) => self.core.run_governed(max_cycles, token),
             None => self.core.run(max_cycles),
         };
-        self.last_exit = Some(exit);
         if exit != RunExit::Halted && self.first_non_halt.is_none() {
             self.first_non_halt = Some((exit, max_cycles));
         }
         exit
-    }
-
-    /// How the most recent [`Machine::run`] ended (`None` before any run).
-    pub fn last_exit(&self) -> Option<RunExit> {
-        self.last_exit
     }
 
     /// The first non-halting exit any run on this machine produced, with
@@ -232,7 +220,6 @@ mod tests {
     #[test]
     fn exit_tracking_is_sticky_across_program_switches() {
         let mut m = Machine::new(CpuConfig::no_runahead());
-        assert_eq!(m.last_exit(), None);
         assert_eq!(m.first_non_halt(), None);
         // A loop that never halts within its budget.
         let mut b = ProgramBuilder::new(0x100);
@@ -240,13 +227,11 @@ mod tests {
         b.jump("spin");
         let spin = b.build().unwrap();
         assert_eq!(m.run_program(&spin, 64), RunExit::CycleLimit);
-        assert_eq!(m.last_exit(), Some(RunExit::CycleLimit));
         assert_eq!(m.first_non_halt(), Some((RunExit::CycleLimit, 64)));
-        // A later clean run updates last_exit but not the sticky record.
+        // A later clean run does not clear the sticky record.
         let mut b = ProgramBuilder::new(0x100);
         b.halt();
         assert_eq!(m.run_program(&b.build().unwrap(), 1000), RunExit::Halted);
-        assert_eq!(m.last_exit(), Some(RunExit::Halted));
         assert_eq!(m.first_non_halt(), Some((RunExit::CycleLimit, 64)));
     }
 

@@ -74,15 +74,6 @@ impl CpuStats {
             self.committed as f64 / self.cycles as f64
         }
     }
-
-    /// Conditional-branch misprediction rate in [0, 1].
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.branch_mispredicts as f64 / self.branches as f64
-        }
-    }
 }
 
 impl fmt::Display for CpuStats {
@@ -116,13 +107,6 @@ mod tests {
         let s = CpuStats { cycles: 200, committed: 100, ..CpuStats::default() };
         assert!((s.ipc() - 0.5).abs() < 1e-12);
         assert_eq!(CpuStats::default().ipc(), 0.0);
-    }
-
-    #[test]
-    fn mispredict_rate_guards_zero() {
-        assert_eq!(CpuStats::default().mispredict_rate(), 0.0);
-        let s = CpuStats { branches: 4, branch_mispredicts: 1, ..CpuStats::default() };
-        assert!((s.mispredict_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]

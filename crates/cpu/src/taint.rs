@@ -113,12 +113,6 @@ impl TaintTracker {
     pub fn children_map(&self) -> HashMap<ScopeId, Vec<ScopeId>> {
         self.children.clone()
     }
-
-    /// Number of dynamic scopes opened so far this episode.
-    #[allow(dead_code)] // diagnostic; exercised in tests
-    pub fn scopes_opened(&self) -> u32 {
-        self.next_id
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +178,7 @@ mod tests {
         t.on_branch(0x100, 0x200);
         t.reset();
         assert_eq!(t.current_scope(), None);
-        assert_eq!(t.scopes_opened(), 0);
+        assert_eq!(t.on_branch(0x100, 0x200), 0, "scope ids restart at 0");
     }
 
     /// Reproduces the paper's Fig. 12 walkthrough: the machine-code sequence

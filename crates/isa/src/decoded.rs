@@ -328,12 +328,6 @@ impl DecodedProgram {
         let inst = *self.program.insts().get(idx)?;
         Some((inst, &self.meta[idx]))
     }
-
-    /// The metadata at `pc`, with [`DecodedProgram::fetch`]'s domain.
-    #[inline]
-    pub fn meta_at(&self, pc: u64) -> Option<&UopMeta> {
-        self.fetch(pc).map(|(_, m)| m)
-    }
 }
 
 #[cfg(test)]
@@ -399,7 +393,7 @@ mod tests {
         let (_, jmp) = d.fetch(0x2008).unwrap();
         assert_eq!(jmp.ctrl, CtrlClass::Direct);
         assert_eq!(jmp.direct_target(), Some(0x2000));
-        assert_eq!(d.meta_at(0x2000).unwrap().direct_target(), None);
+        assert_eq!(d.fetch(0x2000).unwrap().1.direct_target(), None);
     }
 
     #[test]

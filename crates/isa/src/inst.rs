@@ -1,7 +1,6 @@
 //! The micro-op instruction set.
 //!
-//! Instructions are fixed-width (8 bytes in the encoded form, see
-//! [`crate::encode`]) and PC arithmetic is always in units of
+//! Instructions are fixed-width: PC arithmetic is always in units of
 //! [`INST_BYTES`]. The set is deliberately small: it is the subset of an
 //! x86-like machine that the SPECRUN proof of concept (paper Fig. 8) and the
 //! SPEC2006-like workload kernels require — ALU ops, loads/stores with
@@ -13,7 +12,8 @@ use core::fmt;
 
 use crate::reg::{ArchReg, FpReg, IntReg};
 
-/// Size of one encoded instruction in bytes; PCs advance by this much.
+/// The PC stride: consecutive instructions sit this many bytes apart, which
+/// is also each instruction's footprint in the instruction cache.
 pub const INST_BYTES: u64 = 8;
 
 /// Integer ALU operation kinds.

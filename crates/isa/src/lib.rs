@@ -1,9 +1,8 @@
 //! # specrun-isa
 //!
 //! The micro-op instruction set used by the SPECRUN runahead-processor
-//! simulator: register names, the [`Inst`] enum, a lossless 8-byte binary
-//! [encoding](crate::encode()), a label-resolving [`ProgramBuilder`] and a
-//! small [text assembler](assemble).
+//! simulator: register names, the [`Inst`] enum, a label-resolving
+//! [`ProgramBuilder`] and the predecoded [`DecodedProgram`] the core steps.
 //!
 //! The ISA is the minimal x86-like substrate the paper's proof of concept
 //! (Fig. 8) needs: base+offset loads/stores, trainable conditional branches,
@@ -35,24 +34,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod asm;
 mod decoded;
-mod encode;
 mod inst;
 mod program;
 mod reg;
 
-pub use asm::{assemble, AsmError};
 pub use decoded::{CtrlClass, DecodedProgram, ExecClass, UopMeta};
-pub use encode::{decode, encode, DecodeError, EncodedInst};
 pub use inst::{AluOp, BranchCond, FpOp, Inst, MemWidth, Sources, INST_BYTES};
 pub use program::{BranchScope, Program, ProgramBuilder, ProgramError};
-pub use reg::{ArchReg, FpReg, IntReg, ParseRegError, NUM_FP_REGS, NUM_INT_REGS};
+pub use reg::{ArchReg, FpReg, IntReg, NUM_FP_REGS, NUM_INT_REGS};
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::{
-        assemble, AluOp, ArchReg, BranchCond, FpOp, FpReg, Inst, IntReg, MemWidth, Program,
-        ProgramBuilder, INST_BYTES,
+        AluOp, ArchReg, BranchCond, FpOp, FpReg, Inst, IntReg, MemWidth, Program, ProgramBuilder,
+        INST_BYTES,
     };
 }

@@ -46,7 +46,6 @@ pub struct BranchScope {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     text_base: u64,
-    entry: u64,
     insts: Vec<Inst>,
     branch_scopes: Vec<BranchScope>,
     symbols: BTreeMap<String, u64>,
@@ -63,9 +62,9 @@ impl Program {
         self.text_base + self.insts.len() as u64 * INST_BYTES
     }
 
-    /// Entry-point PC (defaults to [`Program::text_base`]).
+    /// Entry-point PC: execution starts at [`Program::text_base`].
     pub fn entry(&self) -> u64 {
-        self.entry
+        self.text_base
     }
 
     /// Number of instructions.
@@ -106,22 +105,6 @@ impl Program {
     /// All symbols (labels and data symbols) with their addresses.
     pub fn symbols(&self) -> impl Iterator<Item = (&str, u64)> {
         self.symbols.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// A human-readable listing with one `pc: inst` line per instruction.
-    pub fn disassemble(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        let labels: BTreeMap<u64, &str> =
-            self.symbols.iter().map(|(k, v)| (*v, k.as_str())).collect();
-        for (i, inst) in self.insts.iter().enumerate() {
-            let pc = self.text_base + i as u64 * INST_BYTES;
-            if let Some(name) = labels.get(&pc) {
-                let _ = writeln!(out, "{name}:");
-            }
-            let _ = writeln!(out, "  {pc:#08x}: {inst}");
-        }
-        out
     }
 }
 
@@ -178,7 +161,6 @@ struct Fixup {
 #[derive(Debug, Clone)]
 pub struct ProgramBuilder {
     text_base: u64,
-    entry: Option<u64>,
     insts: Vec<Inst>,
     branch_scopes: Vec<BranchScope>,
     symbols: BTreeMap<String, u64>,
@@ -191,7 +173,6 @@ impl ProgramBuilder {
     pub fn new(text_base: u64) -> ProgramBuilder {
         ProgramBuilder {
             text_base,
-            entry: None,
             insts: Vec::new(),
             branch_scopes: Vec::new(),
             symbols: BTreeMap::new(),
@@ -249,12 +230,6 @@ impl ProgramBuilder {
         } else {
             self.symbols.insert(name.to_owned(), addr);
         }
-    }
-
-    /// Marks the entry point at the current PC (defaults to the text base).
-    pub fn entry_here(&mut self) -> &mut ProgramBuilder {
-        self.entry = Some(self.here());
-        self
     }
 
     fn fresh_label(&mut self, prefix: &str) -> String {
@@ -343,11 +318,6 @@ impl ProgramBuilder {
         self.push(Inst::MovImm { rd, imm: 0 })
     }
 
-    /// `rd = rs` (register move pseudo-op).
-    pub fn mv(&mut self, rd: IntReg, rs: IntReg) -> u64 {
-        self.addi(rd, rs, 0)
-    }
-
     // ---- floating point --------------------------------------------------
 
     /// `fd = op(fs1, fs2)`.
@@ -433,21 +403,6 @@ impl ProgramBuilder {
     /// `blt rs1, rs2, label` (signed).
     pub fn blt(&mut self, rs1: IntReg, rs2: IntReg, label: &str) -> u64 {
         self.branch(BranchCond::Lt, rs1, rs2, label)
-    }
-
-    /// `bge rs1, rs2, label` (signed).
-    pub fn bge(&mut self, rs1: IntReg, rs2: IntReg, label: &str) -> u64 {
-        self.branch(BranchCond::Ge, rs1, rs2, label)
-    }
-
-    /// `bgeu rs1, rs2, label` (unsigned).
-    pub fn bgeu(&mut self, rs1: IntReg, rs2: IntReg, label: &str) -> u64 {
-        self.branch(BranchCond::Geu, rs1, rs2, label)
-    }
-
-    /// `bltu rs1, rs2, label` (unsigned).
-    pub fn bltu(&mut self, rs1: IntReg, rs2: IntReg, label: &str) -> u64 {
-        self.branch(BranchCond::Ltu, rs1, rs2, label)
     }
 
     /// Unconditional jump to `label`.
@@ -606,7 +561,6 @@ impl ProgramBuilder {
         }
         Ok(Program {
             text_base: self.text_base,
-            entry: self.entry.unwrap_or(self.text_base),
             insts,
             branch_scopes: self.branch_scopes.clone(),
             symbols: self.symbols.clone(),
@@ -735,32 +689,10 @@ mod tests {
     }
 
     #[test]
-    fn entry_defaults_to_base_and_can_move() {
-        let mut b = ProgramBuilder::new(0x100);
-        b.nop();
-        b.entry_here();
-        b.halt();
-        let p = b.build().unwrap();
-        assert_eq!(p.entry(), 0x108);
-    }
-
-    #[test]
     fn nops_emits_exactly_n() {
         let mut b = ProgramBuilder::new(0);
         b.nops(123);
         b.halt();
         assert_eq!(b.build().unwrap().len(), 124);
-    }
-
-    #[test]
-    fn disassemble_contains_labels_and_pcs() {
-        let mut b = ProgramBuilder::new(0x40);
-        b.label("main");
-        b.li(r(1), 7);
-        b.halt();
-        let text = b.build().unwrap().disassemble();
-        assert!(text.contains("main:"));
-        assert!(text.contains("li r1, 7"));
-        assert!(text.contains("0x000040"));
     }
 }

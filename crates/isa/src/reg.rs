@@ -8,7 +8,6 @@
 //! [`Inst::Ret`]: crate::Inst::Ret
 
 use core::fmt;
-use std::str::FromStr;
 
 /// Number of architectural integer registers.
 pub const NUM_INT_REGS: usize = 32;
@@ -142,53 +141,6 @@ impl From<FpReg> for ArchReg {
     }
 }
 
-/// Error returned when parsing a register name fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseRegError {
-    text: String,
-}
-
-impl ParseRegError {
-    pub(crate) fn new(text: &str) -> ParseRegError {
-        ParseRegError { text: text.to_owned() }
-    }
-}
-
-impl fmt::Display for ParseRegError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid register name `{}`", self.text)
-    }
-}
-
-impl std::error::Error for ParseRegError {}
-
-impl FromStr for IntReg {
-    type Err = ParseRegError;
-
-    fn from_str(s: &str) -> Result<IntReg, ParseRegError> {
-        match s {
-            "zero" => return Ok(IntReg::ZERO),
-            "sp" => return Ok(IntReg::SP),
-            _ => {}
-        }
-        s.strip_prefix('r')
-            .and_then(|n| n.parse::<u8>().ok())
-            .and_then(IntReg::new)
-            .ok_or_else(|| ParseRegError::new(s))
-    }
-}
-
-impl FromStr for FpReg {
-    type Err = ParseRegError;
-
-    fn from_str(s: &str) -> Result<FpReg, ParseRegError> {
-        s.strip_prefix('f')
-            .and_then(|n| n.parse::<u8>().ok())
-            .and_then(FpReg::new)
-            .ok_or_else(|| ParseRegError::new(s))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,30 +164,24 @@ mod tests {
         assert!(!IntReg::SP.is_zero());
     }
 
+    /// `Display` names every register by its index, the form diagnostics
+    /// and `Inst`'s `Display` print.
     #[test]
     fn display_round_trip() {
+        assert_eq!(IntReg::SP.to_string(), "r31");
+        assert_eq!(IntReg::ZERO.to_string(), "r0");
+        assert_eq!(IntReg::new(5).unwrap().to_string(), "r5");
+        assert_eq!(FpReg::new(3).unwrap().to_string(), "f3");
         for i in 0..32u8 {
             let r = IntReg::new(i).unwrap();
-            assert_eq!(r.to_string().parse::<IntReg>().unwrap(), r);
+            assert_eq!(r.to_string(), format!("r{}", r.index()));
+            assert_eq!(ArchReg::Int(r).to_string(), r.to_string());
         }
         for i in 0..16u8 {
-            let r = FpReg::new(i).unwrap();
-            assert_eq!(r.to_string().parse::<FpReg>().unwrap(), r);
+            let f = FpReg::new(i).unwrap();
+            assert_eq!(f.to_string(), format!("f{}", f.index()));
+            assert_eq!(ArchReg::Fp(f).to_string(), f.to_string());
         }
-    }
-
-    #[test]
-    fn parse_aliases() {
-        assert_eq!("sp".parse::<IntReg>().unwrap(), IntReg::SP);
-        assert_eq!("zero".parse::<IntReg>().unwrap(), IntReg::ZERO);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!("r32".parse::<IntReg>().is_err());
-        assert!("x1".parse::<IntReg>().is_err());
-        assert!("f16".parse::<FpReg>().is_err());
-        assert!("".parse::<IntReg>().is_err());
     }
 
     #[test]

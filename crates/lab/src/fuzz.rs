@@ -192,9 +192,9 @@ pub const INVARIANTS: &[FuzzInvariant] = &[
                 }
             }
             // `CpuStats::branch_mispredicts` counts conditional branches
-            // only (it feeds `mispredict_rate`); the observer's event fires
-            // for every branch kind, so indirect/return mispredicts widen
-            // it — the observer may exceed the stat but never trail it.
+            // only; the observer's event fires for every branch kind, so
+            // indirect/return mispredicts widen it — the observer may
+            // exceed the stat but never trail it.
             if c.mispredicts < s.branch_mispredicts {
                 return Err(format!(
                     "mispredicts: observer {} trails stats {}",

@@ -494,15 +494,6 @@ impl MemHierarchy {
         self.stats = MemStats::default();
     }
 
-    /// Earliest completion cycle among in-flight fills, if any — the cached
-    /// horizon behind the O(1) drain early-out, exposed for host-side
-    /// inspection. (The simulator's fast-forward does not consult it: fills
-    /// reach the core as load completion events, and pending fills install
-    /// lazily on the next access without needing a clock tick.)
-    pub fn next_inflight_completion(&self) -> Option<u64> {
-        (self.next_complete != u64::MAX).then_some(self.next_complete)
-    }
-
     /// Latest completion cycle among in-flight fills, if any — the exact
     /// settle horizon for end-of-run draining (no fill lands later).
     pub fn latest_inflight_completion(&self) -> Option<u64> {
@@ -652,17 +643,16 @@ mod tests {
     #[test]
     fn inflight_completion_horizons_track_mshrs() {
         let mut m = mem();
-        assert_eq!(m.next_inflight_completion(), None);
         assert_eq!(m.latest_inflight_completion(), None);
         let a = m.access(0x1000, 0, AccessKind::Load, FillPolicy::Normal);
         let b = m.access(0x2000, 0, AccessKind::Load, FillPolicy::Normal);
-        assert_eq!(m.next_inflight_completion(), Some(a.ready_at));
+        assert!(a.ready_at < b.ready_at);
         assert_eq!(m.latest_inflight_completion(), Some(b.ready_at));
-        // Draining past the first fill advances the horizon to the second.
+        // Draining past the first fill leaves the second in flight.
         m.drain_completed(a.ready_at);
-        assert_eq!(m.next_inflight_completion(), Some(b.ready_at));
+        assert_eq!(m.latest_inflight_completion(), Some(b.ready_at));
         m.drain_completed(b.ready_at);
-        assert_eq!(m.next_inflight_completion(), None);
+        assert_eq!(m.latest_inflight_completion(), None);
         assert_eq!(m.residency(0x1000), HitLevel::L1);
         assert_eq!(m.residency(0x2000), HitLevel::L1);
     }

@@ -37,17 +37,6 @@ impl MemStats {
             HitLevel::Mem => self.dram_accesses += 1,
         }
     }
-
-    /// Total accesses observed (hits at any level plus DRAM allocations and
-    /// MSHR merges).
-    pub fn total_accesses(&self) -> u64 {
-        self.l1d_hits
-            + self.l1i_hits
-            + self.l2_hits
-            + self.l3_hits
-            + self.dram_accesses
-            + self.mshr_merges
-    }
 }
 
 impl fmt::Display for MemStats {
@@ -67,20 +56,6 @@ impl fmt::Display for MemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn totals_sum_all_sources() {
-        let s = MemStats {
-            l1d_hits: 1,
-            l1i_hits: 2,
-            l2_hits: 3,
-            l3_hits: 4,
-            dram_accesses: 5,
-            mshr_merges: 6,
-            ..MemStats::default()
-        };
-        assert_eq!(s.total_accesses(), 21);
-    }
 
     #[test]
     fn display_is_nonempty() {

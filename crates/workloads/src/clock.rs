@@ -20,8 +20,7 @@
 //!
 //! let clock = ChaosClock::new();
 //! clock.sleep_ms(30_000); // a virtual sleep: instant, but time moved
-//! clock.advance_ms(5);
-//! assert_eq!(clock.now_ms(), 30_005);
+//! assert_eq!(clock.now_ms(), 30_000);
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,11 +82,6 @@ impl ChaosClock {
     pub fn new() -> ChaosClock {
         ChaosClock::default()
     }
-
-    /// Advances virtual time without sleeping (drill-side nudge).
-    pub fn advance_ms(&self, ms: u64) {
-        self.now.fetch_add(ms, Ordering::Relaxed);
-    }
 }
 
 impl Clock for ChaosClock {
@@ -124,10 +118,8 @@ mod tests {
         c.sleep_ms(10_000);
         assert!(start.elapsed() < Duration::from_secs(5), "virtual sleep must not block");
         assert_eq!(c.now_ms(), 10_000);
-        c.advance_ms(5);
-        assert_eq!(c.now_ms(), 10_005);
         std::thread::scope(|s| {
-            let h = s.spawn(|| c.sleep_ms(95));
+            let h = s.spawn(|| c.sleep_ms(100));
             h.join().unwrap();
         });
         assert_eq!(c.now_ms(), 10_100, "all threads share one timeline");

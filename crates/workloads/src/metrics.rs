@@ -69,13 +69,6 @@ impl MetricSet {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Appends every metric of `other`, each key prefixed with `prefix_`.
-    pub fn extend_prefixed(&mut self, prefix: &str, other: &MetricSet) {
-        for (k, v) in &other.entries {
-            self.push(format!("{prefix}_{k}"), *v);
-        }
-    }
 }
 
 /// Flattens a result type into named metrics under a key prefix.
@@ -170,14 +163,5 @@ mod tests {
         let mut set = MetricSet::new();
         Summary::of([5.0]).emit_metrics("", &mut set);
         assert_eq!(set.get("mean"), Some(5.0));
-    }
-
-    #[test]
-    fn extend_prefixed_namespaces_all_keys() {
-        let mut inner = MetricSet::new();
-        inner.push("cycles", 10.0);
-        let mut outer = MetricSet::new();
-        outer.extend_prefixed("mcf", &inner);
-        assert_eq!(outer.get("mcf_cycles"), Some(10.0));
     }
 }

@@ -1,37 +1,32 @@
-//! Cross-crate integration: assembler → CPU → memory → predictor flows that
-//! exercise the public APIs together.
+//! Cross-crate integration: program builder → CPU → memory → predictor
+//! flows that exercise the public APIs together.
 
 use specrun_cpu::{Core, CpuConfig};
-use specrun_isa::assemble;
-use specrun_isa::IntReg;
+use specrun_isa::{IntReg, ProgramBuilder};
 use specrun_mem::HitLevel;
 
 fn r(i: u8) -> IntReg {
     IntReg::new(i).unwrap()
 }
 
-/// Text assembly runs on the core and produces architectural results.
+/// A built program runs on the core and produces architectural results.
 #[test]
-fn assembled_text_runs_on_core() {
-    let program = assemble(
-        "
-        .base 0x1000
-        .sym buf 0x8000
-            la   r1, buf
-            li   r2, 0
-            li   r4, 10
-        loop:
-            st8  r2, (r1)
-            ld8  r3, (r1)
-            add  r2, r2, r3
-            addi r2, r2, 1
-            addi r1, r1, 8
-            addi r5, r5, 1
-            blt  r5, r4, loop
-            halt
-        ",
-    )
-    .expect("assembles");
+fn built_program_runs_on_core() {
+    let mut b = ProgramBuilder::new(0x1000);
+    b.def_sym("buf", 0x8000);
+    b.la(r(1), "buf");
+    b.li(r(2), 0);
+    b.li(r(4), 10);
+    b.label("loop");
+    b.sd(r(2), r(1), 0);
+    b.ld(r(3), r(1), 0);
+    b.add(r(2), r(2), r(3));
+    b.addi(r(2), r(2), 1);
+    b.addi(r(1), r(1), 8);
+    b.addi(r(5), r(5), 1);
+    b.blt(r(5), r(4), "loop");
+    b.halt();
+    let program = b.build().expect("builds");
     let mut core = Core::new(CpuConfig::default());
     core.load_program(&program);
     core.run(1_000_000);
@@ -44,15 +39,12 @@ fn assembled_text_runs_on_core() {
 /// side effects persist after the program ends.
 #[test]
 fn cache_state_outlives_programs() {
-    let toucher = assemble(
-        "
-        .sym data 0x4000
-            la r1, data
-            ld8 r2, (r1)
-            halt
-        ",
-    )
-    .unwrap();
+    let mut b = ProgramBuilder::new(0);
+    b.def_sym("data", 0x4000);
+    b.la(r(1), "data");
+    b.ld(r(2), r(1), 0);
+    b.halt();
+    let toucher = b.build().unwrap();
     let mut core = Core::new(CpuConfig::default());
     core.load_program(&toucher);
     core.run(10_000);
@@ -63,17 +55,13 @@ fn cache_state_outlives_programs() {
 /// predicted correctly at first sight by the next (same PC).
 #[test]
 fn predictor_training_transfers_across_programs() {
-    let trainer = assemble(
-        "
-        .base 0x2000
-            li r2, 50
-        loop:
-            addi r1, r1, 1
-            blt r1, r2, loop
-            halt
-        ",
-    )
-    .unwrap();
+    let mut b = ProgramBuilder::new(0x2000);
+    b.li(r(2), 50);
+    b.label("loop");
+    b.addi(r(1), r(1), 1);
+    b.blt(r(1), r(2), "loop");
+    b.halt();
+    let trainer = b.build().unwrap();
     let mut core = Core::new(CpuConfig::default());
     core.load_program(&trainer);
     core.run(100_000);
