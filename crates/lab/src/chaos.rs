@@ -35,6 +35,7 @@ use specrun_workloads::supervisor::{
 };
 
 use crate::campaign::{self, Campaign, Rendered};
+use crate::cli::say;
 use crate::fuzz::{self, CampaignResult, FuzzCampaign, FuzzOptions, RUN_ERROR_VIOLATION};
 use crate::sink::{tmp_path, ArtifactSink, ChaosSink, FsSink};
 
@@ -556,7 +557,7 @@ pub fn run(opts: &ChaosOptions) -> i32 {
     }
     let want = |name: &str| opts.drills.is_empty() || opts.drills.iter().any(|d| d == name);
     let selected: Vec<&str> = DRILL_NAMES.iter().copied().filter(|n| want(n)).collect();
-    println!(
+    say!(
         "chaos: {} drill(s), seed {:#x}, {} plans per campaign, scratch {}",
         selected.len(),
         opts.seed,
@@ -628,18 +629,18 @@ pub fn run(opts: &ChaosOptions) -> i32 {
     }
 
     let mut failed = 0u32;
-    println!();
+    say!();
     for (name, outcome) in &drills {
         match outcome {
-            Ok(detail) => println!("  [ok] {name}: {detail}"),
+            Ok(detail) => say!("  [ok] {name}: {detail}"),
             Err(detail) => {
                 failed += 1;
-                println!("  [FAILED] {name}: {detail}");
+                say!("  [FAILED] {name}: {detail}");
             }
         }
     }
     if failed == 0 {
-        println!("all {} chaos drills recovered as documented", drills.len());
+        say!("all {} chaos drills recovered as documented", drills.len());
         if opts.dir.is_none() {
             let _ = std::fs::remove_dir_all(&root);
         }

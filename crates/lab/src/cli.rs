@@ -244,6 +244,16 @@ pub(crate) fn to_stdout(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) ->
     }
 }
 
+/// `println!` through [`to_stdout`], for progress and report lines: once
+/// the reader has closed the pipe a line is dropped instead of panicking,
+/// and the command keeps its own exit code.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        let _ = $crate::cli::to_stdout(|out| writeln!(out, $($arg)*));
+    }};
+}
+pub(crate) use say;
+
 fn list(out: &mut dyn Write) -> io::Result<()> {
     writeln!(out, "{:<12} {:<14} title", "scenario", "paper_ref")?;
     for s in registry() {
@@ -498,7 +508,7 @@ fn pool_command(args: &[String]) -> Result<i32, String> {
                     return Ok(2);
                 }
             };
-            println!(
+            say!(
                 "pool: {} shard(s) × {} secret(s) = {} forked session(s)",
                 spec.shards.len(),
                 spec.secrets.len(),

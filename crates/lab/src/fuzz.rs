@@ -35,6 +35,7 @@ use specrun_workloads::supervisor::{
 };
 
 use crate::campaign::{self, Artifacts, Campaign, Rendered};
+use crate::cli::say;
 use crate::json::Json;
 use crate::scenario::fnv1a;
 use crate::sink::ArtifactSink;
@@ -716,32 +717,32 @@ impl Campaign for FuzzCampaign<'_> {
         let result = self.result(report);
         for (name, applicable, violations) in &result.tallies {
             let verdict = if *violations == 0 { "ok" } else { "FAILED" };
-            println!("  [{verdict}] {name}: {applicable} applicable, {violations} violation(s)");
+            say!("  [{verdict}] {name}: {applicable} applicable, {violations} violation(s)");
         }
         if result.panics > 0 {
-            println!("  [FAILED] panic: {} plan(s) panicked", result.panics);
+            say!("  [FAILED] panic: {} plan(s) panicked", result.panics);
         }
         if result.run_errors > 0 {
-            println!(
+            say!(
                 "  [FAILED] {RUN_ERROR_VIOLATION}: {} plan(s) hit a structured run error",
                 result.run_errors
             );
         }
         if result.quarantined > 0 {
-            println!(
+            say!(
                 "  [FAILED] quarantine: {} plan(s) failed identically twice, retries stopped",
                 result.quarantined
             );
         }
         if result.breaker_tripped {
-            println!(
+            say!(
                 "  [FAILED] circuit breaker tripped: {} plan(s) skipped, partial results follow",
                 result.skipped_plans
             );
-            println!("  hint: fix the failures, then `--resume` to complete the campaign");
+            say!("  hint: fix the failures, then `--resume` to complete the campaign");
         }
         for case in &result.failures {
-            println!(
+            say!(
                 "  {}: plan {}, violated: {}",
                 case.file_name,
                 case.plan_index,
@@ -860,7 +861,7 @@ pub fn replay(
     let index = index as u64;
     let invert = top("inverted_invariant").and_then(Json::as_str).map(str::to_string);
     let plan = Plan::generate(seed, index, mode == "quick");
-    println!(
+    say!(
         "replaying plan {index} of campaign seed {seed} ({mode} scale){}",
         invert.as_deref().map(|n| format!(", inverted invariant {n}")).unwrap_or_default()
     );
@@ -872,7 +873,7 @@ pub fn replay(
                     eprintln!("error: cannot write trace {}: {e}", trace_log.display());
                     return 2;
                 }
-                println!(
+                say!(
                     "wrote forensic trace {} ({} event(s), {} bytes)",
                     trace_log.display(),
                     events.len(),
@@ -887,11 +888,11 @@ pub fn replay(
     }
     let violations = checked_violations(&plan, invert.as_deref());
     if violations.is_empty() {
-        println!("plan no longer violates any invariant");
+        say!("plan no longer violates any invariant");
         return 0;
     }
     for v in &violations {
-        println!("  [FAILED] {}: {}", v.invariant, v.detail);
+        say!("  [FAILED] {}: {}", v.invariant, v.detail);
     }
     let names: BTreeSet<String> = violations.iter().map(|v| v.invariant.clone()).collect();
     let shrunk = shrink_plan(&plan, |candidate| {
@@ -900,14 +901,14 @@ pub fn replay(
             .any(|v| names.contains(&v.invariant))
     });
     let digest = fnv1a(shrunk.to_json(0).as_bytes());
-    println!("shrunk plan (weight {}, digest {:016x}):", shrunk.weight(), digest);
-    println!("{}", shrunk.to_json(0));
+    say!("shrunk plan (weight {}, digest {:016x}):", shrunk.weight(), digest);
+    say!("{}", shrunk.to_json(0));
     match top("shrunk_digest").and_then(Json::as_str) {
         Some(recorded) if recorded == format!("{digest:016x}") => {
-            println!("shrunk digest matches the recorded failure");
+            say!("shrunk digest matches the recorded failure");
         }
         Some(recorded) => {
-            println!("shrunk digest differs from recorded {recorded} (shrinker or oracle drift)");
+            say!("shrunk digest differs from recorded {recorded} (shrinker or oracle drift)");
         }
         None => {}
     }
@@ -929,7 +930,7 @@ pub fn run_with(opts: &FuzzOptions, sink: &dyn ArtifactSink) -> i32 {
 /// wrapper of it — on the shared executor with the options' threads,
 /// supervision and journal.
 pub fn execute<C: Campaign>(campaign: &C, opts: &FuzzOptions, sink: &dyn ArtifactSink) -> i32 {
-    println!(
+    say!(
         "fuzz campaign: {} plans, seed {:#x}, {} scale",
         opts.plans,
         opts.seed,

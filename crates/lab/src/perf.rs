@@ -30,6 +30,7 @@ use specrun_workloads::kernels;
 use specrun_workloads::pool::CampaignSpec;
 use specrun_workloads::Workload;
 
+use crate::cli::say;
 use crate::report::{parse_metrics, BenchReport};
 
 /// Metrics that the baseline gate must always manage to compare — the
@@ -338,22 +339,22 @@ pub fn run(opts: &PerfOptions) -> i32 {
     // process state (allocator warm-up from long full-mode kernel runs),
     // and the gate compares quick CI runs against a full-mode baseline —
     // both must measure from the same cold start.
-    println!("== session-pool throughput: copy-on-write forks vs fresh builds ==");
-    println!("path,units,wall_secs,sessions_per_sec");
+    say!("== session-pool throughput: copy-on-write forks vs fresh builds ==");
+    say!("path,units,wall_secs,sessions_per_sec");
     let pool_spec = CampaignSpec::paper_matrix();
     let pool = measure_pool(&pool_spec, opts.repeats);
     let fork_rate = f64::from(pool.fork_units) / pool.fork_secs;
     let fresh_rate = f64::from(pool.fresh_units) / pool.fresh_secs;
-    println!("fork,{},{:.3},{:.2}", pool.fork_units, pool.fork_secs, fork_rate);
-    println!("fresh,{},{:.3},{:.2}", pool.fresh_units, pool.fresh_secs, fresh_rate);
-    println!("fork_speedup,{:.2}x", fork_rate / fresh_rate);
+    say!("fork,{},{:.3},{:.2}", pool.fork_units, pool.fork_secs, fork_rate);
+    say!("fresh,{},{:.3},{:.2}", pool.fresh_units, pool.fresh_secs, fresh_rate);
+    say!("fork_speedup,{:.2}x", fork_rate / fresh_rate);
     report.metric("pool_fork_sessions_per_sec", fork_rate);
     report.metric("pool_fresh_sessions_per_sec", fresh_rate);
     report.metric("pool_fork_speedup", fork_rate / fresh_rate);
 
-    println!();
-    println!("== simulator throughput: naive stepping vs idle-cycle fast-forward ==");
-    println!("kernel,machine,cycles,naive_Mcyc_per_s,ff_Mcyc_per_s,speedup");
+    say!();
+    say!("== simulator throughput: naive stepping vs idle-cycle fast-forward ==");
+    say!("kernel,machine,cycles,naive_Mcyc_per_s,ff_Mcyc_per_s,speedup");
     let chase = kernels::pointer_chase(iters);
     let mcf = kernels::mcf(iters / 2);
     for (label, w, cfg) in [
@@ -366,13 +367,7 @@ pub fn run(opts: &PerfOptions) -> i32 {
         let naive_rate = r.cycles as f64 / r.naive_secs;
         let ff_rate = r.cycles as f64 / r.ff_secs;
         let speedup = r.naive_secs / r.ff_secs;
-        println!(
-            "{label},{},{:.2},{:.2},{:.2}",
-            r.cycles,
-            naive_rate / 1e6,
-            ff_rate / 1e6,
-            speedup
-        );
+        say!("{label},{},{:.2},{:.2},{:.2}", r.cycles, naive_rate / 1e6, ff_rate / 1e6, speedup);
         let key = label.replace('/', "_");
         report.metric(format!("{key}_cycles"), r.cycles as f64);
         report.metric(format!("{key}_naive_cycles_per_sec"), naive_rate);
@@ -387,15 +382,15 @@ pub fn run(opts: &PerfOptions) -> i32 {
     // gated like the other hot paths (it ends in `_cycles_per_sec`): an
     // accidental allocation or dispatch cost on the observer seam lands
     // here first.
-    println!();
-    println!("== trace-recording overhead: RecordingObserver vs noop observer ==");
-    println!("kernel,cycles,events,noop_Mcyc_per_s,record_Mcyc_per_s,Mevents_per_s,slowdown");
+    say!();
+    say!("== trace-recording overhead: RecordingObserver vs noop observer ==");
+    say!("kernel,cycles,events,noop_Mcyc_per_s,record_Mcyc_per_s,Mevents_per_s,slowdown");
     let t = measure_trace_overhead(&mcf, CpuConfig::default(), 500_000_000, opts.repeats);
     let noop_rate = t.cycles as f64 / t.noop_secs;
     let record_rate = t.cycles as f64 / t.record_secs;
     let event_rate = t.events as f64 / t.record_secs;
     let slowdown = t.record_secs / t.noop_secs;
-    println!(
+    say!(
         "mcf/runahead,{},{},{:.2},{:.2},{:.2},{:.3}",
         t.cycles,
         t.events,
@@ -413,26 +408,26 @@ pub fn run(opts: &PerfOptions) -> i32 {
     // fetch → predecode-lookup → rename → retire path. Front-end wins (or
     // regressions) show up here even when the kernel rates above are
     // dominated by the memory system.
-    println!();
-    println!("== front-end sub-timer: warmed nop slide ==");
-    println!("slide_insts,cycles,naive_Mcyc_per_s");
+    say!();
+    say!("== front-end sub-timer: warmed nop slide ==");
+    say!("slide_insts,cycles,naive_Mcyc_per_s");
     let slide = if quick { 40_000 } else { 200_000 };
     let (fe_cycles, fe_secs) = measure_frontend_nop_slide(slide, opts.repeats);
     let fe_rate = fe_cycles as f64 / fe_secs;
-    println!("{slide},{fe_cycles},{:.2}", fe_rate / 1e6);
+    say!("{slide},{fe_cycles},{:.2}", fe_rate / 1e6);
     report.metric("frontend_nop_slide_cycles", fe_cycles as f64);
     report.metric("frontend_nop_slide_naive_cycles_per_sec", fe_rate);
 
-    println!();
+    say!();
     let host_threads = harness::default_threads();
-    println!(
+    say!(
         "== Fig. 9-style sweep scaling ({sweep_trials} trials, host has {host_threads} core(s)) =="
     );
     if host_threads < 4 {
-        println!("note: wall-clock scaling needs >= 4 host cores; on this host the");
-        println!("      sweep only demonstrates thread-safety and low fan-out overhead");
+        say!("note: wall-clock scaling needs >= 4 host cores; on this host the");
+        say!("      sweep only demonstrates thread-safety and low fan-out overhead");
     }
-    println!("threads,wall_secs,speedup,efficiency");
+    say!("threads,wall_secs,speedup,efficiency");
     let mut thread_points = vec![1usize, 2, 4];
     if host_threads > 4 {
         thread_points.push(host_threads.min(16));
@@ -451,7 +446,7 @@ pub fn run(opts: &PerfOptions) -> i32 {
         );
         let base = *serial_secs.get_or_insert(secs);
         let speedup = base / secs;
-        println!("{threads},{secs:.3},{speedup:.2},{:.2}", speedup / threads as f64);
+        say!("{threads},{secs:.3},{speedup:.2},{:.2}", speedup / threads as f64);
         report.metric(format!("sweep_{threads}t_wall_secs"), secs);
         report.metric(format!("sweep_{threads}t_speedup"), speedup);
     }
@@ -467,8 +462,8 @@ pub fn run(opts: &PerfOptions) -> i32 {
             return 2;
         }
     };
-    println!();
-    println!("wrote {}", path.display());
+    say!();
+    say!("wrote {}", path.display());
 
     if let Some(baseline) = baseline {
         check_against_baseline(&report, &parse_metrics(&baseline), opts.max_drop)
@@ -489,9 +484,9 @@ pub fn run(opts: &PerfOptions) -> i32 {
 fn check_against_baseline(report: &BenchReport, baseline: &[(String, f64)], max_drop: f64) -> i32 {
     let mut failures = Vec::new();
     let mut compared = Vec::new();
-    println!();
-    println!("== perf gate: >={:.0}% drop vs baseline fails ==", max_drop * 100.0);
-    println!("metric,baseline,current,ratio");
+    say!();
+    say!("== perf gate: >={:.0}% drop vs baseline fails ==", max_drop * 100.0);
+    say!("metric,baseline,current,ratio");
     for (key, current) in report.metrics() {
         if !key.ends_with("_cycles_per_sec") && !key.ends_with("_sessions_per_sec") {
             continue;
@@ -499,7 +494,7 @@ fn check_against_baseline(report: &BenchReport, baseline: &[(String, f64)], max_
         let Some((_, base)) = baseline.iter().find(|(k, _)| k == key) else { continue };
         compared.push(key.as_str());
         let ratio = current / base;
-        println!("{key},{base:.0},{current:.0},{ratio:.2}");
+        say!("{key},{base:.0},{current:.0},{ratio:.2}");
         if ratio < 1.0 - max_drop {
             failures.push(format!("{key}: {current:.0}/s is {ratio:.2}x of baseline {base:.0}/s"));
         }
@@ -530,7 +525,7 @@ fn check_against_baseline(report: &BenchReport, baseline: &[(String, f64)], max_
         }
         return 1;
     }
-    println!("perf gate passed");
+    say!("perf gate passed");
     0
 }
 

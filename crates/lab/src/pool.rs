@@ -33,6 +33,7 @@ use specrun_workloads::pool::{CampaignSpec, PoolReport, ShardSpec, ShardStats, S
 use specrun_workloads::supervisor::{SupervisedReport, UnitCtx};
 
 use crate::campaign::{Artifacts, Campaign, Rendered};
+use crate::cli::say;
 use crate::json::Json;
 use crate::scenario::fnv1a;
 
@@ -347,12 +348,16 @@ impl Campaign for PoolCampaign {
 
     fn render(&self, report: SupervisedReport<ShardStats>) -> Rendered {
         let report = PoolReport::new(&self.spec.shards, report);
-        println!(
+        say!(
             "{:<22} {:>6} {:>6} {:>10} {:>9}  status",
-            "shard", "units", "leaks", "leak_rate", "runahead"
+            "shard",
+            "units",
+            "leaks",
+            "leak_rate",
+            "runahead"
         );
         for shard in &report.shards {
-            println!(
+            say!(
                 "{:<22} {:>6} {:>6} {:>10.3} {:>9}  {}",
                 shard.spec.label(),
                 shard.stats.units,

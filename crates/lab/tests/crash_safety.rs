@@ -4,9 +4,9 @@
 //! refused, artifact-write failures exit 2 and keep the journal for every
 //! journaled shape, `pool run` reports IO errors in one line, a `run`
 //! deadline cancels a scenario instead of waiting for it, a scenario
-//! named twice is refused before anything is journaled, and a listing or
-//! trace report whose reader closes the pipe keeps its exit code without
-//! a panic.
+//! named twice is refused before anything is journaled, and a listing,
+//! trace report or campaign whose reader closes the pipe keeps its exit
+//! code without a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -442,5 +442,29 @@ fn trace_reports_keep_their_exit_code_when_the_reader_closes_the_pipe() {
         Some(1),
         "a closed pipe does not hide the divergence verdict"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn campaigns_keep_their_exit_code_when_the_reader_closes_the_pipe() {
+    let dir = scratch("campaign-pipe");
+    let path = |name: &str| dir.join(name).display().to_string();
+
+    let spec = Command::new(lab_bin()).args(["pool", "spec"]).output().expect("spawn pool spec");
+    std::fs::write(dir.join("matrix.json"), &spec.stdout).expect("write the spec");
+    let pool = ["pool", "run", &path("matrix.json"), "--threads", "1", "--out", &path("pool.json")];
+    assert_eq!(exit_code_with_closed_stdout(&pool), Some(0), "{pool:?}");
+    assert!(dir.join("pool.json").exists(), "the pool report is written");
+
+    let report = path("FUZZ_report.json");
+    let fuzz =
+        ["fuzz", "--plans", "2", "--quick", "--report", &report, "--fail-dir", &path("fail")];
+    assert_eq!(exit_code_with_closed_stdout(&fuzz), Some(0), "{fuzz:?}");
+    assert!(Path::new(&report).exists(), "the fuzz report is written");
+    assert!(!Path::new(&format!("{report}.journal")).exists(), "the fuzz journal is retired");
+
+    let chaos = ["chaos", "--quick", "--drill", "stalled_unit", "--dir", &path("chaos")];
+    assert_eq!(exit_code_with_closed_stdout(&chaos), Some(0), "{chaos:?}");
+
     let _ = std::fs::remove_dir_all(&dir);
 }
