@@ -163,11 +163,13 @@ fn sigkilled_run_campaign_resumes_byte_identically() {
     let dir = scratch("run");
     let ref_dir = dir.join("reference");
     let cut_dir = dir.join("interrupted");
+    // `table1` takes milliseconds and `fig7` most of the run, so the kill
+    // lands while `fig7` runs, after `table1`'s pass is journaled.
     let run_args = |artifacts: &Path, extra: &[&str]| {
         let mut v = vec![
             "run".to_string(),
-            "fig7".into(),
             "table1".into(),
+            "fig7".into(),
             "--quick".into(),
             "--artifacts-dir".into(),
             artifacts.display().to_string(),
@@ -189,7 +191,8 @@ fn sigkilled_run_campaign_resumes_byte_identically() {
         .stdout(Stdio::null())
         .spawn()
         .expect("spawn run to interrupt");
-    wait_for_lines(&journal, 2, Duration::from_secs(60));
+    assert!(wait_for_lines(&journal, 2, Duration::from_secs(60)), "table1 is journaled");
+    assert!(child.try_wait().expect("poll the run").is_none(), "the kill lands mid-campaign");
     let _ = child.kill();
     let _ = child.wait();
 
