@@ -24,7 +24,7 @@ use specrun_workloads::supervisor::{
     supervised_map_with, SupervisedReport, SupervisorConfig, UnitCtx, UnitOutcome,
 };
 
-use crate::cli::to_stdout;
+use crate::cli::{say, to_stdout};
 use crate::journal::{Journal, OpenError};
 use crate::sink::ArtifactSink;
 
@@ -159,7 +159,7 @@ pub fn execute<C: Campaign>(
         }
     }
     if rendered.passed {
-        let _ = to_stdout(|out| writeln!(out, "{}", rendered.verdict));
+        say!("{}", rendered.verdict);
         0
     } else {
         eprintln!("{}", rendered.verdict);
@@ -221,13 +221,7 @@ fn settle<C: Campaign>(
     }
     if pending.len() < units.len() {
         let (resumed, noun) = (units.len() - pending.len(), campaign.noun());
-        let _ = to_stdout(|out| {
-            writeln!(
-                out,
-                "resumed: {resumed} {noun}(s) recovered from the journal; {} re-run",
-                pending.len()
-            )
-        });
+        say!("resumed: {resumed} {noun}(s) recovered from the journal; {} re-run", pending.len());
     }
 
     // The first failed append; the hook that sets it never panics.

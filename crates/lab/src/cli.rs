@@ -686,9 +686,7 @@ impl Campaign for RunCampaign {
             LabEntry::Run(run) => run,
             LabEntry::Journaled { .. } => {
                 let (name, paper_ref) = (scenario.name, scenario.paper_ref);
-                let _ = to_stdout(|out| {
-                    writeln!(out, "== {name} ({paper_ref}) — journaled as passed, skipped ==\n")
-                });
+                say!("== {name} ({paper_ref}) — journaled as passed, skipped ==\n");
                 return;
             }
         };
